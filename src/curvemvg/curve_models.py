@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import polycore as pc
 from .polycore import HomogeneousPolynomial, enumerate_monomials
@@ -303,11 +302,11 @@ def find_nodes(curve: RationalCurve3D, cam: Camera, image_curve: ImageCurve,
     for i in range(n_grid):
         lo, hi = (i - 1) % n_grid, (i + 1) % n_grid
         if vals[i] < coarse and vals[i] <= vals[lo] and vals[i] <= vals[hi]:
-            res = minimize_scalar(gnorm, bounds=(thetas[i] - 1.5 * span, thetas[i] + 1.5 * span),
-                                  method="bounded", options={"xatol": 1e-13})
-            if res.fun >= tol:
+            th, g = pc.golden_polish(gnorm, thetas[i] - 1.5 * span,
+                                     thetas[i] + 1.5 * span, 1e-13)
+            if g >= tol:
                 continue
-            th = float(res.x) % np.pi
+            th = th % np.pi
             p = cam.M @ curve.point(th)
             hits.append((th, p / np.linalg.norm(p)))
     nodes = []

@@ -302,17 +302,7 @@ def localize_on_ray(G: ChowForm, ray: PluckerLine, tol: float = 1e-6,
     step = np.pi / n_samples
     candidates = []
     for i in minima:
-        lo, hi = ts[i] - step, ts[i] + step
-        # golden-section polish on the bracket
-        for _ in range(60):
-            m1 = lo + 0.382 * (hi - lo)
-            m2 = lo + 0.618 * (hi - lo)
-            if score(m1) < score(m2):
-                hi = m2
-            else:
-                lo = m1
-        t_best = 0.5 * (lo + hi)
-        v = score(t_best)
+        t_best, v = pc.golden_polish(score, ts[i] - step, ts[i] + step, 1e-14)
         if v <= tol:
             candidates.append((t_best, point_at(t_best), v))
     # dedup: minima from adjacent grid cells polish to the same root

@@ -447,3 +447,39 @@ def cosine_similarity(u, v) -> float:
     if nu == 0.0 or nv == 0.0:
         raise PolynomialError("cosine undefined for zero vectors")
     return float(abs(np.vdot(u, v)) / (nu * nv))
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_polish(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
+    """Minimise a unimodal f on [lo, hi] by golden-section search.
+
+    Each step keeps one interior point and its value, so it costs a single
+    evaluation; the bracket shrinks by the golden ratio per step until it is
+    at most xtol wide.  A minimum at either end of the bracket is returned
+    as that end.  Returns ``(x, f(x))`` for the best point evaluated.
+    """
+    a, b = float(lo), float(hi)
+    width = b - a
+    steps = 0
+    if width > xtol:
+        steps = math.ceil(math.log(width / xtol) / -math.log(_INV_PHI))
+    c, d = b - _INV_PHI * width, a + _INV_PHI * width
+    fc, fd = f(c), f(d)
+    for _ in range(steps):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    x, fx = (c, fc) if fc < fd else (d, fd)
+    if a == lo or b == hi:
+        edge = a if a == lo else b
+        fe = f(edge)
+        if fe <= fx:
+            x, fx = edge, fe
+    return x, fx

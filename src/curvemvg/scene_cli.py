@@ -135,6 +135,15 @@ def _parse_dynamic(entry, idx: int) -> dict:
 KNOWN_KEYS = {"cameras", "curves", "dynamic_points", "noise_sigma", "seed"}
 
 
+def _noise_sigma(value, what: str) -> float:
+    # the chained comparison is False for NaN, infinities, negatives and
+    # integers too large for a float
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not 0 <= value <= sys.float_info.max:
+        raise ConfigError(f"{what} must be a finite non-negative number")
+    return float(value)
+
+
 def parse_config(obj, seed_override: int | None = None,
                  noise_override: float | None = None) -> SceneConfig:
     """Validate a decoded JSON payload into a SceneConfig.
@@ -153,11 +162,9 @@ def parse_config(obj, seed_override: int | None = None,
         raise ConfigError("seed must be an integer")
     if seed_override is not None:
         seed = seed_override
-    noise = obj.get("noise_sigma", 0.0)
-    if isinstance(noise, bool) or not isinstance(noise, (int, float)) or noise < 0:
-        raise ConfigError("noise_sigma must be a non-negative number")
+    noise = _noise_sigma(obj.get("noise_sigma", 0.0), "noise_sigma")
     if noise_override is not None:
-        noise = noise_override
+        noise = _noise_sigma(noise_override, "--noise")
     rng = np.random.default_rng(seed)
 
     cam_field = obj.get("cameras", [])
@@ -181,7 +188,7 @@ def parse_config(obj, seed_override: int | None = None,
         raise ConfigError("dynamic_points must be a list")
     dyns = [_parse_dynamic(e, i) for i, e in enumerate(dyn_field)]
 
-    return SceneConfig(cams, curves, dyns, float(noise), seed, raw=obj)
+    return SceneConfig(cams, curves, dyns, noise, seed, raw=obj)
 
 
 def load_config(path: str, seed_override: int | None = None,

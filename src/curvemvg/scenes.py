@@ -138,8 +138,8 @@ def lines_missing_points(points, rng: np.random.Generator, count: int,
     while len(kept) < count:
         L = join_points(rng.standard_normal(4), rng.standard_normal(4))
         L = L / np.linalg.norm(L)
-        gap = min(np.linalg.norm(point_line_matrix(L) @ P) for P in points)
-        if gap >= min_gap:
+        M = point_line_matrix(L)
+        if np.linalg.norm(points @ M.T, axis=1).min() >= min_gap:
             kept.append(L)
     return np.array(kept)
 

@@ -172,3 +172,46 @@ def test_sign_normalize_conventions():
     assert w[1] > 0
     z = pc.sign_normalize(np.array([1.0j, 2.0, 0.0]))
     assert abs(np.linalg.norm(z) - 1.0) < 1e-12
+
+
+def _counted(f):
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return f(t)
+    return g, calls
+
+
+def _golden_budget(width, xtol):
+    import math
+    return math.ceil(math.log(width / xtol) / math.log((1 + math.sqrt(5)) / 2)) + 3
+
+
+@pytest.mark.parametrize("xtol", [1e-6, 1e-10, 1e-13])
+def test_golden_polish_v_shape(xtol):
+    t0 = 0.3141
+    f, calls = _counted(lambda t: abs(t - t0))
+    x, fx = pc.golden_polish(f, -1.0, 2.0, xtol)
+    assert abs(x - t0) <= xtol
+    assert fx == abs(x - t0)
+    assert len(calls) <= _golden_budget(3.0, xtol)
+
+
+def test_golden_polish_quadratic():
+    t0 = -0.72
+    f, calls = _counted(lambda t: 5.0 * (t - t0) ** 2)
+    x, fx = pc.golden_polish(f, -1.0, 0.5, 1e-9)
+    assert abs(x - t0) <= 1e-9
+    assert fx == 5.0 * (x - t0) ** 2
+    assert len(calls) <= _golden_budget(1.5, 1e-9)
+
+
+@pytest.mark.parametrize("slope", [1.0, -1.0])
+def test_golden_polish_returns_bracket_edge(slope):
+    lo, hi = 0.25, 0.75
+    f, calls = _counted(lambda t: slope * t)
+    x, fx = pc.golden_polish(f, lo, hi, 1e-12)
+    assert x == (lo if slope > 0 else hi)
+    assert fx == slope * x
+    assert len(calls) <= _golden_budget(hi - lo, 1e-12)

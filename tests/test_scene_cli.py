@@ -195,3 +195,70 @@ def test_console_script_runs():
     assert proc.returncode == 0
     body = json.loads(proc.stdout)
     assert body["verdicts"]["table_consistent"] is True
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_main_exit_two_on_bad_noise(value, capsys):
+    rc = sc.main(["kruppa-dim", "--config", str(CONFIGS / "conic_pair.json"),
+                  "--noise", value])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "noise" in captured.err
+
+
+def test_main_exit_two_on_nan_noise_in_config(tmp_path, capsys):
+    cfgp = tmp_path / "nan.json"
+    cfgp.write_text('{"seed": 1, "noise_sigma": NaN}', encoding="utf-8")
+    assert sc.main(["simulate", "--config", str(cfgp)]) == 2
+    assert "noise_sigma" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, curvemvg.scene_cli; "
+         "print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# The eight README command lines and their report digests; a change that
+# moves any of them must say which and why.
+README_DIGESTS = {
+    "simulate --config simulate_demo.json":
+        "e6a0c13b1038cb30b30885a35f74a9f89b2129cd9aca69ff6873206d3dd2e37d",
+    "kruppa-check --config kruppa_trio.json --noise 1e-3":
+        "38be39624b0bce80db5f531172e4ba36a2310264d0c0546cba640487d842a9a0",
+    "kruppa-dim --config conic_pair.json":
+        "0afff9257d2fd2247c2d81be07e125069ca3530050c3403586b53d5549b14f66",
+    "reconstruct-points --config cubic_pair.json --planes 60":
+        "46da03818f275958bf7fcbb8b988021aefd2447bd6acac9197a22e9d1d5a02f4",
+    "reconstruct-dual --config dual_quartic.json":
+        "ad2e7e55b2d87606daf3c807cb3eba44a0a0235499b638a5caa5ea23ab681c4a",
+    "reconstruct-chow --config chow_cubic.json":
+        "69b908e98c64b9d2c20f5fbfa700398df5321d9fa1a09d95e44edef5d0b5c24d",
+    "classify-motion --config dynamics_mixed.json":
+        "cb13fdd69a9477992dea2f7ca755e992488feb074e3504fb27c5aa1c81b527e6",
+    "consistency-tables --d 2..4 --m 2..8":
+        "af110aec9b690a41b1bba7e358a172c5b1a46b6728106237b607e3b6a72474b3",
+}
+
+
+@pytest.mark.parametrize("line", sorted(README_DIGESTS))
+def test_readme_command_digests_are_pinned(line):
+    argv = line.split()
+    if "--config" in argv:
+        k = argv.index("--config") + 1
+        argv[k] = str(CONFIGS / argv[k])
+    args = sc._build_parser().parse_args(argv)
+    if args.config is not None:
+        cfg = sc.load_config(args.config, args.seed, args.noise)
+    else:
+        cfg = sc.parse_config({"seed": 0})
+    rep = sc.run(args.command, cfg, args)
+    assert rep.failed_keys() == []
+    assert rep.digest == README_DIGESTS[line]
