@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +52,7 @@ def _binary_monomials(theta: float | np.ndarray, degree: int) -> np.ndarray:
     return t ** (degree - ks) * s ** ks
 
 
+@lru_cache(maxsize=None)
 def _derivative_shift(degree: int, slot: int) -> np.ndarray:
     # (degree+1) x degree matrix: column form of d/dt (slot 0) or d/ds (slot 1)
     E = np.zeros((degree + 1, degree))
@@ -59,6 +61,7 @@ def _derivative_shift(degree: int, slot: int) -> np.ndarray:
             E[k, k] = degree - k
         if slot == 1 and k >= 1:
             E[k, k - 1] = k
+    E.setflags(write=False)
     return E
 
 
@@ -98,12 +101,12 @@ class RationalCurve3D:
         mono = np.asarray(t) ** (self.degree - ks) * np.asarray(s) ** ks
         return self.C @ mono
 
-    def velocity(self, theta: float) -> np.ndarray:
-        """Derivative of the point path along the angle chart."""
-        d = self.degree
-        Et, Es = _derivative_shift(d, 0), _derivative_shift(d, 1)
-        mono = _binary_monomials(theta, d - 1)
-        return (-np.sin(theta)) * (self.C @ Et @ mono) + np.cos(theta) * (self.C @ Es @ mono)
+    def velocity(self, theta) -> np.ndarray:
+        """Derivative of the point path along the angle chart; one row per angle."""
+        th = np.asarray(theta)
+        Ct, Cs = self.partial_matrices()
+        mono = _binary_monomials(th, self.degree - 1)
+        return -np.sin(th)[..., None] * (mono @ Ct.T) + np.cos(th)[..., None] * (mono @ Cs.T)
 
     def partial_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """Coefficient matrices of the two parameter partials (degree d-1)."""
@@ -161,10 +164,10 @@ def _is_generic(curve: RationalCurve3D, n: int = 240) -> bool:
     thetas = _sample_thetas(n)
     P = curve.points(thetas)
     # immersion: velocity never parallel to the point
-    for th in thetas[::6]:
-        p, v = curve.point(th), curve.velocity(th)
-        if np.linalg.norm(np.outer(p, v) - np.outer(v, p)) < 1e-8:
-            return False
+    p, v = P[::6, :, None], curve.velocity(thetas[::6])[:, None, :]
+    wedge = p * v - np.swapaxes(p * v, 1, 2)
+    if np.any(np.linalg.norm(wedge, axis=(1, 2)) < 1e-8):
+        return False
     # injectivity: well-separated parameters give distinct points
     G = np.abs(P @ P.T)
     idx = np.arange(n)
@@ -219,34 +222,45 @@ def implicit_image_curve(curve: RationalCurve3D, cam: Camera,
     return ImageCurve(f, d, class_of(d, 0), node_count(d, 0), gap)
 
 
+def image_tangents(curve: RationalCurve3D, cam: Camera, thetas) -> np.ndarray:
+    """Tangent lines of the image curve at the projections of ``thetas``, as rows.
+
+    Each row is the projected point crossed with the projected velocity, so
+    it is the tangent of the moving branch, unit-normalized with its first
+    significant coordinate positive (the real convention of
+    :func:`polycore.sign_normalize`).  A parameter whose projected velocity
+    degenerates raises.
+    """
+    th = np.atleast_1d(np.asarray(thetas, dtype=float))
+    p = _binary_monomials(th, curve.degree) @ (cam.M @ curve.C).T
+    v = curve.velocity(th) @ cam.M.T
+    # row-wise cross product; np.cross costs more than the rest on a single row
+    l = p[:, [1, 2, 0]] * v[:, [2, 0, 1]] - p[:, [2, 0, 1]] * v[:, [1, 2, 0]]
+    norms = np.sqrt((l * l).sum(axis=1))
+    scale = np.sqrt((p * p).sum(axis=1) * (v * v).sum(axis=1))
+    if np.any((scale == 0.0) | (norms <= 1e-10 * scale)):
+        raise GeometryError("projected velocity degenerates at this parameter")
+    l = l / norms[:, None]
+    lead = l[np.arange(len(l)), np.argmax(np.abs(l) > 1e-12, axis=1)]
+    return np.where(lead < 0.0, -1.0, 1.0)[:, None] * l
+
+
 def image_tangent(curve: RationalCurve3D, cam: Camera, theta: float,
                   image_curve: ImageCurve | None = None) -> np.ndarray:
     """Tangent line of the image curve at the projection of ``theta``.
 
-    Computed from the parametrization (projected point crossed with the
-    projected velocity), so it is the tangent of the moving branch; when the
-    implicit model is supplied, landing on a singular point of the image is
-    reported instead of silently returning one branch.
+    The one-row case of :func:`image_tangents`; when the implicit model is
+    supplied, landing on a singular point of the image is reported instead
+    of silently returning one branch.
     """
-    p = cam.M @ curve.point(theta)
-    v = cam.M @ curve.velocity(theta)
-    l = np.cross(p, v)
-    scale = np.linalg.norm(p) * np.linalg.norm(v)
-    if scale == 0.0 or np.linalg.norm(l) <= 1e-10 * scale:
-        raise GeometryError("projected velocity degenerates at this parameter")
+    l = image_tangents(curve, cam, theta)[0]
     if image_curve is not None:
+        p = cam.M @ curve.point(theta)
         g = pc.gradient_at(image_curve.f, p / np.linalg.norm(p))
         if np.linalg.norm(g) <= 1e-6 * np.linalg.norm(image_curve.f.coeffs):
             raise CurveModelError(
                 "image point is singular (two branches cross), tangent is ambiguous")
-    return pc.sign_normalize(l)
-
-
-def tangent_rows(curve: RationalCurve3D, cam: Camera, m: int, thetas) -> np.ndarray:
-    """Monomial rows of degree m evaluated at tangent lines of the image."""
-    basis = enumerate_monomials(3, m)
-    lines = np.stack([image_tangent(curve, cam, th) for th in np.asarray(thetas)])
-    return pc.monomial_rows(basis, lines)
+    return l
 
 
 def fit_dual_image_curve(curve: RationalCurve3D, cam: Camera,
@@ -255,11 +269,11 @@ def fit_dual_image_curve(curve: RationalCurve3D, cam: Camera,
     m = class_of(curve.degree, 0)
     basis = enumerate_monomials(3, m)
     n = max(int(oversample * basis.size), basis.size + 8)
-    lines = np.stack([image_tangent(curve, cam, th) for th in _sample_thetas(n)])
+    lines = image_tangents(curve, cam, _sample_thetas(n))
     phi, gap = pc.fit_vanishing_form(basis, lines)
     if gap >= 1e-3:
         raise CurveModelError(f"dual fit is ambiguous (gap {gap:.2e})")
-    held = np.stack([image_tangent(curve, cam, th) for th in _sample_thetas(41, offset=0.27)])
+    held = image_tangents(curve, cam, _sample_thetas(41, offset=0.27))
     resid = np.abs(pc.monomial_rows(basis, held) @ phi.coeffs).max()
     if resid > 1e-6:
         raise CurveModelError(f"dual fit fails held-out tangents ({resid:.2e})")

@@ -14,8 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
-
 
 class PolynomialError(ValueError):
     """Raised for degenerate polynomial-level inputs (zero forms, bad shapes)."""
@@ -121,16 +119,6 @@ def evaluate(p: HomogeneousPolynomial, x):
     return vals[0] if single else vals
 
 
-def evaluate_normalized(p: HomogeneousPolynomial, x) -> float:
-    """|p(x)| after scaling x to unit norm and the coefficients to unit norm."""
-    x = np.asarray(x, dtype=p.coeffs.dtype if np.iscomplexobj(p.coeffs) else None)
-    nx = np.linalg.norm(x)
-    nc = np.linalg.norm(p.coeffs)
-    if nx == 0.0 or nc == 0.0:
-        raise PolynomialError("normalized evaluation needs nonzero point and coefficients")
-    return abs(evaluate(p, x / nx)) / nc
-
-
 @lru_cache(maxsize=None)
 def _product_index_map(num_vars: int, deg_a: int, deg_b: int) -> np.ndarray:
     # flat index into basis(num_vars, deg_a + deg_b) for every exponent sum
@@ -141,6 +129,7 @@ def _product_index_map(num_vars: int, deg_a: int, deg_b: int) -> np.ndarray:
     for i, ea in enumerate(ba):
         for j, eb in enumerate(bb):
             out[i, j] = idx[tuple(a + b for a, b in zip(ea, eb))]
+    out.setflags(write=False)
     return out
 
 
@@ -156,23 +145,51 @@ def multiply(p: HomogeneousPolynomial, q: HomogeneousPolynomial) -> HomogeneousP
 
 
 @lru_cache(maxsize=None)
-def _multinomial_table(num_vars: int, degree: int) -> np.ndarray:
-    exps = _exponents(num_vars, degree)
-    vals = np.empty(len(exps))
-    for i, e in enumerate(exps):
-        c = math.factorial(degree)
-        for k in e:
-            c //= math.factorial(k)
-        vals[i] = c
-    return vals
+def _sym_power_tables(num_vars: int, k: int, degree: int) -> tuple:
+    # per degree e = 1..degree: for every degree-e monomial in num_vars
+    # variables, the row of its degree-(e-1) parent, the variable peeled off,
+    # and the 0/1 matrix scattering (parent column, new factor) pairs onto
+    # the degree-e basis in k variables
+    tables = []
+    for e in range(1, degree + 1):
+        parent_idx = _index_of(num_vars, e - 1)
+        parents, peeled = [], []
+        for exps in _exponents(num_vars, e):
+            i = next(j for j, x in enumerate(exps) if x)
+            shifted = list(exps)
+            shifted[i] -= 1
+            parents.append(parent_idx[tuple(shifted)])
+            peeled.append(i)
+        imap = _product_index_map(k, e - 1, 1).ravel()
+        scatter = np.zeros((imap.size, math.comb(k + e - 1, e)))
+        scatter[np.arange(imap.size), imap] = 1.0
+        table = (np.array(parents), np.array(peeled), scatter)
+        for arr in table:
+            arr.setflags(write=False)
+        tables.append(table)
+    return tuple(tables)
 
 
-def _power_of_linear_form(a: np.ndarray, e: int) -> np.ndarray:
-    # coefficients of (a . y)**e over basis(len(a), e), by the multinomial theorem
-    k = a.shape[0]
-    basis = enumerate_monomials(k, e)
-    exps = basis.exponent_array()
-    return _multinomial_table(k, e) * np.prod(a[None, :] ** exps, axis=1)
+def sym_power(A, degree: int) -> np.ndarray:
+    """Matrix of the degree-d symmetric power of the linear map ``y -> A @ y``.
+
+    Row ``r`` holds the coefficients, over ``basis(k, degree)``, of monomial
+    ``r`` of ``basis(n, degree)`` composed with the map, so that
+    ``pullback(p, A).coeffs == p.coeffs @ sym_power(A, p.degree)`` and a
+    stack of coefficient vectors is pulled back by one product.  Each
+    degree-e row is its degree-(e-1) parent row times one linear form.
+    """
+    A = np.asarray(A)
+    if A.ndim != 2:
+        raise PolynomialError(f"substitution matrix has shape {A.shape}, expected (n, k)")
+    if degree < 0:
+        raise PolynomialError("degree must be nonnegative")
+    n, k = A.shape
+    S = np.ones((1, 1), dtype=np.result_type(A, float))
+    for parents, peeled, scatter in _sym_power_tables(n, k, degree):
+        terms = S[parents][:, :, None] * A[peeled][:, None, :]
+        S = terms.reshape(len(parents), -1) @ scatter
+    return S
 
 
 def pullback(p: HomogeneousPolynomial, A) -> HomogeneousPolynomial:
@@ -188,40 +205,15 @@ def pullback(p: HomogeneousPolynomial, A) -> HomogeneousPolynomial:
     Returns
     -------
     HomogeneousPolynomial
-        Form of the same degree in ``k`` variables, expanded exactly via
-        multinomial coefficients.
+        Form of the same degree in ``k`` variables, expanded exactly through
+        :func:`sym_power`.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != p.num_vars:
         raise PolynomialError(
             f"substitution matrix has shape {A.shape}, expected ({p.num_vars}, k)")
-    k = A.shape[1]
-    target = enumerate_monomials(k, p.degree)
-    dtype = np.result_type(p.coeffs, A)
-    out = np.zeros(target.size, dtype=dtype)
-    if p.degree == 0:
-        out[0] = p.coeffs[0]
-        return HomogeneousPolynomial(target, out)
-    power_cache: dict[tuple[int, int], HomogeneousPolynomial] = {}
-
-    def row_power(i: int, e: int) -> HomogeneousPolynomial:
-        key = (i, e)
-        if key not in power_cache:
-            power_cache[key] = HomogeneousPolynomial(
-                enumerate_monomials(k, e), _power_of_linear_form(A[i], e))
-        return power_cache[key]
-
-    for coeff, exps in zip(p.coeffs, p.basis.exponents):
-        if coeff == 0:
-            continue
-        term = None
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            factor = row_power(i, e)
-            term = factor if term is None else multiply(term, factor)
-        out += coeff * term.coeffs
-    return HomogeneousPolynomial(target, out)
+    target = enumerate_monomials(A.shape[1], p.degree)
+    return HomogeneousPolynomial(target, p.coeffs @ sym_power(A, p.degree))
 
 
 def partial(p: HomogeneousPolynomial, i: int) -> HomogeneousPolynomial:
@@ -282,29 +274,6 @@ def restrict_to_line(p: HomogeneousPolynomial, a, b) -> HomogeneousPolynomial:
     if denom == 0.0 or np.abs(cross).max() <= 1e-12 * denom:
         raise PolynomialError("span points are parallel, no line is determined")
     return pullback(p, np.stack([a, b], axis=1))
-
-
-def proportional(p, q, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Scale-free proportionality test between two coefficient vectors.
-
-    Returns ``(flag, lam)`` where ``lam`` is the least-squares scale with
-    ``p ~ lam * q``.  The residual is the largest normalized 2x2 minor of
-    ``[p; q]``; both vectors zero is an error, ``q`` zero alone is rejected
-    because the scale would be indeterminate.
-    """
-    p = np.asarray(p, dtype=float).ravel()
-    q = np.asarray(q, dtype=float).ravel()
-    if p.shape != q.shape:
-        raise PolynomialError("proportionality needs equal lengths")
-    np_, nq = np.linalg.norm(p), np.linalg.norm(q)
-    if nq == 0.0:
-        raise PolynomialError("reference vector is zero, scale is indeterminate")
-    if np_ == 0.0:
-        return True, 0.0
-    cross = np.outer(p, q)
-    resid = float(np.abs(cross - cross.T).max() / (np_ * nq))
-    lam = float(np.dot(q, p) / np.dot(q, q))
-    return resid <= tol, lam
 
 
 def proportionality_residual(p, q) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -365,6 +366,7 @@ def grassmann_quadric_form() -> HomogeneousPolynomial:
     return HomogeneousPolynomial(basis, coeffs)
 
 
+@lru_cache(maxsize=None)
 def _ideal_rows(d: int) -> np.ndarray:
     """Orthonormal coefficient basis of the degree-d multiples of the quadric."""
     Q = grassmann_quadric_form()
@@ -379,7 +381,9 @@ def _ideal_rows(d: int) -> np.ndarray:
         rows.append(prod.coeffs)
     R = np.stack(rows)
     q, _ = np.linalg.qr(R.T)
-    return q.T[: R.shape[0]]
+    ideal = q.T[: R.shape[0]]
+    ideal.setflags(write=False)
+    return ideal
 
 
 @dataclass
@@ -456,8 +460,7 @@ def fit_chow_from_lines(lines: np.ndarray, d: int,
         gap = float(s_pad[needed] / s_pad[needed - 1])   # small is good
     else:
         gap = float("inf")   # rank-deficient batch; the fit is not pinned down
-    pulled = np.stack([pc.pullback(HomogeneousPolynomial(basis, v), T).coeffs
-                       for v in null_white])
+    pulled = null_white @ pc.sym_power(T, d)
     pulled = pulled / np.linalg.norm(pulled, axis=1, keepdims=True)
     ideal = _ideal_rows(d)
     resid = pulled - (pulled @ ideal.T) @ ideal

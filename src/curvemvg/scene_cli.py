@@ -24,7 +24,7 @@ from . import kruppa as kp
 from . import polycore as pc
 from . import reconstruct as rc
 from . import scenes
-from .curve_models import (RationalCurve3D, class_of, image_tangent,
+from .curve_models import (RationalCurve3D, class_of, image_tangents,
                            implicit_image_curve, preset_curve, PRESET_NAMES)
 from .projective_cameras import Camera, EpipolarGeometry, fundamental, join_points
 
@@ -162,6 +162,8 @@ def parse_config(obj, seed_override: int | None = None,
         raise ConfigError("seed must be an integer")
     if seed_override is not None:
         seed = seed_override
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     noise = _noise_sigma(obj.get("noise_sigma", 0.0), "noise_sigma")
     if noise_override is not None:
         noise = _noise_sigma(noise_override, "--noise")
@@ -466,8 +468,7 @@ def _cmd_reconstruct_dual(cfg: SceneConfig, rng: np.random.Generator,
     views = []
     for cam in cfg.cameras:
         ths = _thetas(n_tangents, rng.uniform(0, np.pi))
-        lines = np.stack([image_tangent(curve, cam, th) for th in ths])
-        views.append((cam, lines))
+        views.append((cam, image_tangents(curve, cam, ths)))
     try:
         ds = rc.dual_reconstruct(views, m)
     except rc.ReconstructionError as err:

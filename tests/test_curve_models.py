@@ -3,7 +3,7 @@ import pytest
 
 from curvemvg import curve_models as cm
 from curvemvg import polycore as pc
-from curvemvg.projective_cameras import incidence, point_line_matrix
+from curvemvg.projective_cameras import Camera, GeometryError, incidence, point_line_matrix
 
 
 def test_class_and_node_counts():
@@ -104,6 +104,36 @@ def test_image_tangent_back_projects_to_tangent_plane(cams, cubic):
     plane = cams[0].M.T @ l
     for X in line_span_points(cubic.tangent_line(th).v):
         assert abs(plane @ X) < 1e-8
+
+
+def _tangent_reference(curve, cam, th):
+    # the per-parameter formula: projected point crossed with projected velocity
+    return pc.sign_normalize(np.cross(cam.M @ curve.point(th), cam.M @ curve.velocity(th)))
+
+
+@pytest.mark.parametrize("name", ["conic", "cubic", "quintic"])
+def test_image_tangents_match_per_parameter_rows(request, cams, name):
+    curve = request.getfixturevalue(name)
+    ths = np.linspace(0.05, 3.1, 23)
+    batch = cm.image_tangents(curve, cams[4], ths)
+    assert batch.shape == (len(ths), 3)
+    single = np.stack([cm.image_tangent(curve, cams[4], th) for th in ths])
+    reference = np.stack([_tangent_reference(curve, cams[4], th) for th in ths])
+    assert np.abs(batch - single).max() < 1e-14
+    assert np.abs(batch - reference).max() < 1e-14
+
+
+def test_image_tangents_reject_a_degenerate_parameter(cubic):
+    # a camera centered on the tangent line at th0 sees that tangent as a point
+    th0 = 1.1
+    X = cubic.point_at(np.cos(th0), np.sin(th0)) + 0.5 * cubic.velocity(th0)
+    cam = Camera(np.linalg.svd(X[None, :])[2][1:])
+    ths = np.array([0.3, th0, 2.5])
+    cm.image_tangents(cubic, cam, ths[[0, 2]])
+    with pytest.raises(GeometryError):
+        cm.image_tangents(cubic, cam, ths)
+    with pytest.raises(GeometryError):
+        cm.image_tangent(cubic, cam, th0)
 
 
 def test_dual_image_curve_degree_and_vanishing(cams, conic, cubic):

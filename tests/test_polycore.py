@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,56 @@ def test_pullback_composes_with_map():
     for _ in range(5):
         x = rng.standard_normal(4)
         assert g(x) == pytest.approx(f(A @ x))
+
+
+def _pullback_reference(p, A):
+    # per-monomial expansion: each monomial becomes a product of powers of the
+    # substituted linear forms, each power expanded by the multinomial theorem
+    k = A.shape[1]
+    out = np.zeros(pc.enumerate_monomials(k, p.degree).size, dtype=np.result_type(p.coeffs, A))
+    for coeff, exps in zip(p.coeffs, p.basis.exponents):
+        term = pc.HomogeneousPolynomial(pc.enumerate_monomials(k, 0), np.ones(1, dtype=out.dtype))
+        for i, e in enumerate(exps):
+            if e == 0:
+                continue
+            b = pc.enumerate_monomials(k, e)
+            multinomial = [math.factorial(e) // math.prod(math.factorial(x) for x in ex)
+                           for ex in b.exponents]
+            power = np.array(multinomial) * np.prod(A[i][None, :] ** b.exponent_array(), axis=1)
+            term = pc.multiply(term, pc.HomogeneousPolynomial(b, power))
+        out += coeff * term.coeffs
+    return out
+
+
+@pytest.mark.parametrize("n,k,d,complex_map", [
+    (3, 3, 4, False), (6, 6, 3, False), (3, 2, 5, False), (4, 4, 4, False),
+    (6, 6, 2, False), (4, 3, 0, False), (5, 3, 1, False), (3, 2, 4, True),
+])
+def test_pullback_matches_per_monomial_expansion(n, k, d, complex_map):
+    rng = np.random.default_rng(100 * n + 10 * k + d)
+    b = pc.enumerate_monomials(n, d)
+    f = pc.HomogeneousPolynomial(b, rng.standard_normal(b.size))
+    A = rng.standard_normal((n, k))
+    if complex_map:
+        A = A + 1j * rng.standard_normal((n, k))
+    g = pc.pullback(f, A)
+    ref = _pullback_reference(f, A)
+    assert g.basis == pc.enumerate_monomials(k, d)
+    assert g.coeffs.dtype == ref.dtype
+    assert np.linalg.norm(g.coeffs - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.array_equal(g.coeffs, f.coeffs @ pc.sym_power(A, d))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sym_power_pulls_back_a_stack_at_once(d):
+    rng = np.random.default_rng(40 + d)
+    b = pc.enumerate_monomials(6, d)
+    T = pc.whitening_map(rng.standard_normal((80, 6)) * np.arange(1.0, 7.0))
+    null_white = np.linalg.qr(rng.standard_normal((b.size, 7)))[0].T
+    stacked = np.stack([pc.pullback(pc.HomogeneousPolynomial(b, v), T).coeffs
+                        for v in null_white])
+    together = null_white @ pc.sym_power(T, d)
+    assert np.abs(together - stacked).max() <= 1e-12 * np.abs(stacked).max()
 
 
 def test_partial_derivative():

@@ -188,6 +188,13 @@ def test_chow_reconstruct(cams, name, seed, d, nviews, npts):
     assert min(miss) > 1e-3
 
 
+def test_ideal_rows_are_cached_read_only():
+    ideal = rc._ideal_rows(3)
+    assert rc._ideal_rows(3) is ideal
+    assert not ideal.flags.writeable
+    assert np.allclose(ideal @ ideal.T, np.eye(ideal.shape[0]), atol=1e-12)
+
+
 def test_chow_membership(cams, conic):
     views = _point_views(conic, cams[:5], 16)
     cf = rc.chow_reconstruct(views, 2)

@@ -26,6 +26,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
     ({"curves": [{"coefficients": [[0] * 3] * 4}]}, "curve"),
     ({"dynamic_points": [{"preset": "conic", "n_cameras": 1}]}, "counts"),
     ({"dynamic_points": [{"preset": "helix"}]}, "preset"),
+    ({"seed": -3}, "seed"),
 ])
 def test_parse_config_rejects(payload, fragment):
     with pytest.raises(sc.ConfigError) as err:
@@ -208,6 +209,20 @@ def test_main_exit_two_on_bad_noise(value, capsys):
     assert "noise" in captured.err
 
 
+def test_main_exit_two_on_negative_seed(tmp_path, capsys):
+    rc = sc.main(["kruppa-dim", "--config", str(CONFIGS / "conic_pair.json"),
+                  "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "config error: seed must be a non-negative integer, got -1\n"
+    cfgp = tmp_path / "neg.json"
+    cfgp.write_text('{"seed": -3}', encoding="utf-8")
+    assert sc.main(["simulate", "--config", str(cfgp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: seed must be a non-negative integer, got -3\n"
+
+
 def test_main_exit_two_on_nan_noise_in_config(tmp_path, capsys):
     cfgp = tmp_path / "nan.json"
     cfgp.write_text('{"seed": 1, "noise_sigma": NaN}', encoding="utf-8")
@@ -232,17 +247,17 @@ README_DIGESTS = {
     "simulate --config simulate_demo.json":
         "e6a0c13b1038cb30b30885a35f74a9f89b2129cd9aca69ff6873206d3dd2e37d",
     "kruppa-check --config kruppa_trio.json --noise 1e-3":
-        "38be39624b0bce80db5f531172e4ba36a2310264d0c0546cba640487d842a9a0",
+        "7a22d97a7bf1a5426ad37db0768740b7d76f6e9b3f1f8d426757b459706b0edf",
     "kruppa-dim --config conic_pair.json":
         "0afff9257d2fd2247c2d81be07e125069ca3530050c3403586b53d5549b14f66",
     "reconstruct-points --config cubic_pair.json --planes 60":
-        "46da03818f275958bf7fcbb8b988021aefd2447bd6acac9197a22e9d1d5a02f4",
+        "9afac700f298035abd84ffe1ee200245bd3a5e2b4b9cc51ad6a32cda188ee8fc",
     "reconstruct-dual --config dual_quartic.json":
-        "ad2e7e55b2d87606daf3c807cb3eba44a0a0235499b638a5caa5ea23ab681c4a",
+        "e86f9bdcd07e31732bf113b1d6fab2a61e93fb150632efe332b1b3deee803b7a",
     "reconstruct-chow --config chow_cubic.json":
-        "69b908e98c64b9d2c20f5fbfa700398df5321d9fa1a09d95e44edef5d0b5c24d",
+        "27cca9ba7822802d51d5be94bf098029ef8bd6c9da53c2855256110a6b425817",
     "classify-motion --config dynamics_mixed.json":
-        "cb13fdd69a9477992dea2f7ca755e992488feb074e3504fb27c5aa1c81b527e6",
+        "53b7ac221de11d76fb5068c394cfd0625c771155253cd3b486ad91245edce4da",
     "consistency-tables --d 2..4 --m 2..8":
         "af110aec9b690a41b1bba7e358a172c5b1a46b6728106237b607e3b6a72474b3",
 }
