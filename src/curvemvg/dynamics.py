@@ -21,20 +21,18 @@ import numpy as np
 
 from . import polycore as pc
 from .projective_cameras import (
+    GeometryError,
     PluckerLine,
     grassmann_residual,
-    incidence,
     join_points,
-    point_line_matrix,
+    point_line_matrices,
     swap_blocks,
 )
 from .reconstruct import (
     ChowForm,
     InsufficientViews,
     ReconstructionError,
-    chow_view_cap,
     fit_chow_from_lines,
-    views_for_chow,
 )
 
 
@@ -42,14 +40,28 @@ class DynamicsError(ValueError):
     """A recovery routine was run on data that does not support its model."""
 
 
-@dataclass(frozen=True)
-class RayObservation:
-    """One detection lifted to the optical ray that must meet the trajectory."""
+@dataclass(frozen=True, eq=False)
+class RaySet:
+    """Detections lifted to the optical rays that must meet the trajectory.
 
-    camera_id: int
-    point_id: int
-    time_id: int
-    ray: PluckerLine
+    ``lines`` holds one unit, sign-normalized Plucker vector per row, grouped
+    by camera; the id arrays give each row's camera, point and frame.
+    Slicing or indexing returns a RaySet of the selected rows.
+    """
+
+    lines: np.ndarray
+    camera_ids: np.ndarray
+    point_ids: np.ndarray
+    time_ids: np.ndarray
+
+    def __len__(self) -> int:
+        return self.lines.shape[0]
+
+    def __getitem__(self, idx) -> "RaySet":
+        if isinstance(idx, (int, np.integer)):
+            idx = [idx]
+        return RaySet(self.lines[idx], self.camera_ids[idx],
+                      self.point_ids[idx], self.time_ids[idx])
 
 
 @dataclass
@@ -69,42 +81,63 @@ class MotionClass:
     trace: dict = field(default_factory=dict)
 
 
-def lift_observations(cams, detections) -> list[RayObservation]:
+def lift_observations(cams, detections) -> RaySet:
     """Back-project detections to rays; no synchronization is assumed.
 
-    Each detection is (camera_id, point_id, time_id, image point).  A
-    detection sitting at its camera's center has no ray and is skipped with
-    a warning.
+    Each detection is (camera_id, point_id, time_id, image point).  Each
+    camera's detections are lifted by one product with its ray matrix, and
+    the rows come out grouped by camera in ascending id, in detection order
+    within a camera.  A detection sitting at its camera's center has no ray
+    and is skipped with a warning.
     """
-    out = []
-    for ci, pi, ti, p in detections:
-        p = np.asarray(p, dtype=float)
-        if np.linalg.norm(p) <= 1e-12:
-            warnings.warn(
-                f"detection (cam {ci}, point {pi}, frame {ti}) is at the "
-                "camera center; skipped")
-            continue
-        L = cams[ci].ray_matrix @ p
-        if np.linalg.norm(L) <= 1e-12 * np.linalg.norm(p):
-            warnings.warn(
-                f"detection (cam {ci}, point {pi}, frame {ti}) back-projects "
-                "to no ray; skipped")
-            continue
-        out.append(RayObservation(ci, pi, ti, PluckerLine(L)))
-    return out
+    by_cam: dict[int, list] = {}
+    for det in detections:
+        by_cam.setdefault(det[0], []).append(det)
+    blocks, ids = [], []
+    for ci in sorted(by_cam):
+        dets = by_cam[ci]
+        pts = np.array([p for _, _, _, p in dets], dtype=float)
+        pnorm = np.sqrt((pts * pts).sum(axis=1))
+        L = pts @ cams[ci].ray_matrix.T
+        Lnorm = np.sqrt((L * L).sum(axis=1))
+        at_center = pnorm <= 1e-12
+        no_ray = ~at_center & (Lnorm <= 1e-12 * pnorm)
+        for i in np.flatnonzero(at_center | no_ray):
+            _, pi, ti, _ = dets[i]
+            what = "is at the camera center" if at_center[i] else "back-projects to no ray"
+            warnings.warn(f"detection (cam {ci}, point {pi}, frame {ti}) {what}; skipped")
+        keep = np.flatnonzero(~(at_center | no_ray))
+        blocks.append(L[keep])
+        ids.extend((ci, dets[i][1], dets[i][2]) for i in keep)
+    if not ids:
+        empty = np.zeros(0, dtype=int)
+        return RaySet(np.zeros((0, 6)), empty, empty, empty)
+    L = np.concatenate(blocks)
+    # PluckerLine's gate, for all rows at once: |L.swap(L)| / (2 |L|^2)
+    quadric = np.abs((L[:, :3] * L[:, 3:]).sum(axis=1)) / (L * L).sum(axis=1)
+    if quadric.max() > 1e-7:
+        raise GeometryError(
+            f"6-vector misses the line quadric (residual {quadric.max():.2e})")
+    cam_ids, point_ids, time_ids = np.array(ids, dtype=int).T
+    return RaySet(pc.sign_normalize_rows(L), cam_ids, point_ids, time_ids)
 
 
-def _ray_rows(rays) -> tuple[np.ndarray, list[np.ndarray] | None]:
-    """Unit ray vectors plus per-camera blocks when camera ids are known."""
-    if isinstance(rays, np.ndarray):
-        mat = rays / np.linalg.norm(rays, axis=1, keepdims=True)
-        return mat, None
-    mat = np.array([r.ray.v for r in rays])
-    groups: dict[int, list[int]] = {}
-    for i, r in enumerate(rays):
-        groups.setdefault(r.camera_id, []).append(i)
-    blocks = [mat[idx] for _, idx in sorted(groups.items())]
-    return mat, blocks
+def _ray_rows(rays) -> np.ndarray:
+    """Unit ray vectors of a RaySet or of the rows of an (n, 6) array."""
+    if isinstance(rays, RaySet):
+        return rays.lines
+    rays = np.asarray(rays)
+    return rays / np.linalg.norm(rays, axis=1, keepdims=True)
+
+
+def _incidence_residual(A: np.ndarray, P: np.ndarray) -> float:
+    # largest |W P| over a stack of point-line matrices W
+    return float(np.sqrt(((A @ P) ** 2).sum(axis=1)).max())
+
+
+def _pairing_residual(mat: np.ndarray, line: PluckerLine) -> float:
+    # largest incidence pairing of the rays with the line
+    return float(np.abs(mat @ swap_blocks(line.v)).max())
 
 
 def recover_static_point(rays, tol: float = 1e-7) -> np.ndarray:
@@ -113,18 +146,31 @@ def recover_static_point(rays, tol: float = 1e-7) -> np.ndarray:
     Stacks the incidence matrices of all rays; the common point is the
     nullvector.  Raises when any ray passes farther than tol from it.
     """
-    mat, _ = _ray_rows(rays)
+    mat = _ray_rows(rays)
     if mat.shape[0] < 2:
         raise DynamicsError("need at least two rays to intersect")
-    A = np.vstack([point_line_matrix(L) for L in mat])
-    _, _, Vt = np.linalg.svd(A)
-    P = Vt[-1]
-    P = pc.sign_normalize(P)
-    worst = max(np.linalg.norm(point_line_matrix(L) @ P) for L in mat)
+    A = point_line_matrices(mat)
+    _, _, Vt = np.linalg.svd(A.reshape(-1, 4), full_matrices=False)
+    P = pc.sign_normalize(Vt[-1])
+    worst = _incidence_residual(A, P)
     if worst > tol:
         raise DynamicsError(
             f"rays do not meet at one point (worst incidence {worst:.2e} > {tol:.1e})")
     return P
+
+
+def _project_to_klein(L: np.ndarray) -> np.ndarray:
+    """Nearest point of the line quadric a.b = 0, for L = (a, b).
+
+    Closed form of the "Plucker correction" (Bartoli & Sturm 2005): with
+    s = |a|^2 + |b|^2, the smaller root lam of ab lam^2 - s lam + ab = 0
+    gives the line (a - lam b, b - lam a) / (1 - lam^2).
+    """
+    a, b = L[:3], L[3:]
+    ab = a @ b
+    s = a @ a + b @ b
+    lam = 2.0 * ab / (s + np.sqrt(s * s - 4.0 * ab * ab))
+    return np.concatenate([a - lam * b, b - lam * a]) / (1.0 - lam * lam)
 
 
 def recover_line_motion(rays, tol: float = 1e-8,
@@ -132,29 +178,25 @@ def recover_line_motion(rays, tol: float = 1e-8,
     """The support line of rays that all meet one line.
 
     The rays satisfy a single linear form; its normal, re-read through the
-    incidence pairing, is the Plucker vector of the support line, finished
-    with one Newton projection onto the line quadric.
+    incidence pairing, is the Plucker vector of the support line, moved
+    onto the line quadric by the exact nearest-point projection.
     """
-    mat, _ = _ray_rows(rays)
+    mat = _ray_rows(rays)
     if mat.shape[0] < 6:
         raise DynamicsError("need at least six rays to pin a hyperplane")
-    _, s, Vt = np.linalg.svd(mat)
+    _, s, Vt = np.linalg.svd(mat, full_matrices=False)
     if s[4] / s[0] < 1e-8:
         raise DynamicsError(
             "hyperplane is not unique (ray span is degenerate); "
             "the rays look concurrent, not collinear-meeting")
-    h = Vt[-1]
-    cand = swap_blocks(h)
+    cand = swap_blocks(Vt[-1])
     qres = grassmann_residual(cand)
     if qres > quadric_gate:
         raise DynamicsError(
             f"hyperplane normal misses the line quadric ({qres:.2e} > "
             f"{quadric_gate:.1e}); not a line motion")
-    # one Newton step: Q(L) = L.swap(L)/2 has gradient swap(L)
-    grad = swap_blocks(cand)
-    cand = cand - (cand @ grad / 2.0) * grad / (grad @ grad)
-    line = PluckerLine(cand)
-    worst = max(abs(incidence(L, line.v)) for L in mat)
+    line = PluckerLine(_project_to_klein(cand))
+    worst = _pairing_residual(mat, line)
     if worst > tol:
         raise DynamicsError(
             f"recovered line misses some rays (worst pairing {worst:.2e} > {tol:.1e})")
@@ -164,9 +206,13 @@ def recover_line_motion(rays, tol: float = 1e-8,
 def recover_trajectory_chow(rays, d: int, rank_tol: float = 1e-7,
                             enforce_rank: bool = True) -> ChowForm:
     """Degree-d form vanishing on the rays, via the reconstruct fitting core."""
-    mat, blocks = _ray_rows(rays)
-    return fit_chow_from_lines(mat, d, per_view_blocks=blocks, rank_tol=rank_tol,
-                               enforce_rank=enforce_rank)
+    blocks = None
+    if isinstance(rays, RaySet):
+        # per-camera blocks for the per-view rank checks
+        cams = rays.camera_ids
+        blocks = [rays.lines[cams == c] for c in np.unique(cams)]
+    return fit_chow_from_lines(_ray_rows(rays), d, per_view_blocks=blocks,
+                               rank_tol=rank_tol, enforce_rank=enforce_rank)
 
 
 def _holdout_split(n: int, every: int = 5) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +232,7 @@ def classify_motion(rays, d_max: int = 3, tol: float | None = None,
     the declared image noise; with none they sit at exact-arithmetic levels.
     Returns "unclassified" with the residual trace when nothing accepts.
     """
-    mat, blocks = _ray_rows(rays)
+    mat = _ray_rows(rays)
     n = mat.shape[0]
     if n < 8:
         raise DynamicsError("need at least eight rays to classify")
@@ -205,7 +251,7 @@ def classify_motion(rays, d_max: int = 3, tol: float | None = None,
         except DynamicsError as err:
             trace["static_reject"] = str(err)
         else:
-            worst = max(np.linalg.norm(point_line_matrix(L) @ P) for L in mat)
+            worst = _incidence_residual(point_line_matrices(mat), P)
             trace["static_residual"] = worst
             return MotionClass("static", P, residual=worst, trace=trace)
 
@@ -220,7 +266,7 @@ def classify_motion(rays, d_max: int = 3, tol: float | None = None,
         except DynamicsError as err:
             trace["line_reject"] = str(err)
         else:
-            worst = max(abs(incidence(L, line.v)) for L in mat)
+            worst = _pairing_residual(mat, line)
             trace["line_residual"] = worst
             return MotionClass("line", line, degree=1, residual=worst, trace=trace)
 
@@ -231,23 +277,12 @@ def classify_motion(rays, d_max: int = 3, tol: float | None = None,
     # direction and the noise floor overlap across instances).
     train, held = _holdout_split(n)
     for d in range(2, d_max + 1):
-        train_blocks = None
-        if blocks is not None:
-            train_set = set(train.tolist())
-            train_blocks = []
-            pos = 0
-            for b in blocks:
-                take = [j for j in range(b.shape[0]) if pos + j in train_set]
-                pos += b.shape[0]
-                if take:
-                    train_blocks.append(b[take])
         try:
-            G = fit_chow_from_lines(mat[train], d, per_view_blocks=train_blocks,
-                                    enforce_rank=False)
+            G = fit_chow_from_lines(mat[train], d, enforce_rank=False)
         except (InsufficientViews, ReconstructionError) as err:
             trace[f"degree{d}_reject"] = str(err)
             continue
-        worst = max(abs(G(L)) for L in mat[held])
+        worst = float(np.abs(pc.evaluate(G.Gamma, mat[held])).max())
         trace[f"degree{d}_holdout"] = worst
         trace[f"degree{d}_gap"] = G.gap
         if worst <= eff_tol:

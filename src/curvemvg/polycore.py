@@ -19,6 +19,11 @@ class PolynomialError(ValueError):
     """Raised for degenerate polynomial-level inputs (zero forms, bad shapes)."""
 
 
+# smallest eigenvalue ratio whitening_map accepts; a span direction whose
+# singular-value ratio is below its square root cannot be whitened
+WHITENING_FLOOR = 1e-12
+
+
 @lru_cache(maxsize=None)
 def _exponents(num_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     # descending lexicographic order on exponent tuples of fixed total degree
@@ -331,7 +336,7 @@ def whitening_map(samples) -> np.ndarray:
         raise PolynomialError("need at least as many samples as coordinates")
     X = X / np.linalg.norm(X, axis=1, keepdims=True)
     w, V = np.linalg.eigh(X.T @ X / X.shape[0])
-    if w[0] <= 1e-12 * w[-1]:
+    if w[0] <= WHITENING_FLOOR * w[-1]:
         raise PolynomialError("samples span a degenerate subspace")
     return V @ np.diag(w ** -0.5) @ V.T
 
@@ -406,6 +411,21 @@ def sign_normalize(v: np.ndarray) -> np.ndarray:
         return v
     lead = v[np.argmax(significant)]
     return -v if lead < 0 else v
+
+
+def sign_normalize_rows(X: np.ndarray) -> np.ndarray:
+    """Real :func:`sign_normalize` applied to every row of a 2-d array.
+
+    Each row is scaled to unit norm and negated if its first coordinate
+    above 1e-12 in magnitude is negative (a unit row always has one).
+    """
+    X = np.asarray(X, dtype=float)
+    norms = np.sqrt((X * X).sum(axis=1))
+    if np.any(norms == 0.0):
+        raise PolynomialError("cannot normalize the zero vector")
+    X = X / norms[:, None]
+    lead = X[np.arange(len(X)), np.argmax(np.abs(X) > 1e-12, axis=1)]
+    return np.where(lead < 0.0, -1.0, 1.0)[:, None] * X
 
 
 def cosine_similarity(u, v) -> float:

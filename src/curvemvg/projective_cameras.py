@@ -96,6 +96,17 @@ def point_line_matrix(L) -> np.ndarray:
     return plucker_matrix(_swap_blocks(np.asarray(L)))
 
 
+# every entry of point_line_matrix is one coordinate of the line, signed, so
+# a single (16, 6) matrix of 0 and +-1 maps stacked lines to their matrices
+_POINT_LINE_MAP = np.stack([point_line_matrix(e) for e in np.eye(6)],
+                           axis=-1).reshape(16, 6)
+
+
+def point_line_matrices(lines) -> np.ndarray:
+    """:func:`point_line_matrix` of each row of an (n, 6) array, as (n, 4, 4)."""
+    return (np.asarray(lines) @ _POINT_LINE_MAP.T).reshape(-1, 4, 4)
+
+
 def meet_line_plane(L, A) -> np.ndarray:
     """Intersection point of a line with a plane not containing it."""
     P = plucker_matrix(L) @ np.asarray(A)
@@ -170,11 +181,6 @@ class PluckerLine:
         other = other.v if isinstance(other, PluckerLine) else np.asarray(other)
         return float(incidence(self.v, other))
 
-    def contains_point(self, P, tol: float = 1e-9) -> bool:
-        P = np.asarray(P)
-        r = np.linalg.norm(point_line_matrix(self.v) @ P) / np.linalg.norm(P)
-        return r <= tol
-
     def span_points(self) -> tuple[np.ndarray, np.ndarray]:
         return line_span_points(self.v)
 
@@ -216,10 +222,6 @@ class Camera:
         if np.linalg.matrix_rank(M) != 3:
             raise GeometryError("camera matrix must have rank 3")
         self.M = M / np.linalg.norm(M)
-
-    @classmethod
-    def from_matrix(cls, M) -> "Camera":
-        return cls(M)
 
     @classmethod
     def from_parameters(cls, f: float, alpha: float, s: float, u0: float, v0: float,
@@ -365,10 +367,6 @@ class EpipolarGeometry:
         U, s, Vt = np.linalg.svd(F)
         F2 = (U * np.array([s[0], s[1], 0.0])) @ Vt
         return cls(F2 / np.linalg.norm(F2), Vt[-1], U[:, -1])
-
-    @classmethod
-    def from_cameras(cls, cam1: Camera, cam2: Camera) -> "EpipolarGeometry":
-        return fundamental(cam1, cam2)
 
 
 def fundamental(cam1: Camera, cam2: Camera) -> EpipolarGeometry:

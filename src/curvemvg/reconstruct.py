@@ -237,7 +237,8 @@ def _whitened_rank(samples: np.ndarray, degree: int, rel_tol: float = 1e-7) -> i
     X = np.asarray(samples, dtype=float)
     X = X / np.linalg.norm(X, axis=1, keepdims=True)
     _, sv, Vt = np.linalg.svd(X, full_matrices=False)
-    k = int(np.sum(sv > 1e-9 * sv[0]))
+    # keep only span directions that whitening_map can scale to unit variance
+    k = int(np.sum(sv > math.sqrt(pc.WHITENING_FLOOR) * sv[0]))
     Y = X @ Vt[:k].T
     T = pc.whitening_map(Y)
     rows = pc.monomial_rows(enumerate_monomials(k, degree), Y @ T)
@@ -420,18 +421,21 @@ def fit_chow_from_lines(lines: np.ndarray, d: int,
     on the canonical representative.  ``rank_tol`` is the relative
     singular-value threshold for the rank prechecks; raise it in step with
     measurement noise.  With ``enforce_rank=False`` the prechecks are
-    skipped and the weakest directions are fit unconditionally; callers
-    must then validate the result on held-out lines, since a wrong-degree
-    fit simply evaluates large instead of raising.
+    skipped, ``per_view_blocks`` is unused, ``per_view_ranks`` is left
+    empty and the weakest directions
+    are fit unconditionally; callers must then validate the result on
+    held-out lines, since a wrong-degree fit simply evaluates large instead
+    of raising.
     """
     lines = np.asarray(lines, dtype=float)
     lines = lines / np.linalg.norm(lines, axis=1, keepdims=True)
     basis = enumerate_monomials(6, d)
     k = chow_ideal_dim(d)
     needed = basis.size - k - 1
-    blocks = [lines] if per_view_blocks is None else per_view_blocks
-    ranks = [_whitened_rank(np.asarray(b, dtype=float), d, rank_tol) for b in blocks]
+    ranks = []
     if enforce_rank:
+        blocks = [lines] if per_view_blocks is None else per_view_blocks
+        ranks = [_whitened_rank(np.asarray(b, dtype=float), d, rank_tol) for b in blocks]
         total = _whitened_rank(lines, d, rank_tol)
         if total < needed:
             blind = chow_ambiguity_dim(d, len(blocks))

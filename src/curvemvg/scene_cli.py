@@ -24,9 +24,10 @@ from . import kruppa as kp
 from . import polycore as pc
 from . import reconstruct as rc
 from . import scenes
-from .curve_models import (RationalCurve3D, class_of, image_tangents,
+from .curve_models import (CurveModelError, RationalCurve3D, class_of, image_tangents,
                            implicit_image_curve, preset_curve, PRESET_NAMES)
-from .projective_cameras import Camera, EpipolarGeometry, fundamental, join_points
+from .projective_cameras import (Camera, EpipolarGeometry, GeometryError, fundamental,
+                                 join_points)
 
 
 class ConfigError(ValueError):
@@ -41,6 +42,10 @@ COMMANDS = ("simulate", "kruppa-check", "kruppa-dim", "reconstruct-points",
 # classification labels expected for each trajectory preset
 EXPECTED_KIND = {"static": "static", "line": "line", "conic": "conic",
                  "cubic": "curve"}
+
+# the library's documented error types: a geometry the command cannot reach
+LIBRARY_ERRORS = (GeometryError, CurveModelError, pc.PolynomialError, kp.KruppaError,
+                  rc.ReconstructionError, dy.DynamicsError)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +132,12 @@ def _parse_dynamic(entry, idx: int) -> dict:
     out = {"preset": entry["preset"],
            "n_cameras": int(entry.get("n_cameras", 10)),
            "frames_per_camera": int(entry.get("frames_per_camera", 15))}
-    if out["n_cameras"] < 2 or out["frames_per_camera"] < 1:
-        raise ConfigError(f"{what}: camera and frame counts must be positive")
+    if out["n_cameras"] < 2:
+        raise ConfigError(f"{what}: bad counts, n_cameras must be at least 2, "
+                          f"got {out['n_cameras']}")
+    if out["frames_per_camera"] < 1:
+        raise ConfigError(f"{what}: bad counts, frames_per_camera must be positive, "
+                          f"got {out['frames_per_camera']}")
     return out
 
 
@@ -663,6 +672,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    except LIBRARY_ERRORS as err:
+        print(f"error: {args.command}: {err}", file=sys.stderr)
+        return 1
     text = rep.to_json()
     if args.out:
         try:

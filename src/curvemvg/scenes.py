@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import polycore as pc
 from .curve_models import RationalCurve3D, preset_curve
 from .projective_cameras import Camera, join_points, point_line_matrix
 
@@ -21,16 +22,23 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return Q
 
 
+def _cross3(u, v) -> np.ndarray:
+    # np.cross's generic broadcasting costs more than these six products
+    return np.array([u[1] * v[2] - u[2] * v[1],
+                     u[2] * v[0] - u[0] * v[2],
+                     u[0] * v[1] - u[1] * v[0]])
+
+
 def look_at_rotation(position, target, up) -> np.ndarray:
     """World-to-camera rotation with the optical axis through the target."""
     position = np.asarray(position, dtype=float)
     z = np.asarray(target, dtype=float) - position
     z = z / np.linalg.norm(z)
-    x = np.cross(np.asarray(up, dtype=float), z)
+    x = _cross3(np.asarray(up, dtype=float), z)
     if np.linalg.norm(x) < 1e-8:
         raise ValueError("up direction is parallel to the viewing axis")
     x = x / np.linalg.norm(x)
-    y = np.cross(z, x)
+    y = _cross3(z, x)
     return np.stack([x, y, z])
 
 
@@ -44,7 +52,7 @@ def random_camera(rng: np.random.Generator, radius: tuple[float, float] = (3.5, 
     while True:
         up = rng.standard_normal(3)
         axis = target - position
-        if np.linalg.norm(np.cross(up, axis)) > 1e-3 * np.linalg.norm(up) * np.linalg.norm(axis):
+        if np.linalg.norm(_cross3(up, axis)) > 1e-3 * np.linalg.norm(up) * np.linalg.norm(axis):
             break
     R = look_at_rotation(position, target, up)
     t = -R @ position
@@ -93,10 +101,15 @@ class Trajectory:
     curve: RationalCurve3D | None  # None for static
     anchor: np.ndarray | None = None
 
-    def position(self, time: float) -> np.ndarray:
+    def positions(self, times) -> np.ndarray:
+        """Unit positions at the given times, one row each.
+
+        Curve points carry the sign convention of ``RationalCurve3D.point``.
+        """
+        times = np.asarray(times, dtype=float)
         if self.kind == "static":
-            return self.anchor
-        return self.curve.point(time)
+            return np.tile(self.anchor, (times.size, 1))
+        return pc.sign_normalize_rows(self.curve.points(times))
 
 
 def make_trajectory(kind: str, rng: np.random.Generator) -> Trajectory:
@@ -147,19 +160,35 @@ def lines_missing_points(points, rng: np.random.Generator, count: int,
 def observe_trajectory(kind: str, rng: np.random.Generator, n_cameras: int = 10,
                        frames_per_camera: int = 15, noise_sigma: float = 0.0,
                        point_id: int = 0) -> DynamicScene:
-    """Sample a trajectory with per-camera clocks that share no common rate."""
+    """Sample a trajectory with per-camera clocks that share no common rate.
+
+    Each camera draws its clock offset and stride, then per frame a time
+    jitter and, when noise_sigma > 0, a 3-vector of image noise.  A frame
+    whose point projects to the camera center yields no detection but
+    still consumes its noise draw, so the stream does not depend on it.
+    """
     traj = make_trajectory(kind, rng)
     cams = camera_ring(rng, n_cameras)
     scene = DynamicScene(cams, traj, noise_sigma=noise_sigma)
+    frames = np.arange(frames_per_camera)
     for ci, cam in enumerate(cams):
         offset = rng.uniform(0, np.pi)
         stride = rng.uniform(0.8, 1.25) * np.pi / frames_per_camera
-        for k in range(frames_per_camera):
-            time = offset + stride * k + rng.uniform(0, 0.1 * stride)
-            P = traj.position(time)
-            p = cam.project(P)
-            if np.linalg.norm(p) <= 1e-9:
-                continue
-            scene.detections.append(
-                (ci, point_id, k, add_image_noise(p, noise_sigma, rng)))
+        if noise_sigma == 0.0:
+            jitter = rng.uniform(0, 0.1 * stride, size=frames_per_camera)
+        else:
+            jitter = np.empty(frames_per_camera)
+            noise = np.empty((frames_per_camera, 3))
+            for k in frames:
+                jitter[k] = rng.uniform(0, 0.1 * stride)
+                noise[k] = rng.standard_normal(3)
+        p = traj.positions(offset + stride * frames + jitter) @ cam.M.T
+        norms = np.sqrt((p * p).sum(axis=1))
+        keep = norms > 1e-9
+        p = p / np.where(keep, norms, 1.0)[:, None]
+        if noise_sigma != 0.0:
+            p = p + noise_sigma * noise
+            p = p / np.sqrt((p * p).sum(axis=1))[:, None]
+        scene.detections.extend(
+            (ci, point_id, k, p[k]) for k in np.flatnonzero(keep).tolist())
     return scene

@@ -308,7 +308,7 @@ def test_motion_classification_and_recovery():
             if kind == "static":
                 assert 1 - abs(mc.model @ sc.trajectory.anchor) <= 1e-6
             elif kind == "line":
-                worst = max(abs(incidence(r.ray.v, mc.model.v)) for r in rays)
+                worst = max(abs(incidence(L, mc.model.v)) for L in rays.lines)
                 assert worst <= 1e-7
                 assert grassmann_residual(mc.model.v) <= 1e-10
             else:

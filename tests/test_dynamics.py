@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from curvemvg import dynamics as dy
+from curvemvg import polycore as pc
 from curvemvg import scenes
-from curvemvg.projective_cameras import (PluckerLine, grassmann_residual, incidence,
-                                         join_points, point_line_matrix)
+from curvemvg.projective_cameras import (GeometryError, PluckerLine, grassmann_residual,
+                                         incidence, join_points, point_line_matrix,
+                                         swap_blocks)
 
 
 def _rays_for(kind, seed, **kw):
@@ -19,17 +21,56 @@ def test_lift_observations_static():
     sc, rays = _rays_for("static", 42, n_cameras=3, frames_per_camera=10)
     assert len(rays) == 30
     P = sc.trajectory.anchor
-    for r in rays:
-        assert np.linalg.norm(point_line_matrix(r.ray.v) @ P) < 1e-9
-        assert grassmann_residual(r.ray.v) < 1e-12
+    for L in rays.lines:
+        assert np.linalg.norm(point_line_matrix(L) @ P) < 1e-9
+        assert grassmann_residual(L) < 1e-12
 
 
 def test_lift_observations_line_rays_meet_line():
     sc, rays = _rays_for("line", 43, n_cameras=4, frames_per_camera=8)
     ell = join_points(sc.trajectory.curve.C[:, 0], sc.trajectory.curve.C[:, 1])
     ell /= np.linalg.norm(ell)
-    for r in rays:
-        assert abs(incidence(r.ray.v, ell)) < 1e-9
+    for L in rays.lines:
+        assert abs(incidence(L, ell)) < 1e-9
+
+
+def test_lift_observations_match_per_ray_plucker_lines():
+    sc, rays = _rays_for("cubic", 44, n_cameras=5, frames_per_camera=7,
+                         noise_sigma=1e-3)
+    assert len(rays) == len(sc.detections) == 35
+    want = np.array([PluckerLine(sc.cameras[ci].ray_matrix @ p).v
+                     for ci, _, _, p in sc.detections])
+    assert np.abs(rays.lines - want).max() <= 1e-15
+    ids = np.array([d[:3] for d in sc.detections])
+    assert np.array_equal(rays.camera_ids, ids[:, 0])
+    assert np.array_equal(rays.point_ids, ids[:, 1])
+    assert np.array_equal(rays.time_ids, ids[:, 2])
+    # slices and single rows are RaySets of the selected rows
+    part = rays[3:9]
+    assert isinstance(part, dy.RaySet) and len(part) == 6
+    assert np.array_equal(part.lines, rays.lines[3:9])
+    assert np.array_equal(part.time_ids, rays.time_ids[3:9])
+    one = rays[-1]
+    assert len(one) == 1 and one.camera_ids[0] == rays.camera_ids[-1]
+
+
+def test_lift_groups_rows_by_camera():
+    sc, _ = _rays_for("line", 45, n_cameras=3, frames_per_camera=4)
+    shuffled = sc.detections[::-1]
+    rays = dy.lift_observations(sc.cameras, shuffled)
+    assert rays.camera_ids.tolist() == [0] * 4 + [1] * 4 + [2] * 4
+    assert rays.time_ids.tolist() == [3, 2, 1, 0] * 3
+
+
+def test_lift_rejects_a_row_off_the_line_quadric():
+    cam = scenes.camera_ring(np.random.default_rng(3), 2)[0]
+
+    class Skewed:
+        # a ray matrix whose image rows miss the line quadric
+        ray_matrix = cam.ray_matrix + np.eye(6, 3)
+
+    with pytest.raises(GeometryError, match="line quadric"):
+        dy.lift_observations([Skewed()], [(0, 0, 0, np.array([1.0, 0.2, 0.3]))])
 
 
 def test_lift_skips_center_detection():
@@ -37,7 +78,7 @@ def test_lift_skips_center_detection():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         out = dy.lift_observations(sc.cameras, [(0, 0, 0, np.zeros(3))])
-    assert out == []
+    assert len(out) == 0
     assert len(caught) == 1
 
 
@@ -57,7 +98,7 @@ def test_recover_static_point():
     P = dy.recover_static_point(rays)
     assert 1 - abs(P @ sc.trajectory.anchor) < 1e-9
     # minimal case: two rays from distinct cameras
-    mat = np.array([r.ray.v for r in rays])
+    mat = rays.lines
     two = dy.recover_static_point(mat[[0, 4]], tol=1e-9)
     assert 1 - abs(two @ sc.trajectory.anchor) < 1e-9
     with pytest.raises(dy.DynamicsError):
@@ -66,7 +107,7 @@ def test_recover_static_point():
 
 def test_recover_static_point_tolerates_small_noise():
     sc, rays = _rays_for("static", 7, n_cameras=5, frames_per_camera=4)
-    mat = np.array([r.ray.v for r in rays])
+    mat = rays.lines
     noisy = mat + 1e-6 * np.random.default_rng(8).standard_normal(mat.shape)
     P = dy.recover_static_point(noisy, tol=1e-4)
     assert 1 - abs(P @ sc.trajectory.anchor) < 1e-4
@@ -82,12 +123,52 @@ def test_recover_line_motion():
     sc, rays = _rays_for("line", 9, n_cameras=6, frames_per_camera=10)
     ell = dy.recover_line_motion(rays)
     assert grassmann_residual(ell.v) < 1e-12
-    for r in rays:
-        assert abs(incidence(r.ray.v, ell.v)) < 1e-9
+    for L in rays.lines:
+        assert abs(incidence(L, ell.v)) < 1e-9
     # the true support line is recovered, not just some meeting line
     truth = join_points(sc.trajectory.curve.C[:, 0], sc.trajectory.curve.C[:, 1])
     truth /= np.linalg.norm(truth)
     assert 1 - abs(ell.v @ truth) < 1e-9
+
+
+def test_klein_projection_is_the_nearest_line():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        L = join_points(rng.standard_normal(4), rng.standard_normal(4))
+        v = L / np.linalg.norm(L) + 1e-2 * rng.standard_normal(6)
+        x = dy._project_to_klein(v)
+        assert grassmann_residual(x) <= 1e-15
+        # first-order optimality: v - x is normal to the quadric at x
+        n = swap_blocks(x)
+        step = v - x
+        assert np.linalg.norm(step - (step @ n) / (n @ n) * n) <= 1e-15
+    on = join_points(rng.standard_normal(4), rng.standard_normal(4))
+    assert np.abs(dy._project_to_klein(on) - on).max() <= 1e-15
+
+
+@pytest.mark.parametrize("seed", [5, 6, 21, 27])
+def test_noisy_line_trajectories_classify_without_raising(seed):
+    # these trials raised GeometryError when the support line was moved
+    # onto the quadric by one Newton step (residual about 2e-7 > 1e-7)
+    sc = scenes.observe_trajectory("line", np.random.default_rng(40000 + seed),
+                                   noise_sigma=1e-2)
+    mc = dy.classify_motion(dy.lift_observations(sc.cameras, sc.detections),
+                            noise_sigma=1e-2)
+    assert mc.kind == "line", mc.trace
+    assert grassmann_residual(mc.model.v) <= 1e-15
+
+
+def test_zero_noise_conic_with_a_near_degenerate_view():
+    # one camera's rays span a third direction at singular-value ratio 9e-7,
+    # which the per-view rank check used to hand to whitening_map
+    sc = scenes.observe_trajectory("conic", np.random.default_rng((14, 177, 2)))
+    rays = dy.lift_observations(sc.cameras, sc.detections)
+    mc = dy.classify_motion(rays)
+    assert mc.kind == "conic", mc.trace
+    G = dy.recover_trajectory_chow(rays, 2)
+    assert G.gap < 1e-12
+    assert len(G.per_view_ranks) == 10
+    assert np.abs(pc.evaluate(G.Gamma, rays.lines)).max() < 1e-9
 
 
 def test_recover_line_rejects_static_data():
@@ -105,7 +186,7 @@ def test_recover_line_rejects_conic_data():
 def test_recover_trajectory_chow_matches_classifier():
     _, rays = _rays_for("cubic", 31)
     G = dy.recover_trajectory_chow(rays, 3)
-    mat = np.array([r.ray.v for r in rays])
+    mat = rays.lines
     assert max(abs(G(L)) for L in mat) < 1e-9
     # degree 2 cannot absorb a cubic trajectory
     with pytest.raises((dy.ReconstructionError, dy.InsufficientViews)):
@@ -130,7 +211,7 @@ def test_classify_needs_enough_rays():
 
 def test_classify_scale_invariance():
     _, rays = _rays_for("conic", 12)
-    mat = np.array([r.ray.v for r in rays])
+    mat = rays.lines
     scal = np.random.default_rng(13).uniform(0.1, 9.0, size=(mat.shape[0], 1))
     assert dy.classify_motion(mat).kind == dy.classify_motion(mat * scal).kind
 

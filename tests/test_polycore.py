@@ -267,3 +267,19 @@ def test_golden_polish_returns_bracket_edge(slope):
     assert x == (lo if slope > 0 else hi)
     assert fx == slope * x
     assert len(calls) <= _golden_budget(hi - lo, 1e-12)
+
+
+def test_sign_normalize_rows_matches_sign_normalize():
+    rng = np.random.default_rng(23)
+    X = rng.standard_normal((40, 6)) * rng.uniform(0.1, 10.0, size=(40, 1))
+    # rows whose leading coordinates sit below the 1e-12 significance cut,
+    # with either sign, so the sign is read from a later coordinate
+    X[:10, 0] = 1e-14 * np.sign(rng.standard_normal(10))
+    X[5:10, 1] = -3e-13
+    X[10:15, :3] = 0.0
+    got = pc.sign_normalize_rows(X)
+    want = np.array([pc.sign_normalize(x) for x in X])
+    assert np.abs(got - want).max() <= 1e-15
+    assert np.array_equal(np.sign(got), np.sign(want))
+    with pytest.raises(pc.PolynomialError):
+        pc.sign_normalize_rows(np.zeros((2, 3)))

@@ -178,3 +178,12 @@ def test_adjugate3():
     A = r.standard_normal((3, 3))
     assert np.allclose(pcam.adjugate3(A) @ A, np.linalg.det(A) * np.eye(3),
                        atol=1e-10)
+
+
+def test_point_line_matrices_match_point_line_matrix():
+    r = rng()
+    lines = np.stack([pcam.join_points(r.standard_normal(4), r.standard_normal(4))
+                      for _ in range(12)])
+    got = pcam.point_line_matrices(lines)
+    assert got.shape == (12, 4, 4)
+    assert np.array_equal(got, np.stack([pcam.point_line_matrix(L) for L in lines]))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from curvemvg import reconstruct as rc
+from curvemvg import scenes
 from curvemvg.curve_models import implicit_image_curve, image_tangent, preset_curve, _sample_thetas
 from curvemvg.projective_cameras import join_points
 from curvemvg.scenes import lines_missing_points
@@ -241,3 +242,19 @@ def test_consistency_report():
     assert r["chow_unknowns"] == 50
     assert r["min_views_dual"] == 3
     assert r["min_views_chow"] == 6
+
+
+def test_unenforced_chow_fit_reads_no_ranks():
+    cams = scenes.camera_ring(np.random.default_rng(8), 6)
+    curve = preset_curve("conic", 2)
+    blocks = []
+    for cam in cams:
+        pts = curve.points(np.linspace(0.1, 3.0, 12)) @ cam.M.T
+        rays = pts @ cam.ray_matrix.T
+        blocks.append(rays / np.linalg.norm(rays, axis=1, keepdims=True))
+    lines = np.concatenate(blocks)
+    free = rc.fit_chow_from_lines(lines, 2, per_view_blocks=blocks, enforce_rank=False)
+    checked = rc.fit_chow_from_lines(lines, 2, per_view_blocks=blocks)
+    assert free.per_view_ranks == []
+    assert checked.per_view_ranks == [rc.chow_view_cap(2)] * 6
+    assert np.array_equal(free.Gamma.coeffs, checked.Gamma.coeffs)

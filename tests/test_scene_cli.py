@@ -188,6 +188,41 @@ def test_main_exit_one_on_failed_verdict(tmp_path, capsys):
     assert "verdict failed: point0_classified_correctly" in captured.err
 
 
+def test_main_exit_one_on_shared_camera_center(tmp_path, capsys):
+    R = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    cfgp = tmp_path / "shared.json"
+    cfgp.write_text(json.dumps({
+        "cameras": [{"matrix": np.eye(3, 4).tolist()},
+                    {"matrix": np.hstack([R, np.zeros((3, 1))]).tolist()}],
+        "curves": ["conic"]}), encoding="utf-8")
+    rc = sc.main(["kruppa-dim", "--config", str(cfgp)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == ("error: kruppa-dim: coincident camera centers admit "
+                            "no epipolar geometry\n")
+
+
+def test_main_exit_one_on_too_few_rays(tmp_path, capsys):
+    cfgp = tmp_path / "few.json"
+    cfgp.write_text(json.dumps({"dynamic_points": [
+        {"preset": "static", "n_cameras": 2, "frames_per_camera": 3}]}),
+        encoding="utf-8")
+    rc = sc.main(["classify-motion", "--config", str(cfgp)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == ("error: classify-motion: need at least eight rays "
+                            "to classify\n")
+
+
+def test_single_camera_dynamic_point_names_the_minimum():
+    with pytest.raises(sc.ConfigError, match="n_cameras must be at least 2, got 1"):
+        sc.parse_config({"dynamic_points": [{"preset": "line", "n_cameras": 1}]})
+    with pytest.raises(sc.ConfigError, match="frames_per_camera must be positive, got 0"):
+        sc.parse_config({"dynamic_points": [{"preset": "line", "frames_per_camera": 0}]})
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "curvemvg.scene_cli", "consistency-tables",
@@ -245,7 +280,7 @@ def test_import_loads_no_scipy():
 # moves any of them must say which and why.
 README_DIGESTS = {
     "simulate --config simulate_demo.json":
-        "e6a0c13b1038cb30b30885a35f74a9f89b2129cd9aca69ff6873206d3dd2e37d",
+        "7697a6ef227e450fff8d1d1a948ca4c2edee793b2c0b0de878a2b2fa1d8a83fe",
     "kruppa-check --config kruppa_trio.json --noise 1e-3":
         "7a22d97a7bf1a5426ad37db0768740b7d76f6e9b3f1f8d426757b459706b0edf",
     "kruppa-dim --config conic_pair.json":
@@ -257,7 +292,7 @@ README_DIGESTS = {
     "reconstruct-chow --config chow_cubic.json":
         "27cca9ba7822802d51d5be94bf098029ef8bd6c9da53c2855256110a6b425817",
     "classify-motion --config dynamics_mixed.json":
-        "53b7ac221de11d76fb5068c394cfd0625c771155253cd3b486ad91245edce4da",
+        "e9befbbca5213a67140cf36e8180ba2e10239bd3197c78e82a0b3be68a1eae56",
     "consistency-tables --d 2..4 --m 2..8":
         "af110aec9b690a41b1bba7e358a172c5b1a46b6728106237b607e3b6a72474b3",
 }
