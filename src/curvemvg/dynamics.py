@@ -203,16 +203,14 @@ def recover_line_motion(rays, tol: float = 1e-8,
     return line
 
 
-def recover_trajectory_chow(rays, d: int, rank_tol: float = 1e-7,
-                            enforce_rank: bool = True) -> ChowForm:
+def recover_trajectory_chow(rays, d: int) -> ChowForm:
     """Degree-d form vanishing on the rays, via the reconstruct fitting core."""
     blocks = None
     if isinstance(rays, RaySet):
         # per-camera blocks for the per-view rank checks
         cams = rays.camera_ids
         blocks = [rays.lines[cams == c] for c in np.unique(cams)]
-    return fit_chow_from_lines(_ray_rows(rays), d, per_view_blocks=blocks,
-                               rank_tol=rank_tol, enforce_rank=enforce_rank)
+    return fit_chow_from_lines(_ray_rows(rays), d, per_view_blocks=blocks)
 
 
 def _holdout_split(n: int, every: int = 5) -> tuple[np.ndarray, np.ndarray]:

@@ -251,7 +251,7 @@ def quadric_degeneracy(td: TangencyData, rel_tol: float = 1e-8) -> bool:
     pts = np.vstack([line_pts, td.Q]) if td.Q.size else line_pts
     rows = pc.monomial_rows(basis, pts)
     rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    rank, _ = pc.numerical_rank(rows, rel_tol=rel_tol, gap_floor=1.0)
+    rank, _ = pc.numerical_rank(rows, rel_tol=rel_tol)
     return rank < basis.size
 
 
@@ -368,7 +368,7 @@ def solution_dimension(instances, eg_truth: EpipolarGeometry,
         d = np.zeros(7)
         d[k] = step
         J[:, k] = (func(d) - func(-d)) / (2 * step)
-    rank, gap = pc.numerical_rank(J, rel_tol=rank_tol, gap_floor=gap_floor)
+    rank, gap = pc.numerical_rank(J, rel_tol=rank_tol)
     if gap < gap_floor:
         raise KruppaError(
             f"rank of the constraint Jacobian is indeterminate (gap {gap:.2f})")

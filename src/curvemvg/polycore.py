@@ -9,7 +9,7 @@ binding convention of the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -22,6 +22,9 @@ class PolynomialError(ValueError):
 # smallest eigenvalue ratio whitening_map accepts; a span direction whose
 # singular-value ratio is below its square root cannot be whitened
 WHITENING_FLOOR = 1e-12
+
+# relative singular-value cut of every fitted rank
+RANK_TOL = 1e-7
 
 
 @lru_cache(maxsize=None)
@@ -292,13 +295,68 @@ def proportionality_residual(p, q) -> float:
     return float(np.abs(cross - cross.conj().T).max() / (np_ * nq))
 
 
-def fit_nullspace(rows) -> tuple[np.ndarray, float]:
-    """Least-squares null vector of a stack of linear conditions.
+def _rank_at(s: np.ndarray, rel_tol: float) -> int:
+    # the one rank cut: singular values above rel_tol times the largest
+    return int(np.sum(s > rel_tol * s[0])) if s.size and s[0] > 0.0 else 0
 
-    Rows are normalized to unit norm before assembly (zero rows are dropped).
-    Returns ``(vector, gap)`` where ``gap`` is the ratio of the two smallest
-    singular values after padding to the column count: a gap near 0 means the
-    null direction is isolated, a gap near 1 flags a non-unique solution.
+
+@dataclass(frozen=True)
+class NullspaceFit:
+    """One SVD of a stack of linear conditions, and everything read from it.
+
+    ``s`` holds the singular values padded with zeros to the column count,
+    ``Vt`` the full right singular basis, whose last rows are the null
+    directions, and ``floor`` the level at which a singular value is zero to
+    working precision.  A fit from :func:`whitened_nullspace` also carries
+    the monomial basis of its frame and the map ``T`` taking samples into
+    that frame.
+    """
+
+    s: np.ndarray
+    Vt: np.ndarray
+    floor: float
+    basis: MonomialBasis | None = None
+    T: np.ndarray | None = None
+
+    def rank(self) -> int:
+        """Number of singular values above :data:`RANK_TOL` times the largest."""
+        return _rank_at(self.s, RANK_TOL)
+
+    def gap(self, nullity: int = 1) -> float:
+        """First dropped over last kept singular value, ``nullity`` dropped.
+
+        Near 0 the ``nullity`` weakest directions are an isolated nullspace;
+        near 1 they are not unique.  A last kept value that is zero to
+        working precision reads 1.
+        """
+        i = self.s.size - nullity
+        if self.s[i - 1] <= self.floor:
+            return 1.0
+        return float(self.s[i] / self.s[i - 1])
+
+    def null(self, nullity: int = 1) -> np.ndarray:
+        """The ``nullity`` weakest right singular vectors, weakest last."""
+        return self.Vt[-nullity:]
+
+    def pullback_map(self) -> np.ndarray:
+        """``T``, the map that pulls forms fitted in the frame back to the samples."""
+        if self.T.shape[0] != self.T.shape[1]:
+            raise PolynomialError("samples span a degenerate subspace")
+        return self.T
+
+    def form(self) -> HomogeneousPolynomial:
+        """The weakest null direction as a form in the sample coordinates."""
+        poly = pullback(HomogeneousPolynomial(self.basis, sign_normalize(self.Vt[-1])),
+                        self.pullback_map())
+        return HomogeneousPolynomial(self.basis, sign_normalize(poly.coeffs))
+
+
+def fit_nullspace(rows) -> NullspaceFit:
+    """Full SVD of a stack of linear conditions, rows normalized to unit norm.
+
+    Zero rows are dropped.  A stack with fewer rows than columns still has
+    every right singular vector, and its padded singular values read rank
+    deficient.
     """
     A = np.asarray(rows, dtype=float)
     if A.ndim != 2:
@@ -309,18 +367,9 @@ def fit_nullspace(rows) -> tuple[np.ndarray, float]:
         raise PolynomialError("all rows are zero")
     A = A[keep] / norms[keep, None]
     _, s, Vt = np.linalg.svd(A, full_matrices=True)
-    ncols = A.shape[1]
-    s_pad = np.zeros(ncols)
+    s_pad = np.zeros(A.shape[1])
     s_pad[: s.shape[0]] = s
-    tiny = np.finfo(float).eps * max(A.shape) * (s_pad[0] if s_pad[0] > 0 else 1.0)
-    if s_pad[-2] <= tiny:
-        gap = 1.0
-    else:
-        gap = float(s_pad[-1] / s_pad[-2])
-    vec = Vt[-1] if Vt.shape[0] >= ncols else None
-    if vec is None:  # fewer rows than columns: svd still yields full Vt with full_matrices
-        raise PolynomialError("could not extract a null vector")
-    return sign_normalize(vec), gap
+    return NullspaceFit(s_pad, Vt, np.finfo(float).eps * max(A.shape) * s_pad[0])
 
 
 def whitening_map(samples) -> np.ndarray:
@@ -341,51 +390,68 @@ def whitening_map(samples) -> np.ndarray:
     return V @ np.diag(w ** -0.5) @ V.T
 
 
-def fit_vanishing_form(basis: MonomialBasis, samples, *,
-                       whiten: bool = True) -> tuple[HomogeneousPolynomial, float]:
+def whitened_nullspace(basis: MonomialBasis, samples) -> NullspaceFit:
+    """Null space of the basis monomials evaluated at the samples, whitened.
+
+    The one fitting kernel of the package: the samples (one point per row)
+    are moved to isotropic position by :func:`whitening_map`, expanded over
+    the basis and decomposed once by :func:`fit_nullspace`, so the rank, the
+    gap and the fitted form all read one SVD.  Only samples spanning a
+    proper subspace, which whitening_map refuses (all tangent planes or rays
+    of one view pass through its center), are first rewritten in an
+    orthonormal basis of their span and fitted over the same degree in
+    fewer variables.  That leaves the row
+    rank unchanged, since restricting forms to a subspace is onto, but such
+    a fit has no form in the sample coordinates.
+    """
+    X = np.asarray(samples, dtype=float)
+    if X.ndim != 2 or X.shape[1] != basis.num_vars:
+        raise PolynomialError(
+            f"samples have shape {X.shape}, basis expects {basis.num_vars} coordinates")
+    try:
+        T = whitening_map(X)
+        frame = X @ T
+    except PolynomialError:
+        # too few or too flat to whiten: keep the span directions that
+        # whitening_map can scale to unit variance, in an orthonormal basis
+        unit = X / np.linalg.norm(X, axis=1, keepdims=True)
+        _, sv, Vt = np.linalg.svd(unit, full_matrices=False)
+        span = Vt[: int(np.sum(sv > math.sqrt(WHITENING_FLOOR) * sv[0]))].T
+        Y = unit @ span
+        T_Y = whitening_map(Y)
+        basis = enumerate_monomials(span.shape[1], basis.degree)
+        T, frame = span @ T_Y, Y @ T_Y
+    return replace(fit_nullspace(monomial_rows(basis, frame)), basis=basis, T=T)
+
+
+def fit_vanishing_form(basis: MonomialBasis, samples) -> tuple[HomogeneousPolynomial, float]:
     """Form of the basis degree vanishing on all samples, with nullspace gap.
 
-    Fits in whitened coordinates by default and pulls the result back, so the
+    Fits through :func:`whitened_nullspace` and pulls the result back, so the
     returned coefficients live in the original frame (unit norm, sign fixed).
     The gap is the whitened fit's diagnostic.
     """
-    pts = np.asarray(samples, dtype=float)
-    if whiten:
-        T = whitening_map(pts)
-        pts = pts @ T
-    coeffs, gap = fit_nullspace(monomial_rows(basis, pts))
-    poly = HomogeneousPolynomial(basis, coeffs)
-    if whiten:
-        poly = pullback(poly, T)
-        poly = HomogeneousPolynomial(basis, sign_normalize(poly.coeffs))
-    return poly, gap
+    fit = whitened_nullspace(basis, samples)
+    return fit.form(), fit.gap()
 
 
-def numerical_rank(matrix, rel_tol: float = 1e-7, gap_floor: float = 10.0):
-    """Rank of a matrix by singular-value threshold, with a gap diagnostic.
+def numerical_rank(matrix, rel_tol: float = RANK_TOL) -> tuple[int, float]:
+    """Rank of a matrix at the fitting kernel's cut, with the gap across it.
 
-    Returns ``(rank, gap)`` where ``gap`` is the ratio across the cut
-    (sigma_r / sigma_{r+1}, inf when the tail is exactly zero).  A gap below
-    ``gap_floor`` means the threshold fell inside a smooth decay and the rank
-    should not be trusted.
+    The rank counts singular values above ``rel_tol`` times the largest, as
+    :meth:`NullspaceFit.rank` does.  Returns ``(rank, gap)`` where ``gap``
+    is sigma_r / sigma_{r+1} (inf when the tail is exactly zero, sigma_r over
+    the threshold at full rank).  A gap near 1 means the cut fell inside a
+    smooth decay and the rank should not be trusted; the caller picks the
+    floor.
     """
-    A = np.asarray(matrix)
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0, np.inf
-    thresh = rel_tol * s[0]
-    rank = int(np.sum(s > thresh))
-    n_small = min(A.shape)
-    s_pad = np.zeros(n_small)
-    s_pad[: s.shape[0]] = s
+    s = np.linalg.svd(np.asarray(matrix), compute_uv=False)
+    rank = _rank_at(s, rel_tol)
     if rank == 0:
-        gap = np.inf
-    elif rank == n_small:
-        gap = s_pad[rank - 1] / thresh
-    else:
-        tail = s_pad[rank]
-        gap = np.inf if tail == 0.0 else s_pad[rank - 1] / tail
-    return rank, float(gap)
+        return 0, np.inf
+    if rank == s.size:
+        return rank, float(s[-1] / (rel_tol * s[0]))
+    return rank, np.inf if s[rank] == 0.0 else float(s[rank - 1] / s[rank])
 
 
 def sign_normalize(v: np.ndarray) -> np.ndarray:

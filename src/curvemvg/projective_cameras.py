@@ -185,31 +185,8 @@ class PluckerLine:
         return line_span_points(self.v)
 
 
-@dataclass(frozen=True)
-class Plane3:
-    """A plane of P^3 held as a unit-norm 4-vector of coefficients."""
-
-    A: np.ndarray
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        if A.shape != (4,):
-            raise GeometryError("planes have four coefficients")
-        if np.linalg.norm(A) == 0.0:
-            raise GeometryError("zero vector is not a plane")
-        object.__setattr__(self, "A", sign_normalize(A))
-
-    def contains_point(self, P, tol: float = 1e-9) -> bool:
-        P = np.asarray(P)
-        return abs(self.A @ P) / np.linalg.norm(P) <= tol
-
-
 def _as_line6(L) -> np.ndarray:
     return L.v if isinstance(L, PluckerLine) else np.asarray(L)
-
-
-def _as_plane4(A) -> np.ndarray:
-    return A.A if isinstance(A, Plane3) else np.asarray(A)
 
 
 class Camera:
@@ -219,9 +196,13 @@ class Camera:
         M = np.asarray(M, dtype=float)
         if M.shape != (3, 4):
             raise GeometryError("camera matrices are 3x4")
-        if np.linalg.matrix_rank(M) != 3:
+        # one SVD serves the rank check and the center; a zero matrix stays
+        # zero and fails the check, at np.linalg.matrix_rank's tolerance
+        self.M = M / max(np.linalg.norm(M), np.finfo(float).tiny)
+        _, s, Vt = np.linalg.svd(self.M)
+        if s[2] <= s[0] * max(M.shape) * np.finfo(float).eps:
             raise GeometryError("camera matrix must have rank 3")
-        self.M = M / np.linalg.norm(M)
+        self._null = Vt[-1]
 
     @classmethod
     def from_parameters(cls, f: float, alpha: float, s: float, u0: float, v0: float,
@@ -237,8 +218,7 @@ class Camera:
     @cached_property
     def center(self) -> np.ndarray:
         """Unique point annihilated by the camera matrix."""
-        _, _, Vt = np.linalg.svd(self.M)
-        return sign_normalize(Vt[-1])
+        return sign_normalize(self._null)
 
     @cached_property
     def ray_matrix(self) -> np.ndarray:
@@ -263,26 +243,6 @@ class Camera:
     def project(self, P) -> np.ndarray:
         P = np.asarray(P)
         return (self.M @ P.T).T if P.ndim == 2 else self.M @ P
-
-    def decompose(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Internal matrix (upper triangular, positive diagonal), rotation, translation."""
-        A = self.M[:, :3]
-        # RQ via reversed QR
-        rev = np.eye(3)[::-1]
-        Q, R = np.linalg.qr((rev @ A).T)
-        K = rev @ R.T @ rev
-        Rot = rev @ Q.T
-        signs = np.sign(np.diag(K))
-        signs[signs == 0] = 1.0
-        D = np.diag(signs)
-        K = K @ D
-        Rot = D @ Rot
-        flip = 1.0
-        if np.linalg.det(Rot) < 0:
-            Rot = -Rot  # absorb the free projective sign of M into the pose
-            flip = -1.0
-        t = np.linalg.solve(K, flip * self.M[:, 3])
-        return K / K[2, 2], Rot, t
 
     def __repr__(self):
         return f"Camera({np.array2string(self.M, precision=4)})"
@@ -312,17 +272,9 @@ def line_image(cam: Camera, L) -> np.ndarray:
     return sign_normalize(out)
 
 
-def plane_of_line(cam: Camera, l) -> Plane3:
-    """Plane swept by the rays over an image line (the back-projection of l)."""
-    l = np.asarray(l)
-    if l.shape != (3,) or np.linalg.norm(l) == 0.0:
-        raise GeometryError("image lines are nonzero 3-vectors")
-    return Plane3(cam.M.T @ l)
-
-
 def homography(cam1: Camera, cam2: Camera, plane) -> np.ndarray:
     """Transfer map between images induced by a plane avoiding both centers."""
-    A = _as_plane4(plane)
+    A = np.asarray(plane)
     for cam in (cam1, cam2):
         if abs(A @ cam.center) <= 1e-9 * np.linalg.norm(A):
             raise GeometryError("plane passes through a camera center")
@@ -394,15 +346,6 @@ def canonical_pair(eg: EpipolarGeometry) -> tuple[Camera, Camera]:
     if cosine_similarity(back.F.ravel(), eg.F.ravel()) < 1.0 - 1e-9:
         raise GeometryError("canonical pair failed to reproduce the fundamental matrix")
     return M1, M2
-
-
-def absolute_conic_image(cam: Camera) -> np.ndarray:
-    """Matrix of the image of the absolute conic, from the internal parameters."""
-    K, _, _ = cam.decompose()
-    Kinv = np.linalg.inv(K)
-    w = Kinv.T @ Kinv
-    w = w / np.linalg.norm(w)
-    return w if w[0, 0] > 0 else -w
 
 
 def adjugate3(A) -> np.ndarray:

@@ -27,6 +27,7 @@ from .projective_cameras import (
     join_points,
     line_span_points,
     sign_normalize,
+    triangulate,
 )
 
 
@@ -126,18 +127,6 @@ def _line_curve_roots(f: HomogeneousPolynomial, line: np.ndarray) -> tuple[np.nd
     return pts, float(sep)
 
 
-def _triangulate_complex(cam1: Camera, p1: np.ndarray, cam2: Camera, p2: np.ndarray) -> np.ndarray:
-    rows = []
-    for cam, p in ((cam1, p1), (cam2, p2)):
-        x, y, z = p
-        zero = 0.0 * x
-        C = np.array([[zero, -z, y], [z, zero, -x], [-y, x, zero]])
-        rows.append(C @ cam.M)
-    A = np.concatenate(rows)
-    _, _, Vt = np.linalg.svd(A)
-    return sign_normalize(Vt[-1].conj())
-
-
 def epipolar_sweep(f1: ImageCurve, f2: ImageCurve, cam1: Camera, cam2: Camera,
                    n_planes: int = 60, *,
                    check_views: list[tuple[HomogeneousPolynomial, Camera]],
@@ -181,7 +170,7 @@ def epipolar_sweep(f1: ImageCurve, f2: ImageCurve, cam1: Camera, cam2: Camera,
         if min(sep1, sep2) < 1e-7:
             skipped += 1
             continue
-        cands = np.stack([_triangulate_complex(cam1, p1, cam2, p2)
+        cands = np.stack([triangulate(cam1, p1, cam2, p2)
                           for p1 in pts1 for p2 in pts2])
         res = np.empty(len(cands))
         for i, P in enumerate(cands):
@@ -223,28 +212,6 @@ class DualSurface:
     def __call__(self, plane) -> float:
         A = np.asarray(plane)
         return self.Upsilon(A / np.linalg.norm(A))
-
-
-def _whitened_rank(samples: np.ndarray, degree: int, rel_tol: float = 1e-7) -> int:
-    """Rank of the degree-d monomial rows of the samples, stably.
-
-    Row rank is invariant both to an invertible change of coordinates and to
-    rewriting the samples in a basis of the subspace they span (restriction
-    of forms is onto), so the samples are first reduced to their span, then
-    whitened; per-view sample sets are always degenerate (everything from one
-    camera passes through its center), which this handles uniformly.
-    """
-    X = np.asarray(samples, dtype=float)
-    X = X / np.linalg.norm(X, axis=1, keepdims=True)
-    _, sv, Vt = np.linalg.svd(X, full_matrices=False)
-    # keep only span directions that whitening_map can scale to unit variance
-    k = int(np.sum(sv > math.sqrt(pc.WHITENING_FLOOR) * sv[0]))
-    Y = X @ Vt[:k].T
-    T = pc.whitening_map(Y)
-    rows = pc.monomial_rows(enumerate_monomials(k, degree), Y @ T)
-    rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    rank, _ = pc.numerical_rank(rows, rel_tol=rel_tol)
-    return rank
 
 
 def dual_ambiguity_dim(m: int, k: int) -> int:
@@ -290,9 +257,9 @@ def dual_reconstruct(views: list[tuple[Camera, np.ndarray]], m: int) -> DualSurf
         planes = lines @ cam.M
         planes = planes / np.linalg.norm(planes, axis=1, keepdims=True)
         blocks.append(planes)
-        ranks.append(_whitened_rank(planes, m))
-    samples = np.concatenate(blocks)
-    total = _whitened_rank(samples, m)
+        ranks.append(pc.whitened_nullspace(basis, planes).rank())
+    fit = pc.whitened_nullspace(basis, np.concatenate(blocks))
+    total = fit.rank()
     if total < needed:
         k = len(views)
         blind = dual_ambiguity_dim(m, k)
@@ -305,8 +272,7 @@ def dual_reconstruct(views: list[tuple[Camera, np.ndarray]], m: int) -> DualSurf
         raise InsufficientViews(
             f"stacked tangent equations have rank {total} < {needed} "
             f"(per-view ranks {ranks}, caps {dual_view_cap(m)}; {hint})")
-    poly, gap = pc.fit_vanishing_form(basis, samples)
-    return DualSurface(poly, gap, ranks)
+    return DualSurface(fit.form(), fit.gap(), ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +376,6 @@ class ChowForm:
 
 def fit_chow_from_lines(lines: np.ndarray, d: int,
                         per_view_blocks: list[np.ndarray] | None = None,
-                        rank_tol: float = 1e-7,
                         enforce_rank: bool = True) -> ChowForm:
     """Chow form of degree d from Plucker vectors of lines meeting the curve.
 
@@ -418,29 +383,33 @@ def fit_chow_from_lines(lines: np.ndarray, d: int,
     nullspace holds the Chow class plus every degree-d multiple of the
     Grassmann quadric (those vanish on all lines whatsoever), so the fit
     extracts 1 + C(d+3,5) directions and projects out the ideal part to land
-    on the canonical representative.  ``rank_tol`` is the relative
-    singular-value threshold for the rank prechecks; raise it in step with
-    measurement noise.  With ``enforce_rank=False`` the prechecks are
-    skipped, ``per_view_blocks`` is unused, ``per_view_ranks`` is left
-    empty and the weakest directions
-    are fit unconditionally; callers must then validate the result on
-    held-out lines, since a wrong-degree fit simply evaluates large instead
-    of raising.
+    on the canonical representative.  The stacked rank is read from the
+    fit's own singular values and must match that count exactly;
+    ``per_view_ranks`` holds the rank of each of ``per_view_blocks``, or
+    the stacked rank alone when no blocks are given.  With
+    ``enforce_rank=False`` no rank is checked, ``per_view_blocks`` is
+    unused, ``per_view_ranks`` is left empty and the weakest directions are
+    fit unconditionally; callers must then validate the result on held-out
+    lines, since a wrong-degree fit simply evaluates large instead of
+    raising.
     """
     lines = np.asarray(lines, dtype=float)
     lines = lines / np.linalg.norm(lines, axis=1, keepdims=True)
     basis = enumerate_monomials(6, d)
     k = chow_ideal_dim(d)
     needed = basis.size - k - 1
+    fit = pc.whitened_nullspace(basis, lines)
     ranks = []
     if enforce_rank:
-        blocks = [lines] if per_view_blocks is None else per_view_blocks
-        ranks = [_whitened_rank(np.asarray(b, dtype=float), d, rank_tol) for b in blocks]
-        total = _whitened_rank(lines, d, rank_tol)
+        total = fit.rank()
+        if per_view_blocks is None:
+            ranks = [total]
+        else:
+            ranks = [pc.whitened_nullspace(basis, b).rank() for b in per_view_blocks]
         if total < needed:
-            blind = chow_ambiguity_dim(d, len(blocks))
+            blind = chow_ambiguity_dim(d, len(ranks))
             if per_view_blocks is not None and blind:
-                hint = (f"{len(blocks)} centers leave a {blind}-dim family of "
+                hint = (f"{len(ranks)} centers leave a {blind}-dim family of "
                         f"forms through their alpha-planes; degree {d} needs rays "
                         f"from at least {views_for_chow(d)} distinct centers")
             else:
@@ -453,28 +422,16 @@ def fit_chow_from_lines(lines: np.ndarray, d: int,
             raise ReconstructionError(
                 f"ray equations have rank {total} > {needed}: "
                 "the rays are not all incident to one degree-matched curve")
-    T = pc.whitening_map(lines)
-    rows = pc.monomial_rows(basis, lines @ T)
-    rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    _, s, Vt = np.linalg.svd(rows)
-    s_pad = np.zeros(basis.size)
-    s_pad[: s.shape[0]] = s
-    null_white = Vt[-(k + 1):]
-    if s_pad[needed - 1] > 0.0:
-        gap = float(s_pad[needed] / s_pad[needed - 1])   # small is good
-    else:
-        gap = float("inf")   # rank-deficient batch; the fit is not pinned down
-    pulled = null_white @ pc.sym_power(T, d)
+    pulled = fit.null(k + 1) @ pc.sym_power(fit.pullback_map(), d)
     pulled = pulled / np.linalg.norm(pulled, axis=1, keepdims=True)
     ideal = _ideal_rows(d)
     resid = pulled - (pulled @ ideal.T) @ ideal
     _, _, Vr = np.linalg.svd(resid)
     rep = sign_normalize(Vr[0])
-    return ChowForm(HomogeneousPolynomial(basis, rep), gap, ranks)
+    return ChowForm(HomogeneousPolynomial(basis, rep), fit.gap(k + 1), ranks)
 
 
-def chow_reconstruct(views: list[tuple[Camera, np.ndarray]], d: int,
-                     rank_tol: float = 1e-7) -> ChowForm:
+def chow_reconstruct(views: list[tuple[Camera, np.ndarray]], d: int) -> ChowForm:
     """Chow form from per-view image points of the curve.
 
     Each image point p of view i lifts to the optical ray, a line meeting the
@@ -488,8 +445,7 @@ def chow_reconstruct(views: list[tuple[Camera, np.ndarray]], d: int,
         rays = pts @ cam.ray_matrix.T
         rays = rays / np.linalg.norm(rays, axis=1, keepdims=True)
         blocks.append(rays)
-    return fit_chow_from_lines(np.concatenate(blocks), d, per_view_blocks=blocks,
-                               rank_tol=rank_tol)
+    return fit_chow_from_lines(np.concatenate(blocks), d, per_view_blocks=blocks)
 
 
 def chow_membership(G: ChowForm, P: np.ndarray, trials: int = 5,

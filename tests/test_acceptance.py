@@ -185,11 +185,13 @@ def test_dual_reconstruction_from_counting_bound_views(ring, curve_set):
     assert k == 3
     views = _dual_views(cubic, ring[:k], 20)
     planes = [lines @ cam.M for cam, lines in views]
-    assert [rc._whitened_rank(p, m) for p in planes] == [rc.dual_view_cap(m)] * k
+    basis = pc.enumerate_monomials(4, m)
+    assert ([pc.whitened_nullspace(basis, p).rank() for p in planes]
+            == [rc.dual_view_cap(m)] * k)
     needed = rc.dual_unknowns(m) - 1
     blind = rc.dual_ambiguity_dim(m, k)
     want = needed - blind
-    assert rc._whitened_rank(np.concatenate(planes), m) == want
+    assert pc.whitened_nullspace(basis, np.concatenate(planes)).rank() == want
     with pytest.raises(rc.InsufficientViews) as err:
         rc.dual_reconstruct(views, m)
     msg = str(err.value)
@@ -202,7 +204,7 @@ def test_dual_reconstruction_from_counting_bound_views(ring, curve_set):
     for n_views in (k, full):
         generic = np.concatenate([wrng.standard_normal((20, 3)) @ cam.M
                                   for cam in ring[:n_views]])
-        nullity = rc.dual_unknowns(m) - rc._whitened_rank(generic, m)
+        nullity = rc.dual_unknowns(m) - pc.whitened_nullspace(basis, generic).rank()
         assert nullity == rc.dual_ambiguity_dim(m, n_views)
     # the corrected count reconstructs the same curve on the same ring
     ds = rc.dual_reconstruct(_dual_views(cubic, ring[:full], 20), m)
@@ -253,11 +255,13 @@ def _chow_counting_gap(ring, curve, d, n_pts):
     k, full = rc.min_views_chow(d), rc.views_for_chow(d)
     views = _chow_views(curve, ring[:k], n_pts)
     rays = [pts @ cam.ray_matrix.T for cam, pts in views]
-    assert [rc._whitened_rank(r, d) for r in rays] == [rc.chow_view_cap(d)] * k
+    basis = pc.enumerate_monomials(6, d)
+    assert ([pc.whitened_nullspace(basis, r).rank() for r in rays]
+            == [rc.chow_view_cap(d)] * k)
     needed = rc.chow_unknowns(d) - 1
     blind = rc.chow_ambiguity_dim(d, k)
     want = needed - blind
-    assert rc._whitened_rank(np.concatenate(rays), d) == want
+    assert pc.whitened_nullspace(basis, np.concatenate(rays)).rank() == want
     with pytest.raises(rc.InsufficientViews) as err:
         rc.chow_reconstruct(views, d)
     msg = str(err.value)
@@ -271,7 +275,7 @@ def _chow_counting_gap(ring, curve, d, n_pts):
     for n_views in (k, full):
         generic = np.concatenate([wrng.standard_normal((n_pts, 3)) @ cam.ray_matrix.T
                                   for cam in ring[:n_views]])
-        nullity = rc.chow_unknowns(d) - rc._whitened_rank(generic, d)
+        nullity = rc.chow_unknowns(d) - pc.whitened_nullspace(basis, generic).rank()
         assert nullity == rc.chow_ambiguity_dim(d, n_views)
     # the corrected count reconstructs the same curve on the same ring
     cf = rc.chow_reconstruct(_chow_views(curve, ring[:full], n_pts), d)

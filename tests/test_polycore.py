@@ -159,9 +159,9 @@ def test_fit_nullspace_recovers_plane():
     normal /= np.linalg.norm(normal)
     basis = np.linalg.svd(normal[None, :])[2][1:]
     rows = rng.standard_normal((30, 2)) @ basis
-    vec, gap = pc.fit_nullspace(rows)
-    assert abs(vec @ normal) == pytest.approx(1.0, abs=1e-12)
-    assert gap < 1e-10
+    fit = pc.fit_nullspace(rows)
+    assert abs(fit.null()[0] @ normal) == pytest.approx(1.0, abs=1e-12)
+    assert fit.gap() < 1e-10
 
 
 def test_whitening_map_isotropizes():
@@ -184,6 +184,53 @@ def test_fit_vanishing_form_recovers_anisotropic_conic():
     held = pts[::7] / np.linalg.norm(pts[::7], axis=1, keepdims=True)
     assert max(abs(f(p)) for p in held) < 1e-10
     assert gap < 1e-6
+
+
+def _conic_points(n):
+    th = np.linspace(0.1, 3.0, n)
+    return np.stack([np.cos(th) ** 2 * 50.0, np.sin(th) * np.cos(th), np.ones_like(th)], axis=1)
+
+
+def test_whitened_nullspace_reads_rank_gap_and_form():
+    b = pc.enumerate_monomials(3, 2)
+    pts = _conic_points(40)
+    fit = pc.whitened_nullspace(b, pts)
+    assert fit.basis == b and fit.s.shape == (b.size,)
+    assert fit.rank() == b.size - 1
+    assert fit.gap() < 1e-10
+    f, gap = pc.fit_vanishing_form(b, pts)
+    assert np.array_equal(f.coeffs, fit.form().coeffs) and gap == fit.gap()
+    # too few samples: the padded spectrum reads the missing rank
+    short = pc.whitened_nullspace(b, pts[:3])
+    assert short.rank() == 3 and short.gap(3) == 0.0 and short.gap(1) == 1.0
+
+
+def test_whitened_nullspace_reduces_a_degenerate_span():
+    # the same conic drawn in the plane x3 = x0 + x1 of P^3: ranks are
+    # counted over the span, and the fit has no form in the sample frame
+    pts = _conic_points(40)
+    lifted = np.column_stack([pts, pts[:, 0] + pts[:, 1]])
+    fit = pc.whitened_nullspace(pc.enumerate_monomials(4, 2), lifted)
+    assert fit.basis == pc.enumerate_monomials(3, 2)
+    assert fit.T.shape == (4, 3)
+    assert fit.rank() == 5
+    with pytest.raises(pc.PolynomialError):
+        fit.form()
+    with pytest.raises(pc.PolynomialError):
+        pc.fit_vanishing_form(pc.enumerate_monomials(4, 2), lifted)
+
+
+def test_whitened_nullspace_rejects_a_mismatched_basis():
+    with pytest.raises(pc.PolynomialError):
+        pc.whitened_nullspace(pc.enumerate_monomials(4, 2), _conic_points(20))
+
+
+def test_numerical_rank_cuts_where_the_kernel_does():
+    rng = np.random.default_rng(9)
+    for k in (1, 3, 5):
+        A = rng.standard_normal((40, k)) @ rng.standard_normal((k, 7))
+        A /= np.linalg.norm(A, axis=1, keepdims=True)
+        assert pc.numerical_rank(A)[0] == pc.fit_nullspace(A).rank() == k
 
 
 def test_quadratic_matrix_round_trip():

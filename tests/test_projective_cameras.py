@@ -163,6 +163,32 @@ def test_triangulate_round_trip(cams):
     assert proportionality_residual(X, Y) < 1e-8
 
 
+def test_triangulate_complex_conjugate_points(cams):
+    # the epipolar sweep triangulates complex candidates; the rows take the
+    # conjugate-free cross matrix, so a complex point comes back up to phase
+    r = rng()
+    X = r.standard_normal(4) + 1j * r.standard_normal(4)
+    Y = pcam.triangulate(cams[0], cams[0].M @ X, cams[1], cams[1].M @ X)
+    assert np.iscomplexobj(Y)
+    assert pcam.cosine_similarity(X, Y) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_camera_center_is_the_null_vector_of_its_svd(cams):
+    for cam in cams:
+        want = pcam.sign_normalize(np.linalg.svd(cam.M)[2][-1])
+        assert np.array_equal(cam.center, want)
+
+
+def test_camera_rank_check_matches_matrix_rank():
+    r = rng()
+    M = r.standard_normal((3, 4))
+    for bad in (np.zeros((3, 4)), np.vstack([M[:2], M[0] + 2.0 * M[1]]),
+                np.outer(M[:, 0], M[0])):
+        assert np.linalg.matrix_rank(bad) < 3
+        with pytest.raises(pcam.GeometryError):
+            Camera(bad)
+
+
 def test_line_map_acts_on_plucker():
     r = rng()
     V = r.standard_normal((4, 4))

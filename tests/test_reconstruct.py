@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from curvemvg import polycore as pc
 from curvemvg import reconstruct as rc
 from curvemvg import scenes
 from curvemvg.curve_models import implicit_image_curve, image_tangent, preset_curve, _sample_thetas
@@ -97,7 +98,7 @@ def test_dual_ambiguity_matches_measured_rank(cams, cubic):
     for k in (3, 4, 5):
         planes = np.concatenate([lines @ cam.M for cam, lines in views[:k]])
         planes /= np.linalg.norm(planes, axis=1, keepdims=True)
-        rank = rc._whitened_rank(planes, m)
+        rank = pc.whitened_nullspace(pc.enumerate_monomials(4, m), planes).rank()
         assert rank == rc.dual_unknowns(m) - 1 - rc.dual_ambiguity_dim(m, k)
 
 
@@ -163,7 +164,7 @@ def test_chow_ambiguity_matches_measured_rank(cams, conic):
     for k in (3, 4, 5):
         rays = np.concatenate([pts @ cam.ray_matrix.T for cam, pts in views[:k]])
         rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-        rank = rc._whitened_rank(rays, d)
+        rank = pc.whitened_nullspace(pc.enumerate_monomials(6, d), rays).rank()
         assert rank == needed - rc.chow_ambiguity_dim(d, k)
 
 
@@ -258,3 +259,33 @@ def test_unenforced_chow_fit_reads_no_ranks():
     assert free.per_view_ranks == []
     assert checked.per_view_ranks == [rc.chow_view_cap(2)] * 6
     assert np.array_equal(free.Gamma.coeffs, checked.Gamma.coeffs)
+
+
+def test_stacked_samples_are_expanded_once(monkeypatch, cams, conic, cubic):
+    # the stacked rank check and the fit read one decomposition, so each
+    # route expands its full stacked sample array exactly once
+    sizes = []
+    expand = pc.monomial_rows
+
+    def counting(basis, points):
+        sizes.append(len(points))
+        return expand(basis, points)
+
+    monkeypatch.setattr(pc, "monomial_rows", counting)
+    tangent_views = _tangent_views(cubic, cams[:5], 20)
+    point_views = _point_views(conic, cams[:5], 16)
+    lines = np.concatenate([pts @ cam.ray_matrix.T for cam, pts in point_views])
+    for total, route in ((100, lambda: rc.dual_reconstruct(tangent_views, 4)),
+                         (80, lambda: rc.chow_reconstruct(point_views, 2)),
+                         (80, lambda: rc.fit_chow_from_lines(lines, 2))):
+        sizes.clear()
+        route()
+        assert sizes.count(total) == 1
+
+
+def test_unchecked_chow_fit_reports_its_stacked_rank(cams, conic):
+    # without per-view blocks the stacked rank is the one per-view rank
+    views = _point_views(conic, cams[:5], 16)
+    lines = np.concatenate([pts @ cam.ray_matrix.T for cam, pts in views])
+    cf = rc.fit_chow_from_lines(lines, 2)
+    assert cf.per_view_ranks == [rc.chow_unknowns(2) - 1]
