@@ -170,12 +170,19 @@ def _is_generic(curve: RationalCurve3D, n: int = 240) -> bool:
         return False
     # injectivity: well-separated parameters give distinct points
     G = np.abs(P @ P.T)
-    idx = np.arange(n)
-    sep = np.abs(idx[:, None] - idx[None, :])
-    sep = np.minimum(sep, n - sep)
-    if np.any(G[sep >= 8] > 1.0 - 1e-8):
+    if np.any(G[_separated(n)] > 1.0 - 1e-8):
         return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _separated(n: int) -> np.ndarray:
+    # read-only mask of sample pairs at least 8 steps apart around the circle
+    idx = np.arange(n)
+    sep = np.abs(idx[:, None] - idx[None, :])
+    mask = np.minimum(sep, n - sep) >= 8
+    mask.setflags(write=False)
+    return mask
 
 
 @dataclass

@@ -78,16 +78,21 @@ def enumerate_monomials(num_vars: int, degree: int) -> MonomialBasis:
 
 
 def monomial_rows(basis: MonomialBasis, points) -> np.ndarray:
-    """Evaluate every basis monomial at every point; rows index points."""
+    """Evaluate every basis monomial at every point; rows index points.
+
+    Each degree-e column is its degree-(e-1) parent column times one coordinate.
+    """
     pts = np.asarray(points)
     if pts.ndim == 1:
         pts = pts[None, :]
     if pts.shape[1] != basis.num_vars:
         raise PolynomialError(
             f"points have {pts.shape[1]} coordinates, basis expects {basis.num_vars}")
-    exps = basis.exponent_array()
-    # (npts, size): product over variables of coordinate**exponent
-    return np.prod(pts[:, None, :] ** exps[None, :, :], axis=2)
+    rows = np.ones((pts.shape[0], 1), dtype=pts.dtype)
+    for e in range(1, basis.degree + 1):
+        parents, peeled = _peel_table(basis.num_vars, e)
+        rows = rows[:, parents] * pts[:, peeled]
+    return rows
 
 
 @dataclass
@@ -153,29 +158,28 @@ def multiply(p: HomogeneousPolynomial, q: HomogeneousPolynomial) -> HomogeneousP
 
 
 @lru_cache(maxsize=None)
-def _sym_power_tables(num_vars: int, k: int, degree: int) -> tuple:
-    # per degree e = 1..degree: for every degree-e monomial in num_vars
-    # variables, the row of its degree-(e-1) parent, the variable peeled off,
-    # and the 0/1 matrix scattering (parent column, new factor) pairs onto
-    # the degree-e basis in k variables
-    tables = []
-    for e in range(1, degree + 1):
-        parent_idx = _index_of(num_vars, e - 1)
-        parents, peeled = [], []
-        for exps in _exponents(num_vars, e):
-            i = next(j for j, x in enumerate(exps) if x)
-            shifted = list(exps)
-            shifted[i] -= 1
-            parents.append(parent_idx[tuple(shifted)])
-            peeled.append(i)
-        imap = _product_index_map(k, e - 1, 1).ravel()
-        scatter = np.zeros((imap.size, math.comb(k + e - 1, e)))
-        scatter[np.arange(imap.size), imap] = 1.0
-        table = (np.array(parents), np.array(peeled), scatter)
-        for arr in table:
-            arr.setflags(write=False)
-        tables.append(table)
-    return tuple(tables)
+def _peel_table(num_vars: int, degree: int) -> np.ndarray:
+    # rows (parents, peeled): for every monomial of this degree, the index of
+    # its parent one degree lower and the first variable it has, peeled off
+    parent_idx = _index_of(num_vars, degree - 1)
+    pairs = []
+    for exps in _exponents(num_vars, degree):
+        i = next(j for j, x in enumerate(exps) if x)
+        pairs.append((parent_idx[exps[:i] + (exps[i] - 1,) + exps[i + 1:]], i))
+    table = np.array(pairs).T
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _scatter(k: int, degree: int) -> np.ndarray:
+    # 0/1 matrix scattering (degree-(degree-1) column, new factor) pairs onto
+    # the degree basis in k variables
+    imap = _product_index_map(k, degree - 1, 1).ravel()
+    scatter = np.zeros((imap.size, math.comb(k + degree - 1, degree)))
+    scatter[np.arange(imap.size), imap] = 1.0
+    scatter.setflags(write=False)
+    return scatter
 
 
 def sym_power(A, degree: int) -> np.ndarray:
@@ -194,9 +198,10 @@ def sym_power(A, degree: int) -> np.ndarray:
         raise PolynomialError("degree must be nonnegative")
     n, k = A.shape
     S = np.ones((1, 1), dtype=np.result_type(A, float))
-    for parents, peeled, scatter in _sym_power_tables(n, k, degree):
+    for e in range(1, degree + 1):
+        parents, peeled = _peel_table(n, e)
         terms = S[parents][:, :, None] * A[peeled][:, None, :]
-        S = terms.reshape(len(parents), -1) @ scatter
+        S = terms.reshape(len(parents), -1) @ _scatter(k, e)
     return S
 
 
@@ -285,14 +290,13 @@ def restrict_to_line(p: HomogeneousPolynomial, a, b) -> HomogeneousPolynomial:
 
 
 def proportionality_residual(p, q) -> float:
-    """Largest normalized cross-difference between two vectors (0 iff parallel)."""
+    """Largest normalized cross-difference of two vectors (0 iff parallel over C)."""
     p = np.asarray(p).ravel()
     q = np.asarray(q).ravel()
     np_, nq = np.linalg.norm(p), np.linalg.norm(q)
     if np_ == 0.0 or nq == 0.0:
         raise PolynomialError("residual undefined for zero vectors")
-    cross = np.outer(p, np.conj(q))
-    return float(np.abs(cross - cross.conj().T).max() / (np_ * nq))
+    return float(np.abs(np.outer(p, q) - np.outer(q, p)).max() / (np_ * nq))
 
 
 def _rank_at(s: np.ndarray, rel_tol: float) -> int:
@@ -305,7 +309,7 @@ class NullspaceFit:
     """One SVD of a stack of linear conditions, and everything read from it.
 
     ``s`` holds the singular values padded with zeros to the column count,
-    ``Vt`` the full right singular basis, whose last rows are the null
+    ``Vt`` the square right singular basis, whose last rows are the null
     directions, and ``floor`` the level at which a singular value is zero to
     working precision.  A fit from :func:`whitened_nullspace` also carries
     the monomial basis of its frame and the map ``T`` taking samples into
@@ -352,11 +356,11 @@ class NullspaceFit:
 
 
 def fit_nullspace(rows) -> NullspaceFit:
-    """Full SVD of a stack of linear conditions, rows normalized to unit norm.
+    """SVD of a stack of linear conditions, rows normalized to unit norm.
 
-    Zero rows are dropped.  A stack with fewer rows than columns still has
-    every right singular vector, and its padded singular values read rank
-    deficient.
+    Zero rows are dropped.  A tall stack takes the thin SVD, whose ``Vt`` is
+    already square; one with fewer rows than columns takes the full SVD, so
+    it still has every right singular vector and reads rank deficient.
     """
     A = np.asarray(rows, dtype=float)
     if A.ndim != 2:
@@ -366,7 +370,7 @@ def fit_nullspace(rows) -> NullspaceFit:
     if not np.any(keep):
         raise PolynomialError("all rows are zero")
     A = A[keep] / norms[keep, None]
-    _, s, Vt = np.linalg.svd(A, full_matrices=True)
+    _, s, Vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     s_pad = np.zeros(A.shape[1])
     s_pad[: s.shape[0]] = s
     return NullspaceFit(s_pad, Vt, np.finfo(float).eps * max(A.shape) * s_pad[0])

@@ -189,6 +189,11 @@ def _as_line6(L) -> np.ndarray:
     return L.v if isinstance(L, PluckerLine) else np.asarray(L)
 
 
+# the pairs (i, j) of meet_planes' block-swapped coordinates p_ij
+_MEET_I = [2, 3, 1, 0, 0, 0]
+_MEET_J = [3, 1, 2, 1, 2, 3]
+
+
 class Camera:
     """Projective camera ``p ~ M P`` with cached ray and line maps."""
 
@@ -197,7 +202,10 @@ class Camera:
         if M.shape != (3, 4):
             raise GeometryError("camera matrices are 3x4")
         # one SVD serves the rank check and the center; a zero matrix stays
-        # zero and fails the check, at np.linalg.matrix_rank's tolerance
+        # zero and fails the check, at np.linalg.matrix_rank's tolerance.
+        # Scaling by a power of two is exact and keeps the norm finite and
+        # nonzero at any scale.
+        M = np.ldexp(M, -np.frexp(np.abs(M).max())[1])
         self.M = M / max(np.linalg.norm(M), np.finfo(float).tiny)
         _, s, Vt = np.linalg.svd(self.M)
         if s[2] <= s[0] * max(M.shape) * np.finfo(float).eps:
@@ -210,7 +218,9 @@ class Camera:
         """Assemble from internal parameters and a rigid pose (world-to-camera)."""
         R = np.asarray(R, dtype=float)
         t = np.asarray(t, dtype=float).reshape(3)
-        if not np.allclose(R @ R.T, np.eye(3), atol=1e-8) or np.linalg.det(R) < 0:
+        # np.allclose(R @ R.T, I, atol=1e-8), written out
+        I = np.eye(3)
+        if not np.all(np.abs(R @ R.T - I) <= 1e-8 + 1e-5 * I) or np.linalg.det(R) < 0:
             raise GeometryError("pose rotation must be special orthogonal")
         K = np.array([[f, s, u0], [0.0, alpha * f, v0], [0.0, 0.0, 1.0]])
         return cls(K @ np.hstack([R, t[:, None]]))
@@ -222,13 +232,12 @@ class Camera:
 
     @cached_property
     def ray_matrix(self) -> np.ndarray:
-        """6x3 lift: column j is the optical ray of the j-th image basis point."""
-        gamma, lam, theta = self.M
-        return np.stack([
-            meet_planes(lam, theta),
-            meet_planes(theta, gamma),
-            meet_planes(gamma, lam),
-        ], axis=1)
+        """6x3 lift: column j is the optical ray of the j-th image basis point.
+
+        Its columns are :func:`meet_planes` of the row pairs (1, 2), (2, 0), (0, 1).
+        """
+        A, B = self.M[[1, 2, 0]], self.M[[2, 0, 1]]
+        return (A[:, _MEET_I] * B[:, _MEET_J] - B[:, _MEET_I] * A[:, _MEET_J]).T.copy()
 
     @cached_property
     def line_matrix(self) -> np.ndarray:

@@ -426,7 +426,7 @@ def fit_chow_from_lines(lines: np.ndarray, d: int,
     pulled = pulled / np.linalg.norm(pulled, axis=1, keepdims=True)
     ideal = _ideal_rows(d)
     resid = pulled - (pulled @ ideal.T) @ ideal
-    _, _, Vr = np.linalg.svd(resid)
+    _, _, Vr = np.linalg.svd(resid, full_matrices=False)
     rep = sign_normalize(Vr[0])
     return ChowForm(HomogeneousPolynomial(basis, rep), fit.gap(k + 1), ranks)
 

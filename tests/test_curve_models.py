@@ -136,6 +136,15 @@ def test_image_tangents_reject_a_degenerate_parameter(cubic):
         cm.image_tangent(cubic, cam, th0)
 
 
+def test_separation_mask_is_cached_and_read_only():
+    mask = cm._separated(240)
+    assert mask is cm._separated(240)
+    assert not mask.flags.writeable
+    assert mask.shape == (240, 240) and not mask[0, 7] and mask[0, 8] and not mask[0, 233]
+    with pytest.raises(ValueError):
+        mask[0, 0] = True
+
+
 def test_dual_image_curve_degree_and_vanishing(cams, conic, cubic):
     for curve in (conic, cubic):
         m = cm.class_of(curve.degree, 0)

@@ -153,6 +153,62 @@ def test_restrict_to_line_rejects_parallel():
         pc.restrict_to_line(f, a, 2.0 * a)
 
 
+def _power_tensor_rows(basis, points):
+    # the direct evaluation: product over variables of coordinate**exponent
+    pts = np.atleast_2d(points)
+    return np.prod(pts[:, None, :] ** basis.exponent_array()[None, :, :], axis=2)
+
+
+@pytest.mark.parametrize("n, d", [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5),
+                                  (4, 4), (6, 2), (6, 3)])
+@pytest.mark.parametrize("complex_points", [False, True])
+def test_monomial_rows_match_power_tensor(n, d, complex_points):
+    rng = np.random.default_rng(n * 10 + d)
+    X = rng.standard_normal((40, n))
+    if complex_points:
+        X = X + 1j * rng.standard_normal((40, n))
+    basis = pc.enumerate_monomials(n, d)
+    got, want = pc.monomial_rows(basis, X), _power_tensor_rows(basis, X)
+    assert got.shape == want.shape == (40, basis.size)
+    assert got.dtype == want.dtype
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want))
+
+
+def test_monomial_rows_degree_zero_single_point_and_mismatch():
+    x = np.array([0.5, -2.0, 3.0])
+    ones = pc.monomial_rows(pc.enumerate_monomials(3, 0), np.ones((4, 3)))
+    assert np.array_equal(ones, np.ones((4, 1)))
+    basis = pc.enumerate_monomials(3, 3)
+    row = pc.monomial_rows(basis, x)
+    assert row.shape == (1, basis.size)
+    assert np.array_equal(row, pc.monomial_rows(basis, x[None, :]))
+    assert np.allclose(row, _power_tensor_rows(basis, x), rtol=1e-15, atol=0)
+    with pytest.raises(pc.PolynomialError):
+        pc.monomial_rows(basis, np.ones((2, 4)))
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
+def test_monomial_rows_is_a_sym_power_column(d):
+    x = np.random.default_rng(d).standard_normal(4)
+    basis = pc.enumerate_monomials(4, d)
+    assert np.array_equal(pc.monomial_rows(basis, x)[0], pc.sym_power(x[:, None], d)[:, 0])
+
+
+def test_fit_nullspace_right_basis_is_square_for_tall_and_wide_stacks():
+    rng = np.random.default_rng(8)
+    tall = rng.standard_normal((60, 10))
+    wide = rng.standard_normal((4, 10))
+    for rows in (tall, wide):
+        fit = pc.fit_nullspace(rows)
+        assert fit.Vt.shape == (10, 10)
+        assert fit.s.shape == (10,)
+    assert np.all(pc.fit_nullspace(wide).s[4:] == 0.0)
+    _, s, Vt = np.linalg.svd(tall / np.linalg.norm(tall, axis=1, keepdims=True))
+    fit = pc.fit_nullspace(tall)
+    assert np.array_equal(fit.s, s)
+    assert np.array_equal(fit.Vt, Vt)
+
+
 def test_fit_nullspace_recovers_plane():
     rng = np.random.default_rng(5)
     normal = np.array([1.0, -2.0, 0.5])
@@ -262,6 +318,14 @@ def test_proportionality_residual():
     p = np.array([1.0, 2.0, 3.0])
     assert pc.proportionality_residual(p, -4.0 * p) == pytest.approx(0.0, abs=1e-15)
     assert pc.proportionality_residual(p, np.array([1.0, 2.0, 4.0])) > 1e-2
+
+
+def test_proportionality_residual_accepts_a_complex_ratio():
+    rng = np.random.default_rng(9)
+    p = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    assert pc.proportionality_residual(p, (2.0 - 3.0j) * p) < 1e-12
+    q = p + 0.1 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    assert pc.proportionality_residual(p, q) > 1e-3
 
 
 def test_sign_normalize_conventions():

@@ -179,6 +179,34 @@ def test_camera_center_is_the_null_vector_of_its_svd(cams):
         assert np.array_equal(cam.center, want)
 
 
+def test_ray_matrix_matches_meet_planes(cams):
+    for cam in cams:
+        gamma, lam, theta = cam.M
+        want = np.stack([pcam.meet_planes(lam, theta), pcam.meet_planes(theta, gamma),
+                         pcam.meet_planes(gamma, lam)], axis=1)
+        assert np.array_equal(cam.ray_matrix, want)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_camera_center_survives_extreme_scale(cams, scale):
+    for cam in cams:
+        assert np.abs(Camera(scale * cam.M).center - cam.center).max() <= 1e-15
+
+
+def test_pose_rotation_check_matches_allclose():
+    r = rng()
+    Q = np.linalg.qr(r.standard_normal((3, 3)))[0]
+    Q *= np.sign(np.linalg.det(Q))
+    for eps in (0.0, 1e-10, 3e-9, 1e-8, 3e-6, 1e-5, 1e-4):
+        R = Q + eps * r.standard_normal((3, 3))
+        ok = np.allclose(R @ R.T, np.eye(3), atol=1e-8)
+        if ok:
+            Camera.from_parameters(1.0, 1.0, 0.0, 0.0, 0.0, R, np.ones(3))
+        else:
+            with pytest.raises(pcam.GeometryError):
+                Camera.from_parameters(1.0, 1.0, 0.0, 0.0, 0.0, R, np.ones(3))
+
+
 def test_camera_rank_check_matches_matrix_rank():
     r = rng()
     M = r.standard_normal((3, 4))

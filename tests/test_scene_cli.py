@@ -282,17 +282,17 @@ README_DIGESTS = {
     "simulate --config simulate_demo.json":
         "7697a6ef227e450fff8d1d1a948ca4c2edee793b2c0b0de878a2b2fa1d8a83fe",
     "kruppa-check --config kruppa_trio.json --noise 1e-3":
-        "7a22d97a7bf1a5426ad37db0768740b7d76f6e9b3f1f8d426757b459706b0edf",
+        "9369df18b578626fcf1b3435f842acc42fdfddb6a10bfffb14398b796935aa84",
     "kruppa-dim --config conic_pair.json":
         "0afff9257d2fd2247c2d81be07e125069ca3530050c3403586b53d5549b14f66",
     "reconstruct-points --config cubic_pair.json --planes 60":
-        "9afac700f298035abd84ffe1ee200245bd3a5e2b4b9cc51ad6a32cda188ee8fc",
+        "62633d267add7b22b637b90bd92ffff1f714071a01213c8bc6c00331ec5e9aee",
     "reconstruct-dual --config dual_quartic.json":
-        "e86f9bdcd07e31732bf113b1d6fab2a61e93fb150632efe332b1b3deee803b7a",
+        "b3e044407b34bbbcddf666740edcf2fbf7045702288f4ae0ba93be0537e08d6f",
     "reconstruct-chow --config chow_cubic.json":
-        "27cca9ba7822802d51d5be94bf098029ef8bd6c9da53c2855256110a6b425817",
+        "3ca2549834a6e7ca8ccaeb8aa7306389e1dc6862a4976e2f24d7bba7132563d1",
     "classify-motion --config dynamics_mixed.json":
-        "e9befbbca5213a67140cf36e8180ba2e10239bd3197c78e82a0b3be68a1eae56",
+        "1aa3197dc233f6836dea5703f7fd7412170c0136730332f030ae101663e77ffc",
     "consistency-tables --d 2..4 --m 2..8":
         "af110aec9b690a41b1bba7e358a172c5b1a46b6728106237b607e3b6a72474b3",
 }
