@@ -44,24 +44,26 @@ def _check_dg(d: int, g: int):
         raise CurveModelError(f"genus {g} impossible for degree {d}")
 
 
-def _binary_monomials(theta: float | np.ndarray, degree: int) -> np.ndarray:
-    t, s = np.cos(theta), np.sin(theta)
-    ks = np.arange(degree + 1)
-    t = np.asarray(t)[..., None]
-    s = np.asarray(s)[..., None]
-    return t ** (degree - ks) * s ** ks
-
-
 @lru_cache(maxsize=None)
-def _derivative_shift(degree: int, slot: int) -> np.ndarray:
-    # (degree+1) x degree matrix: column form of d/dt (slot 0) or d/ds (slot 1)
-    E = np.zeros((degree + 1, degree))
-    for k in range(degree + 1):
-        if slot == 0 and k <= degree - 1:
-            E[k, k] = degree - k
-        if slot == 1 and k >= 1:
-            E[k, k - 1] = k
-    E.setflags(write=False)
+def _exponent_tables(degree: int) -> np.ndarray:
+    # read-only rows d..0 (powers of t) and 0..d (of s); contiguous, since a
+    # reversed view sends numpy to a strided pow loop that rounds differently
+    table = np.array([np.arange(degree, -1, -1), np.arange(degree + 1)])
+    table.setflags(write=False)
+    return table
+
+
+def _binary_monomials(theta: float | np.ndarray, degree: int) -> np.ndarray:
+    down, up = _exponent_tables(degree)
+    return np.cos(theta)[..., None] ** down * np.sin(theta)[..., None] ** up
+
+
+def _derivative_shifts(degree: int) -> np.ndarray:
+    # (2, degree+1, degree): column forms of d/dt and d/ds on binary forms
+    E = np.zeros((2, degree + 1, degree))
+    k = np.arange(degree)
+    E[0, k, k] = degree - k
+    E[1, k + 1, k] = k + 1
     return E
 
 
@@ -78,6 +80,8 @@ class RationalCurve3D:
         if np.linalg.matrix_rank(C) < min(4, C.shape[1]):
             raise CurveModelError("coordinate matrix is rank deficient")
         self.C = C
+        self._partials = C @ _derivative_shifts(C.shape[1] - 1)
+        self._partials.setflags(write=False)
 
     @property
     def degree(self) -> int:
@@ -97,25 +101,29 @@ class RationalCurve3D:
 
     def point_at(self, t: complex, s: complex = 1.0) -> np.ndarray:
         """Point at explicit (t : s), complex parameters allowed."""
-        ks = np.arange(self.degree + 1)
-        mono = np.asarray(t) ** (self.degree - ks) * np.asarray(s) ** ks
-        return self.C @ mono
+        down, up = _exponent_tables(self.degree)
+        return self.C @ (np.asarray(t) ** down * np.asarray(s) ** up)
 
     def velocity(self, theta) -> np.ndarray:
         """Derivative of the point path along the angle chart; one row per angle."""
-        th = np.asarray(theta)
-        Ct, Cs = self.partial_matrices()
-        mono = _binary_monomials(th, self.degree - 1)
-        return -np.sin(th)[..., None] * (mono @ Ct.T) + np.cos(th)[..., None] * (mono @ Cs.T)
+        return self._jet(np.asarray(theta))[1]
 
-    def partial_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficient matrices of the two parameter partials (degree d-1)."""
-        d = self.degree
-        return self.C @ _derivative_shift(d, 0), self.C @ _derivative_shift(d, 1)
+    def _jet(self, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # degree-d monomials and velocity at the angles, from one cos and sin;
+        # the degree-(d-1) monomials are slices of the degree-d power tables
+        t, s = np.cos(th)[..., None], np.sin(th)[..., None]
+        down, up = _exponent_tables(self.degree)
+        T, S = t ** down, s ** up
+        mono = T[..., 1:] * S[..., :-1]
+        return T * S, -s * (mono @ self._partials[0].T) + t * (mono @ self._partials[1].T)
+
+    def partial_matrices(self) -> np.ndarray:
+        """Read-only coefficient matrices of the two parameter partials (degree d-1)."""
+        return self._partials
 
     def tangent_line(self, theta: float) -> PluckerLine:
         """Tangent line of the curve at the angle parameter."""
-        Ct, Cs = self.partial_matrices()
+        Ct, Cs = self._partials
         mono = _binary_monomials(theta, self.degree - 1)
         return PluckerLine(join_points(Ct @ mono, Cs @ mono))
 
@@ -170,9 +178,7 @@ def _is_generic(curve: RationalCurve3D, n: int = 240) -> bool:
         return False
     # injectivity: well-separated parameters give distinct points
     G = np.abs(P @ P.T)
-    if np.any(G[_separated(n)] > 1.0 - 1e-8):
-        return False
-    return True
+    return not np.any((G > 1.0 - 1e-8) & _separated(n))
 
 
 @lru_cache(maxsize=None)
@@ -239,16 +245,19 @@ def image_tangents(curve: RationalCurve3D, cam: Camera, thetas) -> np.ndarray:
     degenerates raises.
     """
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    p = _binary_monomials(th, curve.degree) @ (cam.M @ curve.C).T
-    v = curve.velocity(th) @ cam.M.T
-    # row-wise cross product; np.cross costs more than the rest on a single row
-    l = p[:, [1, 2, 0]] * v[:, [2, 0, 1]] - p[:, [2, 0, 1]] * v[:, [1, 2, 0]]
+    mono, vel = curve._jet(th)
+    # camera rows 0, 1, 2, 0, 1: the cross product reads two shifted slices
+    M = cam.M[[0, 1, 2, 0, 1]]
+    p = mono @ (M @ curve.C).T
+    v = vel @ M.T
+    l = p[:, 1:4] * v[:, 2:5] - p[:, 2:5] * v[:, 1:4]
+    p, v = p[:, :3], v[:, :3]
     norms = np.sqrt((l * l).sum(axis=1))
     scale = np.sqrt((p * p).sum(axis=1) * (v * v).sum(axis=1))
-    if np.any((scale == 0.0) | (norms <= 1e-10 * scale)):
+    if ((scale == 0.0) | (norms <= 1e-10 * scale)).any():
         raise GeometryError("projected velocity degenerates at this parameter")
     l = l / norms[:, None]
-    lead = l[np.arange(len(l)), np.argmax(np.abs(l) > 1e-12, axis=1)]
+    lead = l[np.arange(len(l)), (np.abs(l) > 1e-12).argmax(axis=1)]
     return np.where(lead < 0.0, -1.0, 1.0)[:, None] * l
 
 

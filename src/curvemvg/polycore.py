@@ -355,25 +355,39 @@ class NullspaceFit:
         return HomogeneousPolynomial(self.basis, sign_normalize(poly.coeffs))
 
 
-def fit_nullspace(rows) -> NullspaceFit:
+def fit_nullspace(rows) -> NullspaceFit | list[NullspaceFit]:
     """SVD of a stack of linear conditions, rows normalized to unit norm.
 
     Zero rows are dropped.  A tall stack takes the thin SVD, whose ``Vt`` is
     already square; one with fewer rows than columns takes the full SVD, so
-    it still has every right singular vector and reads rank deficient.
+    it still has every right singular vector and reads rank deficient.  A
+    3-d array holds k such stacks; one batched SVD gives their k fits.
     """
     A = np.asarray(rows, dtype=float)
-    if A.ndim != 2:
+    if A.ndim not in (2, 3):
         raise PolynomialError("need a 2-d stack of rows")
-    norms = np.linalg.norm(A, axis=1)
+    B = A if A.ndim == 3 else A[None]
+    norms = np.linalg.norm(B, axis=2)
     keep = norms > 0.0
-    if not np.any(keep):
+    if not keep.any(axis=1).all():
         raise PolynomialError("all rows are zero")
-    A = A[keep] / norms[keep, None]
-    _, s, Vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    s_pad = np.zeros(A.shape[1])
-    s_pad[: s.shape[0]] = s
-    return NullspaceFit(s_pad, Vt, np.finfo(float).eps * max(A.shape) * s_pad[0])
+    if not keep.all():
+        # without their zero rows the blocks are ragged: one at a time
+        fits = [fit_nullspace(b[m]) for b, m in zip(B, keep)]
+    else:
+        B = B / norms[..., None]
+        _, s, Vt = np.linalg.svd(B, full_matrices=B.shape[1] < B.shape[2])
+        s_pad = np.zeros(B.shape[::2])
+        s_pad[:, : s.shape[1]] = s
+        floor = np.finfo(float).eps * max(B.shape[1:]) * s_pad[:, 0]
+        fits = [NullspaceFit(*fit) for fit in zip(s_pad, Vt, floor)]
+    return fits if A.ndim == 3 else fits[0]
+
+
+def _moments(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # eigenpairs of each block's second moment of unit-normalized rows
+    X = X / np.linalg.norm(X, axis=-1, keepdims=True)
+    return np.linalg.eigh(X.swapaxes(-1, -2) @ X / X.shape[-2])
 
 
 def whitening_map(samples) -> np.ndarray:
@@ -382,50 +396,74 @@ def whitening_map(samples) -> np.ndarray:
     Conditioning of a monomial-basis fit degrades fast when the sample cloud
     is anisotropic; composing with this map before building rows, then pulling
     the fitted form back, keeps the fitted variety unchanged while taming the
-    singular-value tail.
+    singular-value tail.  A 3-d array holds k blocks of samples and gets the
+    k maps from one batched eigendecomposition, or raises if any block fails.
     """
     X = np.asarray(samples, dtype=float)
-    if X.ndim != 2 or X.shape[0] < X.shape[1]:
+    if X.ndim not in (2, 3) or X.shape[-2] < X.shape[-1]:
         raise PolynomialError("need at least as many samples as coordinates")
-    X = X / np.linalg.norm(X, axis=1, keepdims=True)
-    w, V = np.linalg.eigh(X.T @ X / X.shape[0])
-    if w[0] <= WHITENING_FLOOR * w[-1]:
+    w, V = _moments(X)
+    if (w[..., 0] <= WHITENING_FLOOR * w[..., -1]).any():
         raise PolynomialError("samples span a degenerate subspace")
-    return V @ np.diag(w ** -0.5) @ V.T
+    return V @ (np.eye(X.shape[-1]) * (w ** -0.5)[..., None, :]) @ V.swapaxes(-1, -2)
 
 
-def whitened_nullspace(basis: MonomialBasis, samples) -> NullspaceFit:
+def whitened_nullspace(basis: MonomialBasis, samples) -> NullspaceFit | list[NullspaceFit]:
     """Null space of the basis monomials evaluated at the samples, whitened.
 
     The one fitting kernel of the package: the samples (one point per row)
     are moved to isotropic position by :func:`whitening_map`, expanded over
     the basis and decomposed once by :func:`fit_nullspace`, so the rank, the
-    gap and the fitted form all read one SVD.  Only samples spanning a
-    proper subspace, which whitening_map refuses (all tangent planes or rays
-    of one view pass through its center), are first rewritten in an
-    orthonormal basis of their span and fitted over the same degree in
-    fewer variables.  That leaves the row
-    rank unchanged, since restricting forms to a subspace is onto, but such
-    a fit has no form in the sample coordinates.
+    gap and the fitted form all read one SVD.  Samples spanning a proper
+    subspace, which whitening_map refuses (all tangent planes or rays of one
+    view pass through its center), are first rewritten in an orthonormal
+    basis of their span and fitted over the same degree in fewer variables.
+    That leaves the row rank unchanged, since restricting forms to a
+    subspace is onto, but such a fit has no form in the sample coordinates.
+
+    A 3-d array holds k blocks of samples (the views of a reconstruction)
+    and gets a list of their k fits: the blocks that whiten, and those of
+    each span dimension, share one expansion and one batched SVD.
     """
     X = np.asarray(samples, dtype=float)
-    if X.ndim != 2 or X.shape[1] != basis.num_vars:
+    if X.ndim not in (2, 3) or X.shape[-1] != basis.num_vars:
         raise PolynomialError(
             f"samples have shape {X.shape}, basis expects {basis.num_vars} coordinates")
-    try:
-        T = whitening_map(X)
-        frame = X @ T
-    except PolynomialError:
-        # too few or too flat to whiten: keep the span directions that
-        # whitening_map can scale to unit variance, in an orthonormal basis
-        unit = X / np.linalg.norm(X, axis=1, keepdims=True)
+    B = X if X.ndim == 3 else X[None]
+    whitens = np.full(len(B), B.shape[1] >= B.shape[2])
+    if len(B) > 1 and whitens.all():
+        # find the blocks too flat to whiten, then whiten the others together
+        w = _moments(B)[0]
+        whitens = w[:, 0] > WHITENING_FLOOR * w[:, -1]
+    fits = np.empty(len(B), dtype=object)
+    if whitens.any():
+        try:
+            T = whitening_map(B[whitens])
+        except PolynomialError:
+            whitens[:] = False  # a lone block too flat to whiten
+        else:
+            fits[whitens] = _frame_fits(basis, B[whitens] @ T, T)
+    if not whitens.all():
+        # keep the span directions whitening_map can scale to unit variance,
+        # in an orthonormal basis; blocks of one span dimension go together
+        rest = np.flatnonzero(~whitens)
+        unit = B[rest] / np.linalg.norm(B[rest], axis=2, keepdims=True)
         _, sv, Vt = np.linalg.svd(unit, full_matrices=False)
-        span = Vt[: int(np.sum(sv > math.sqrt(WHITENING_FLOOR) * sv[0]))].T
-        Y = unit @ span
-        T_Y = whitening_map(Y)
-        basis = enumerate_monomials(span.shape[1], basis.degree)
-        T, frame = span @ T_Y, Y @ T_Y
-    return replace(fit_nullspace(monomial_rows(basis, frame)), basis=basis, T=T)
+        dims = np.sum(sv > math.sqrt(WHITENING_FLOOR) * sv.T[0][:, None], axis=1)
+        for r in sorted(set(dims.tolist())):
+            same = dims == r
+            span = Vt[same, :r].swapaxes(1, 2)
+            Y = unit[same] @ span
+            T = whitening_map(Y)
+            fits[rest[same]] = _frame_fits(enumerate_monomials(r, basis.degree), Y @ T, span @ T)
+    return list(fits) if X.ndim == 3 else fits[0]
+
+
+def _frame_fits(basis: MonomialBasis, frame: np.ndarray, T: np.ndarray) -> list[NullspaceFit]:
+    # one expansion of every block's frame samples and one batched SVD
+    rows = monomial_rows(basis, frame.reshape(-1, frame.shape[2]))
+    fits = fit_nullspace(rows.reshape(frame.shape[:2] + rows.shape[1:]))
+    return [replace(fit, basis=basis, T=t) for fit, t in zip(fits, T)]
 
 
 def fit_vanishing_form(basis: MonomialBasis, samples) -> tuple[HomogeneousPolynomial, float]:

@@ -173,10 +173,6 @@ class PluckerLine:
     def from_points(cls, P, Q) -> "PluckerLine":
         return cls(join_points(P, Q))
 
-    @classmethod
-    def from_planes(cls, A, B) -> "PluckerLine":
-        return cls(meet_planes(A, B))
-
     def incidence(self, other) -> float:
         other = other.v if isinstance(other, PluckerLine) else np.asarray(other)
         return float(incidence(self.v, other))

@@ -76,12 +76,6 @@ class ComponentSplit:
     def per_plane_counts(self) -> list[tuple[int, int]]:
         return [(int(p.is_true.sum()), int((~p.is_true).sum())) for p in self.planes]
 
-    def true_points(self) -> np.ndarray:
-        return np.concatenate([p.points[p.is_true] for p in self.planes])
-
-    def extraneous_points(self) -> np.ndarray:
-        return np.concatenate([p.points[~p.is_true] for p in self.planes])
-
 
 def _epipolar_line(cam: Camera, plane: np.ndarray) -> np.ndarray:
     # unique image line whose back-projected plane is the given one
@@ -183,6 +177,20 @@ def epipolar_sweep(f1: ImageCurve, f2: ImageCurve, cam1: Camera, cam2: Camera,
     return ComponentSplit(d, planes, skipped)
 
 
+def _view_ranks(basis, blocks) -> list[int]:
+    """Whitened rank of each view's block, from one stacked fit per block shape."""
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    ranks = {}
+    for shape in dict.fromkeys(b.shape for b in blocks):
+        if len(shape) != 2:
+            raise pc.PolynomialError(
+                f"samples have shape {shape}, basis expects {basis.num_vars} coordinates")
+        views = [i for i, b in enumerate(blocks) if b.shape == shape]
+        fits = pc.whitened_nullspace(basis, np.stack([blocks[i] for i in views]))
+        ranks.update((i, fit.rank()) for i, fit in zip(views, fits))
+    return [ranks[i] for i in range(len(blocks))]
+
+
 # ---------------------------------------------------------------------------
 # dual-space route
 
@@ -249,15 +257,14 @@ def dual_reconstruct(views: list[tuple[Camera, np.ndarray]], m: int) -> DualSurf
     """
     basis = enumerate_monomials(4, m)
     needed = basis.size - 1
-    blocks, ranks = [], []
+    blocks = []
     for cam, lines in views:
         lines = np.asarray(lines, dtype=float)
         if lines.ndim != 2 or lines.shape[1] != 3:
             raise ReconstructionError("tangent lines must be rows of length 3")
         planes = lines @ cam.M
-        planes = planes / np.linalg.norm(planes, axis=1, keepdims=True)
-        blocks.append(planes)
-        ranks.append(pc.whitened_nullspace(basis, planes).rank())
+        blocks.append(planes / np.linalg.norm(planes, axis=1, keepdims=True))
+    ranks = _view_ranks(basis, blocks)
     fit = pc.whitened_nullspace(basis, np.concatenate(blocks))
     total = fit.rank()
     if total < needed:
@@ -402,10 +409,7 @@ def fit_chow_from_lines(lines: np.ndarray, d: int,
     ranks = []
     if enforce_rank:
         total = fit.rank()
-        if per_view_blocks is None:
-            ranks = [total]
-        else:
-            ranks = [pc.whitened_nullspace(basis, b).rank() for b in per_view_blocks]
+        ranks = [total] if per_view_blocks is None else _view_ranks(basis, per_view_blocks)
         if total < needed:
             blind = chow_ambiguity_dim(d, len(ranks))
             if per_view_blocks is not None and blind:

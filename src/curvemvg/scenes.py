@@ -15,13 +15,6 @@ from .curve_models import RationalCurve3D, preset_curve
 from .projective_cameras import Camera, join_points, point_line_matrix
 
 
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    if np.linalg.det(Q) < 0:
-        Q[:, 0] = -Q[:, 0]
-    return Q
-
-
 def _cross3(u, v) -> np.ndarray:
     # np.cross's generic broadcasting costs more than these six products
     return np.array([u[1] * v[2] - u[2] * v[1],

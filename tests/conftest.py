@@ -1,8 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from curvemvg import scenes
 from curvemvg.curve_models import preset_curve
+
+# the tests that start a fresh interpreter find the package the way pytest's
+# own pythonpath setting lets the in-process tests find it
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

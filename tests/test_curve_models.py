@@ -123,6 +123,52 @@ def test_image_tangents_match_per_parameter_rows(request, cams, name):
     assert np.abs(batch - reference).max() < 1e-14
 
 
+def _tangents_by_the_power_tensor(curve, cam, thetas):
+    # the image tangent written as first defined: two fresh power tables per
+    # degree, the partial matrices rebuilt, a gathered cross product
+    th = np.atleast_1d(np.asarray(thetas, dtype=float))
+    d = curve.degree
+
+    def monomials(e):
+        ks = np.arange(e + 1)
+        return np.cos(th)[:, None] ** (e - ks) * np.sin(th)[:, None] ** ks
+
+    Et, Es = np.zeros((d + 1, d)), np.zeros((d + 1, d))
+    for k in range(d):
+        Et[k, k], Es[k + 1, k] = d - k, k + 1
+    mono = monomials(d - 1)
+    p = monomials(d) @ (cam.M @ curve.C).T
+    v = (-np.sin(th)[:, None] * (mono @ (curve.C @ Et).T)
+         + np.cos(th)[:, None] * (mono @ (curve.C @ Es).T)) @ cam.M.T
+    l = p[:, [1, 2, 0]] * v[:, [2, 0, 1]] - p[:, [2, 0, 1]] * v[:, [1, 2, 0]]
+    l = l / np.sqrt((l * l).sum(axis=1))[:, None]
+    lead = l[np.arange(len(l)), np.argmax(np.abs(l) > 1e-12, axis=1)]
+    return np.where(lead < 0.0, -1.0, 1.0)[:, None] * l
+
+
+@pytest.mark.parametrize("name", ["conic", "cubic", "quartic", "quintic"])
+def test_image_tangents_are_bit_equal_to_the_power_tensor_formula(request, cams, name):
+    curve = request.getfixturevalue(name)
+    ths = np.concatenate([cm._sample_thetas(40), np.random.default_rng(2).uniform(0, np.pi, 40)])
+    for cam in cams[:4]:
+        batch = cm.image_tangents(curve, cam, ths)
+        assert np.array_equal(batch, _tangents_by_the_power_tensor(curve, cam, ths))
+        for th, row in zip(ths[::7], batch[::7]):
+            one = cm.image_tangent(curve, cam, th)
+            assert np.array_equal(one, _tangents_by_the_power_tensor(curve, cam, th)[0])
+            # BLAS takes a one-row product as gemv, not gemm: last bits differ
+            assert np.abs(one - row).max() < 1e-13
+
+
+def test_partial_matrices_are_computed_once_and_read_only(quartic):
+    Ct, Cs = quartic.partial_matrices()
+    assert quartic.partial_matrices() is quartic.partial_matrices()
+    assert Ct.shape == Cs.shape == (4, 4) and not Ct.flags.writeable
+    # d/dt and d/ds of t^4 and s^4: columns 4 t^3 and 4 s^3
+    assert np.array_equal(Ct[:, 0], 4 * quartic.C[:, 0])
+    assert np.array_equal(Cs[:, 3], 4 * quartic.C[:, 4])
+
+
 def test_image_tangents_reject_a_degenerate_parameter(cubic):
     # a camera centered on the tangent line at th0 sees that tangent as a point
     th0 = 1.1
@@ -143,6 +189,35 @@ def test_separation_mask_is_cached_and_read_only():
     assert mask.shape == (240, 240) and not mask[0, 7] and mask[0, 8] and not mask[0, 233]
     with pytest.raises(ValueError):
         mask[0, 0] = True
+
+
+def _injective_by_gather(curve, n=240):
+    # the injectivity verdict as a boolean gather of the separated pairs
+    P = curve.points(cm._sample_thetas(n))
+    return not np.any(np.abs(P @ P.T)[cm._separated(n)] > 1.0 - 1e-8)
+
+
+def _nodal_quartic():
+    # C m(th1) = lam C m(th2): two grid parameters 60 steps apart share a point
+    th = cm._sample_thetas(240)
+    null = cm._binary_monomials(th[30], 4) - 0.7 * cm._binary_monomials(th[90], 4)
+    R = np.random.default_rng(4).standard_normal((4, 5))
+    return cm.RationalCurve3D(R - np.outer(R @ null, null) / (null @ null))
+
+
+@pytest.mark.parametrize("name", cm.PRESET_NAMES)
+def test_genericity_verdict_matches_the_gather_form(name):
+    for seed in range(100):
+        curve = cm.preset_curve(name, seed)
+        assert cm._is_generic(curve) == _injective_by_gather(curve) is True
+
+
+def test_a_nodal_quartic_is_not_generic():
+    curve = _nodal_quartic()
+    P = curve.points(cm._sample_thetas(240))
+    assert pc.proportionality_residual(P[30], P[90]) < 1e-12
+    assert not _injective_by_gather(curve)
+    assert not cm._is_generic(curve)
 
 
 def test_dual_image_curve_degree_and_vanishing(cams, conic, cubic):

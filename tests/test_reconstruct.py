@@ -263,24 +263,27 @@ def test_unenforced_chow_fit_reads_no_ranks():
 
 def test_stacked_samples_are_expanded_once(monkeypatch, cams, conic, cubic):
     # the stacked rank check and the fit read one decomposition, so each
-    # route expands its full stacked sample array exactly once
-    sizes = []
+    # route expands its full stacked sample array exactly once; the per-view
+    # ranks share one more expansion, of every view over its 3-dim span
+    calls = []
     expand = pc.monomial_rows
 
     def counting(basis, points):
-        sizes.append(len(points))
+        calls.append((basis.num_vars, len(points)))
         return expand(basis, points)
 
     monkeypatch.setattr(pc, "monomial_rows", counting)
     tangent_views = _tangent_views(cubic, cams[:5], 20)
     point_views = _point_views(conic, cams[:5], 16)
     lines = np.concatenate([pts @ cam.ray_matrix.T for cam, pts in point_views])
-    for total, route in ((100, lambda: rc.dual_reconstruct(tangent_views, 4)),
-                         (80, lambda: rc.chow_reconstruct(point_views, 2)),
-                         (80, lambda: rc.fit_chow_from_lines(lines, 2))):
-        sizes.clear()
+    for full, total, per_view, route in (
+            (4, 100, 1, lambda: rc.dual_reconstruct(tangent_views, 4)),
+            (6, 80, 1, lambda: rc.chow_reconstruct(point_views, 2)),
+            (6, 80, 0, lambda: rc.fit_chow_from_lines(lines, 2))):
+        calls.clear()
         route()
-        assert sizes.count(total) == 1
+        assert calls.count((full, total)) == 1
+        assert [c for c in calls if c[0] < full] == [(3, total)] * per_view
 
 
 def test_unchecked_chow_fit_reports_its_stacked_rank(cams, conic):
