@@ -177,7 +177,8 @@ def _is_generic(curve: RationalCurve3D, n: int = 240) -> bool:
     if np.any(np.linalg.norm(wedge, axis=(1, 2)) < 1e-8):
         return False
     # injectivity: well-separated parameters give distinct points
-    G = np.abs(P @ P.T)
+    G = P @ P.T
+    np.abs(G, out=G)
     return not np.any((G > 1.0 - 1e-8) & _separated(n))
 
 

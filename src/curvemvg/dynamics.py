@@ -84,41 +84,43 @@ class MotionClass:
 def lift_observations(cams, detections) -> RaySet:
     """Back-project detections to rays; no synchronization is assumed.
 
-    Each detection is (camera_id, point_id, time_id, image point).  Each
-    camera's detections are lifted by one product with its ray matrix, and
-    the rows come out grouped by camera in ascending id, in detection order
-    within a camera.  A detection sitting at its camera's center has no ray
-    and is skipped with a warning.
+    Each detection is (camera_id, point_id, time_id, image point); ``cams``
+    is indexed by camera id and each entry needs only a ``ray_matrix``.
+    One stable sort by camera id groups the detections, and each camera's
+    block is lifted by one product with its ray matrix, so the rows come
+    out grouped by camera in ascending id, in detection order within a
+    camera.  A detection sitting at its camera's center has no ray and is
+    skipped with a warning.
     """
-    by_cam: dict[int, list] = {}
-    for det in detections:
-        by_cam.setdefault(det[0], []).append(det)
-    blocks, ids = [], []
-    for ci in sorted(by_cam):
-        dets = by_cam[ci]
-        pts = np.array([p for _, _, _, p in dets], dtype=float)
-        pnorm = np.sqrt((pts * pts).sum(axis=1))
-        L = pts @ cams[ci].ray_matrix.T
-        Lnorm = np.sqrt((L * L).sum(axis=1))
-        at_center = pnorm <= 1e-12
-        no_ray = ~at_center & (Lnorm <= 1e-12 * pnorm)
-        for i in np.flatnonzero(at_center | no_ray):
-            _, pi, ti, _ = dets[i]
-            what = "is at the camera center" if at_center[i] else "back-projects to no ray"
-            warnings.warn(f"detection (cam {ci}, point {pi}, frame {ti}) {what}; skipped")
-        keep = np.flatnonzero(~(at_center | no_ray))
-        blocks.append(L[keep])
-        ids.extend((ci, dets[i][1], dets[i][2]) for i in keep)
-    if not ids:
+    n = len(detections)
+    ids = np.array([det[:3] for det in detections], dtype=int).reshape(n, 3)
+    order = np.argsort(ids[:, 0], kind="stable")
+    ids = ids[order]
+    pts = np.array([detections[i][3] for i in order.tolist()], dtype=float).reshape(n, 3)
+    # the first row of each camera's block in the sorted rows
+    starts = np.flatnonzero(np.diff(ids[:, 0], prepend=ids[:1, 0] - 1)).tolist()
+    L = np.empty((n, 6))
+    for a, b in zip(starts, [*starts[1:], n]):
+        L[a:b] = pts[a:b] @ cams[int(ids[a, 0])].ray_matrix.T
+    pnorm = np.sqrt((pts * pts).sum(axis=1))
+    Lnorm = np.sqrt((L * L).sum(axis=1))
+    at_center = pnorm <= 1e-12
+    skip = at_center | (Lnorm <= 1e-12 * pnorm)
+    for i in np.flatnonzero(skip).tolist():
+        ci, pi, ti = ids[i].tolist()
+        what = "is at the camera center" if at_center[i] else "back-projects to no ray"
+        warnings.warn(f"detection (cam {ci}, point {pi}, frame {ti}) {what}; skipped")
+    keep = ~skip
+    L, ids = L[keep], ids[keep]
+    if not len(L):
         empty = np.zeros(0, dtype=int)
         return RaySet(np.zeros((0, 6)), empty, empty, empty)
-    L = np.concatenate(blocks)
     # PluckerLine's gate, for all rows at once: |L.swap(L)| / (2 |L|^2)
     quadric = np.abs((L[:, :3] * L[:, 3:]).sum(axis=1)) / (L * L).sum(axis=1)
     if quadric.max() > 1e-7:
         raise GeometryError(
             f"6-vector misses the line quadric (residual {quadric.max():.2e})")
-    cam_ids, point_ids, time_ids = np.array(ids, dtype=int).T
+    cam_ids, point_ids, time_ids = ids.T
     return RaySet(pc.sign_normalize_rows(L), cam_ids, point_ids, time_ids)
 
 

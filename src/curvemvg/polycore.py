@@ -423,13 +423,18 @@ def whitened_nullspace(basis: MonomialBasis, samples) -> NullspaceFit | list[Nul
 
     A 3-d array holds k blocks of samples (the views of a reconstruction)
     and gets a list of their k fits: the blocks that whiten, and those of
-    each span dimension, share one expansion and one batched SVD.
+    each span dimension, share one expansion and one batched SVD.  Blocks
+    without rows, or with a zero row, raise :class:`PolynomialError`.
     """
     X = np.asarray(samples, dtype=float)
     if X.ndim not in (2, 3) or X.shape[-1] != basis.num_vars:
         raise PolynomialError(
             f"samples have shape {X.shape}, basis expects {basis.num_vars} coordinates")
     B = X if X.ndim == 3 else X[None]
+    if B.shape[1] == 0:
+        raise PolynomialError("no samples to fit")
+    if not B.any(axis=2).all():
+        raise PolynomialError("samples include a zero row")
     whitens = np.full(len(B), B.shape[1] >= B.shape[2])
     if len(B) > 1 and whitens.all():
         # find the blocks too flat to whiten, then whiten the others together

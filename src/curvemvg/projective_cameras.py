@@ -190,6 +190,41 @@ _MEET_I = [2, 3, 1, 0, 0, 0]
 _MEET_J = [3, 1, 2, 1, 2, 3]
 
 
+def _checked_matrices(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the one camera kernel: scale each (3, 4) block of a stack to unit norm,
+    # then one batched SVD serves every rank check and every center.  A zero
+    # matrix stays zero and fails the check, at np.linalg.matrix_rank's
+    # tolerance.  Scaling by a power of two is exact and keeps the norm
+    # finite and nonzero at any scale.
+    M = np.ldexp(M, -np.frexp(np.abs(M).max(axis=(1, 2)))[1][:, None, None])
+    flat = M.reshape(len(M), 12)
+    M = M / np.maximum(np.sqrt(np.vecdot(flat, flat)), np.finfo(float).tiny)[:, None, None]
+    _, s, Vt = np.linalg.svd(M)
+    if np.any(s[:, 2] <= s[:, 0] * 4 * np.finfo(float).eps):
+        raise GeometryError("camera matrix must have rank 3")
+    return M, Vt[:, -1]
+
+
+def posed_matrices(f, alpha, s, u0, v0, R, t) -> np.ndarray:
+    """Stack of ``K [R | t]`` from k sets of internals, rotations and translations.
+
+    The internals are length-k arrays, ``R`` is (k, 3, 3) world-to-camera
+    and ``t`` is (k, 3); every rotation must be special orthogonal.
+    """
+    R = np.asarray(R, dtype=float)
+    t = np.asarray(t, dtype=float)
+    # np.allclose(R @ R.T, I, atol=1e-8), written out
+    I = np.eye(3)
+    if (not np.all(np.abs(R @ R.mT - I) <= 1e-8 + 1e-5 * I)
+            or np.any(np.linalg.det(R) < 0)):
+        raise GeometryError("pose rotation must be special orthogonal")
+    K = np.zeros((len(R), 3, 3))
+    K[:, 0] = np.stack([f, s, u0], axis=-1)
+    K[:, 1, 1:] = np.stack([alpha * np.asarray(f), v0], axis=-1)
+    K[:, 2, 2] = 1.0
+    return K @ np.concatenate([R, t[..., None]], axis=-1)
+
+
 class Camera:
     """Projective camera ``p ~ M P`` with cached ray and line maps."""
 
@@ -197,29 +232,29 @@ class Camera:
         M = np.asarray(M, dtype=float)
         if M.shape != (3, 4):
             raise GeometryError("camera matrices are 3x4")
-        # one SVD serves the rank check and the center; a zero matrix stays
-        # zero and fails the check, at np.linalg.matrix_rank's tolerance.
-        # Scaling by a power of two is exact and keeps the norm finite and
-        # nonzero at any scale.
-        M = np.ldexp(M, -np.frexp(np.abs(M).max())[1])
-        self.M = M / max(np.linalg.norm(M), np.finfo(float).tiny)
-        _, s, Vt = np.linalg.svd(self.M)
-        if s[2] <= s[0] * max(M.shape) * np.finfo(float).eps:
-            raise GeometryError("camera matrix must have rank 3")
-        self._null = Vt[-1]
+        (self.M,), (self._null,) = _checked_matrices(M[None])
+
+    @classmethod
+    def stack(cls, M) -> list["Camera"]:
+        """One camera per block of a (k, 3, 4) array, all checked by one batched SVD."""
+        M = np.asarray(M, dtype=float)
+        if M.ndim != 3 or M.shape[1:] != (3, 4):
+            raise GeometryError("camera matrices are 3x4")
+        M, null = _checked_matrices(M)
+        cams = []
+        for Mk, nk in zip(M, null):
+            cam = cls.__new__(cls)
+            cam.M, cam._null = Mk, nk
+            cams.append(cam)
+        return cams
 
     @classmethod
     def from_parameters(cls, f: float, alpha: float, s: float, u0: float, v0: float,
                         R, t) -> "Camera":
         """Assemble from internal parameters and a rigid pose (world-to-camera)."""
-        R = np.asarray(R, dtype=float)
-        t = np.asarray(t, dtype=float).reshape(3)
-        # np.allclose(R @ R.T, I, atol=1e-8), written out
-        I = np.eye(3)
-        if not np.all(np.abs(R @ R.T - I) <= 1e-8 + 1e-5 * I) or np.linalg.det(R) < 0:
-            raise GeometryError("pose rotation must be special orthogonal")
-        K = np.array([[f, s, u0], [0.0, alpha * f, v0], [0.0, 0.0, 1.0]])
-        return cls(K @ np.hstack([R, t[:, None]]))
+        R = np.asarray(R, dtype=float)[None]
+        t = np.asarray(t, dtype=float).reshape(1, 3)
+        return cls(posed_matrices(f, alpha, s, u0, v0, R, t)[0])
 
     @cached_property
     def center(self) -> np.ndarray:

@@ -12,27 +12,37 @@ import numpy as np
 
 from . import polycore as pc
 from .curve_models import RationalCurve3D, preset_curve
-from .projective_cameras import Camera, join_points, point_line_matrix
+from .projective_cameras import Camera, join_points, point_line_matrix, posed_matrices
 
 
 def _cross3(u, v) -> np.ndarray:
-    # np.cross's generic broadcasting costs more than these six products
-    return np.array([u[1] * v[2] - u[2] * v[1],
-                     u[2] * v[0] - u[0] * v[2],
-                     u[0] * v[1] - u[1] * v[0]])
+    # cross products of the last axes; np.cross's generic broadcasting costs
+    # more than these six products
+    return np.stack([u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1],
+                     u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2],
+                     u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]], axis=-1)
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    # np.linalg.norm of each vector along the last axis, with its dot product
+    return np.sqrt(np.vecdot(v, v))[..., None]
 
 
 def look_at_rotation(position, target, up) -> np.ndarray:
-    """World-to-camera rotation with the optical axis through the target."""
+    """World-to-camera rotation with the optical axis through the target.
+
+    Stacks of positions, targets and up directions (last axis 3) give a
+    stack of rotations.
+    """
     position = np.asarray(position, dtype=float)
     z = np.asarray(target, dtype=float) - position
-    z = z / np.linalg.norm(z)
+    z = z / _norms(z)
     x = _cross3(np.asarray(up, dtype=float), z)
-    if np.linalg.norm(x) < 1e-8:
+    xn = _norms(x)
+    if np.any(xn < 1e-8):
         raise ValueError("up direction is parallel to the viewing axis")
-    x = x / np.linalg.norm(x)
-    y = _cross3(z, x)
-    return np.stack([x, y, z])
+    x = x / xn
+    return np.stack([x, _cross3(z, x), z], axis=-2)
 
 
 def random_camera(rng: np.random.Generator, radius: tuple[float, float] = (3.5, 7.0),
@@ -56,24 +66,40 @@ def random_camera(rng: np.random.Generator, radius: tuple[float, float] = (3.5, 
     return Camera.from_parameters(f, alpha, s, u0, v0, R, t)
 
 
+# a ring camera's uniform draws, as (low, high) columns: azimuth jitter,
+# elevation and standoff, then focal length, aspect, skew and principal point
+_RING_POSE = np.array([(-0.2, 0.2), (-0.5, 0.7), (4.0, 6.5)])
+_RING_INTERNALS = np.array([(0.8, 1.6), (0.9, 1.15), (-0.05, 0.05),
+                            (-0.15, 0.15), (-0.15, 0.15)])
+
+
+def _uniform(bounds: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # Generator.uniform(low, high) is low + (high - low) * random()
+    low, high = bounds.T
+    return low + (high - low) * u
+
+
 def camera_ring(rng: np.random.Generator, count: int) -> list[Camera]:
-    """Cameras spread around the scene with jittered poses."""
-    cams = []
+    """Cameras spread around the scene with jittered poses.
+
+    Each camera draws its pose, its target and up jitter and its internals
+    in turn, so the random stream is that of drawing the cameras one by one;
+    the poses, the matrices and their rank checks are then built as one
+    stack (``Camera.stack``, one batched SVD).
+    """
+    pose, normal, internals = np.empty((count, 3)), np.empty((count, 6)), np.empty((count, 5))
     for k in range(count):
-        base = 2.0 * np.pi * k / count
-        phi = base + rng.uniform(-0.2, 0.2)
-        elev = rng.uniform(-0.5, 0.7)
-        direction = np.array([np.cos(phi) * np.cos(elev),
-                              np.sin(phi) * np.cos(elev),
-                              np.sin(elev)])
-        position = direction * rng.uniform(4.0, 6.5)
-        target = rng.standard_normal(3) * 0.3
-        up = rng.standard_normal(3)
-        R = look_at_rotation(position, target, up)
-        cams.append(Camera.from_parameters(
-            rng.uniform(0.8, 1.6), rng.uniform(0.9, 1.15), rng.uniform(-0.05, 0.05),
-            rng.uniform(-0.15, 0.15), rng.uniform(-0.15, 0.15), R, -R @ position))
-    return cams
+        pose[k] = rng.random(3)
+        normal[k] = rng.standard_normal(6)
+        internals[k] = rng.random(5)
+    jitter, elev, standoff = _uniform(_RING_POSE, pose).T
+    phi = 2.0 * np.pi * np.arange(count) / count + jitter
+    direction = np.stack([np.cos(phi) * np.cos(elev), np.sin(phi) * np.cos(elev),
+                          np.sin(elev)], axis=-1)
+    position = direction * standoff[:, None]
+    R = look_at_rotation(position, normal[:, :3] * 0.3, normal[:, 3:])
+    t = (-R @ position[..., None])[..., 0]
+    return Camera.stack(posed_matrices(*_uniform(_RING_INTERNALS, internals).T, R, t))
 
 
 def add_image_noise(p, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -156,32 +182,41 @@ def observe_trajectory(kind: str, rng: np.random.Generator, n_cameras: int = 10,
     """Sample a trajectory with per-camera clocks that share no common rate.
 
     Each camera draws its clock offset and stride, then per frame a time
-    jitter and, when noise_sigma > 0, a 3-vector of image noise.  A frame
-    whose point projects to the camera center yields no detection but
-    still consumes its noise draw, so the stream does not depend on it.
+    jitter and, when noise_sigma > 0, a 3-vector of image noise, so the
+    random stream is that of observing camera by camera.  The positions at
+    all cameras' times are then evaluated once and projected by one stacked
+    product with the ring's matrices (built as one stack by
+    :func:`camera_ring`).  A frame whose point projects to the camera
+    center yields no detection but still consumes its noise draw, so the
+    stream does not depend on it.
     """
     traj = make_trajectory(kind, rng)
     cams = camera_ring(rng, n_cameras)
-    scene = DynamicScene(cams, traj, noise_sigma=noise_sigma)
     frames = np.arange(frames_per_camera)
-    for ci, cam in enumerate(cams):
+    times = np.empty((n_cameras, frames_per_camera))
+    noise = np.empty((n_cameras, frames_per_camera, 3))
+    for ci in range(n_cameras):
         offset = rng.uniform(0, np.pi)
         stride = rng.uniform(0.8, 1.25) * np.pi / frames_per_camera
         if noise_sigma == 0.0:
             jitter = rng.uniform(0, 0.1 * stride, size=frames_per_camera)
         else:
             jitter = np.empty(frames_per_camera)
-            noise = np.empty((frames_per_camera, 3))
             for k in frames:
                 jitter[k] = rng.uniform(0, 0.1 * stride)
-                noise[k] = rng.standard_normal(3)
-        p = traj.positions(offset + stride * frames + jitter) @ cam.M.T
-        norms = np.sqrt((p * p).sum(axis=1))
-        keep = norms > 1e-9
-        p = p / np.where(keep, norms, 1.0)[:, None]
-        if noise_sigma != 0.0:
-            p = p + noise_sigma * noise
-            p = p / np.sqrt((p * p).sum(axis=1))[:, None]
-        scene.detections.extend(
-            (ci, point_id, k, p[k]) for k in np.flatnonzero(keep).tolist())
+                noise[ci, k] = rng.standard_normal(3)
+        times[ci] = offset + stride * frames + jitter
+    M = np.array([cam.M for cam in cams]).reshape(n_cameras, 3, 4)
+    P = traj.positions(times.ravel()).reshape(n_cameras, frames_per_camera, 4)
+    p = P @ M.mT
+    norms = np.sqrt((p * p).sum(axis=-1))
+    keep = norms > 1e-9
+    p = p / np.where(keep, norms, 1.0)[..., None]
+    if noise_sigma != 0.0:
+        p = p + noise_sigma * noise
+        p = p / np.sqrt((p * p).sum(axis=-1))[..., None]
+    scene = DynamicScene(cams, traj, noise_sigma=noise_sigma)
+    cis, ks = np.nonzero(keep)
+    scene.detections.extend(
+        (ci, point_id, k, p[ci, k]) for ci, k in zip(cis.tolist(), ks.tolist()))
     return scene

@@ -82,6 +82,49 @@ def test_lift_skips_center_detection():
     assert len(caught) == 1
 
 
+def _reference_lift(cams, detections):
+    # detections grouped in a dict by camera, each block lifted on its own
+    by_cam = {}
+    for det in detections:
+        by_cam.setdefault(det[0], []).append(det)
+    blocks, ids = [], []
+    for ci in sorted(by_cam):
+        dets = by_cam[ci]
+        pts = np.array([p for _, _, _, p in dets], dtype=float)
+        L = pts @ cams[ci].ray_matrix.T
+        pnorm = np.sqrt((pts * pts).sum(axis=1))
+        keep = (pnorm > 1e-12) & (np.sqrt((L * L).sum(axis=1)) > 1e-12 * pnorm)
+        blocks.append(L[keep])
+        ids.extend(dets[i][:3] for i in np.flatnonzero(keep))
+    return pc.sign_normalize_rows(np.concatenate(blocks)), np.array(ids, dtype=int)
+
+
+def test_lift_is_bit_equal_to_the_per_camera_grouping():
+    # shuffled detections, unequal camera blocks and one at a camera center
+    for seed in range(6):
+        sc = scenes.observe_trajectory("cubic", np.random.default_rng((seed, 71)),
+                                       n_cameras=5, frames_per_camera=9, noise_sigma=1e-3)
+        r = np.random.default_rng(seed)
+        dets = [sc.detections[i] for i in r.permutation(len(sc.detections))]
+        dets = [d for d in dets if d[0] != 2 or d[2] % 3]
+        dets.insert(int(r.integers(len(dets))), (4, 0, 99, np.zeros(3)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rays = dy.lift_observations(sc.cameras, dets)
+        assert [str(w.message) for w in caught] == [
+            "detection (cam 4, point 0, frame 99) is at the camera center; skipped"]
+        lines, ids = _reference_lift(sc.cameras, dets)
+        assert np.array_equal(rays.lines, lines)
+        assert np.array_equal(np.stack([rays.camera_ids, rays.point_ids, rays.time_ids],
+                                       axis=1), ids)
+        assert np.bincount(rays.camera_ids).tolist() == [9, 9, 6, 9, 9]
+
+
+def test_lift_of_no_detections_is_empty():
+    rays = dy.lift_observations([], [])
+    assert rays.lines.shape == (0, 6) and len(rays.camera_ids) == 0
+
+
 @pytest.mark.parametrize("kind,want_kind,want_deg",
                          [("static", "static", None), ("line", "line", 1),
                           ("conic", "conic", 2), ("cubic", "curve", 3)])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -394,3 +395,19 @@ def test_sign_normalize_rows_matches_sign_normalize():
     assert np.array_equal(np.sign(got), np.sign(want))
     with pytest.raises(pc.PolynomialError):
         pc.sign_normalize_rows(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("samples,message", [
+    (np.zeros((0, 4)), "no samples"),
+    (np.zeros((2, 0, 4)), "no samples"),
+    (np.vstack([np.random.default_rng(3).standard_normal((20, 4)), np.zeros((1, 4))]),
+     "zero row"),
+    (np.vstack([np.random.default_rng(3).standard_normal((2, 4)), np.zeros((1, 4))]),
+     "zero row"),
+])
+def test_whitened_nullspace_refuses_degenerate_samples(samples, message):
+    # a documented error type with one line, and no warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pc.PolynomialError, match=message):
+            pc.whitened_nullspace(pc.enumerate_monomials(4, 2), samples)

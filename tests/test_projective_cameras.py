@@ -241,3 +241,30 @@ def test_point_line_matrices_match_point_line_matrix():
     got = pcam.point_line_matrices(lines)
     assert got.shape == (12, 4, 4)
     assert np.array_equal(got, np.stack([pcam.point_line_matrix(L) for L in lines]))
+
+
+def test_camera_stack_is_bit_equal_to_one_camera_at_a_time():
+    r = rng()
+    Ms = r.standard_normal((7, 3, 4)) * np.exp2(r.integers(-40, 40, 7))[:, None, None]
+    for cam, M in zip(Camera.stack(Ms), Ms):
+        one = Camera(M)
+        assert np.array_equal(cam.M, one.M)
+        assert np.array_equal(cam.center, one.center)
+        assert np.array_equal(cam.ray_matrix, one.ray_matrix)
+    assert Camera.stack(np.zeros((0, 3, 4))) == []
+    bad = Ms.copy()
+    bad[3, 2] = bad[3, 0] + 2.0 * bad[3, 1]
+    with pytest.raises(pcam.GeometryError, match="rank 3"):
+        Camera.stack(bad)
+    with pytest.raises(pcam.GeometryError, match="3x4"):
+        Camera.stack(Ms[0])
+
+
+def test_from_parameters_is_the_posed_matrix():
+    r = rng()
+    Q = np.linalg.qr(r.standard_normal((3, 3)))[0]
+    Q *= np.sign(np.linalg.det(Q))
+    t = r.standard_normal(3)
+    K = np.array([[1.2, 0.03, 0.1], [0.0, 1.2 * 0.95, -0.07], [0.0, 0.0, 1.0]])
+    cam = Camera.from_parameters(1.2, 0.95, 0.03, 0.1, -0.07, Q, t)
+    assert np.array_equal(cam.M, Camera(K @ np.hstack([Q, t[:, None]])).M)

@@ -124,6 +124,13 @@ def test_dual_reconstruct_raises_below_enough_views(cams, cubic):
         assert "center-hyperplane" in str(err.value)
 
 
+def test_dual_reconstruct_refuses_an_empty_view(cams, cubic):
+    views = _tangent_views(cubic, cams[:5], 20)
+    views[2] = (views[2][0], np.zeros((0, 3)))
+    with pytest.raises(pc.PolynomialError, match="no samples"):
+        rc.dual_reconstruct(views, 4)
+
+
 def test_dual_reconstruct_conic(cams, conic):
     views = _tangent_views(conic, cams[:3], 14)
     with pytest.raises(rc.InsufficientViews):
