@@ -84,19 +84,18 @@ class MotionClass:
 def lift_observations(cams, detections) -> RaySet:
     """Back-project detections to rays; no synchronization is assumed.
 
-    Each detection is (camera_id, point_id, time_id, image point); ``cams``
-    is indexed by camera id and each entry needs only a ``ray_matrix``.
-    One stable sort by camera id groups the detections, and each camera's
-    block is lifted by one product with its ray matrix, so the rows come
-    out grouped by camera in ascending id, in detection order within a
-    camera.  A detection sitting at its camera's center has no ray and is
-    skipped with a warning.
+    ``detections`` is the ``(ids, points)`` pair of a ``DynamicScene``: (n, 3)
+    camera, point and frame ids and (n, 3) image points.  ``cams`` is
+    indexed by camera id and each entry needs only a ``ray_matrix``.  One
+    stable sort by camera id groups the detections, and each camera's block
+    is lifted by one product with its ray matrix, so the rows come out
+    grouped by camera in ascending id, in detection order within a camera.
+    A detection at its camera's center has no ray and is skipped with a warning.
     """
-    n = len(detections)
-    ids = np.array([det[:3] for det in detections], dtype=int).reshape(n, 3)
+    ids, pts = detections
+    n = len(ids)
     order = np.argsort(ids[:, 0], kind="stable")
-    ids = ids[order]
-    pts = np.array([detections[i][3] for i in order.tolist()], dtype=float).reshape(n, 3)
+    ids, pts = ids[order], pts[order]
     # the first row of each camera's block in the sorted rows
     starts = np.flatnonzero(np.diff(ids[:, 0], prepend=ids[:1, 0] - 1)).tolist()
     L = np.empty((n, 6))

@@ -296,44 +296,48 @@ def _complete_basis(e: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.column_stack([x, y])
 
 
-def stacked_constraints(instances, e1, F, owners: list[int],
-                        probes: list[tuple[np.ndarray, np.ndarray]],
-                        pivots: list[int] | None = None) -> np.ndarray:
-    pivots = [None] * len(probes) if pivots is None else pivots
-    vals = [constraint_vector(instances[o].phi1, instances[o].phi2, e1, F, probe, pivot)
-            for o, probe, pivot in zip(owners, probes, pivots)]
-    return np.concatenate(vals)
+def _constraint_map(instances, eg: EpipolarGeometry, rng: np.random.Generator,
+                    per_instance: int):
+    """The stacked constraints of all instances as a map on the 7-chart at ``eg``.
 
-
-def _draw_probes(instances, rng: np.random.Generator, e1, F, per_instance: int = 1):
-    """Probe lines with pivots frozen at the given geometry.
-
-    Returns parallel lists (owner index, probe, pivot).  Constraints from a
-    single probe line have a badly conditioned differential even when the
-    variety is cut transversally, so rank and descent work draws at least two
-    lines per instance.
+    Each instance gets ``per_instance`` probe lines whose pivots are frozen
+    at ``eg``, so the map is smooth in the chart parameters.  Constraints
+    from a single probe line have a badly conditioned differential even when
+    the variety is cut transversally, so rank and descent work draws at
+    least two lines per instance.  Returns the chart and the map.
     """
-    owners, probes, pivots = [], [], []
-    G = cross_matrix(np.asarray(e1))
-    for idx, inst in enumerate(instances):
+    G = cross_matrix(eg.e1)
+    terms = []  # (instance, probe, pivot)
+    for inst in instances:
         found = 0
         for cand in _probe_pool(rng, count=5 * per_instance):
             try:
-                constraint_vector(inst.phi1, inst.phi2, e1, F, cand)
+                constraint_vector(inst.phi1, inst.phi2, eg.e1, eg.F, cand)
             except (KruppaError, pc.PolynomialError):
                 continue
             a, b = cand
-            u = pc.restrict_to_line(inst.phi2, np.asarray(F) @ a, np.asarray(F) @ b).coeffs
+            u = pc.restrict_to_line(inst.phi2, eg.F @ a, eg.F @ b).coeffs
             v = pc.restrict_to_line(inst.phi1, G @ a, G @ b).coeffs
-            owners.append(idx)
-            probes.append(cand)
-            pivots.append(int(np.argmax(np.abs(u) + np.abs(v))))
+            terms.append((inst, cand, int(np.argmax(np.abs(u) + np.abs(v)))))
             found += 1
             if found == per_instance:
                 break
         if found < per_instance:
             raise KruppaError("not enough usable probe lines for one instance")
-    return owners, probes, pivots
+    chart = epipolar_chart(eg)
+
+    def func(theta: np.ndarray) -> np.ndarray:
+        e1, F = chart(theta)
+        return np.concatenate([constraint_vector(inst.phi1, inst.phi2, e1, F, probe, pivot)
+                               for inst, probe, pivot in terms])
+
+    return chart, func
+
+
+def _central_jacobian(func, theta: np.ndarray, step: float) -> np.ndarray:
+    # central differences along each chart axis, one column per axis
+    return np.stack([(func(theta + d) - func(theta - d)) / (2 * step)
+                     for d in step * np.eye(7)], axis=1)
 
 
 def solution_dimension(instances, eg_truth: EpipolarGeometry,
@@ -354,20 +358,8 @@ def solution_dimension(instances, eg_truth: EpipolarGeometry,
     if not instances:
         raise KruppaError("need at least one curve instance")
     rng = np.random.default_rng(1234) if rng is None else rng
-    chart = epipolar_chart(eg_truth)
-    owners, probes, pivots = _draw_probes(instances, rng, eg_truth.e1, eg_truth.F,
-                                          per_instance=probes_per_instance)
-
-    def func(theta: np.ndarray) -> np.ndarray:
-        e1, F = chart(theta)
-        return stacked_constraints(instances, e1, F, owners, probes, pivots)
-
-    n_out = probes_per_instance * sum(inst.m for inst in instances)
-    J = np.empty((n_out, 7))
-    for k in range(7):
-        d = np.zeros(7)
-        d[k] = step
-        J[:, k] = (func(d) - func(-d)) / (2 * step)
+    _, func = _constraint_map(instances, eg_truth, rng, probes_per_instance)
+    J = _central_jacobian(func, np.zeros(7), step)
     rank, gap = pc.numerical_rank(J, rel_tol=rank_tol)
     if gap < gap_floor:
         raise KruppaError(
@@ -394,14 +386,7 @@ def refine_epipolar(eg_init: EpipolarGeometry, instances,
     """
     instances = list(instances)
     rng = np.random.default_rng(99) if rng is None else rng
-    chart = epipolar_chart(eg_init)
-    owners, probes, pivots = _draw_probes(instances, rng, eg_init.e1, eg_init.F,
-                                          per_instance=probes_per_instance)
-
-    def func(theta: np.ndarray) -> np.ndarray:
-        e1, F = chart(theta)
-        return stacked_constraints(instances, e1, F, owners, probes, pivots)
-
+    chart, func = _constraint_map(instances, eg_init, rng, probes_per_instance)
     theta = np.zeros(7)
     r = func(theta)
     cost = float(r @ r)
@@ -410,11 +395,7 @@ def refine_epipolar(eg_init: EpipolarGeometry, instances,
     for _ in range(max_iter):
         if np.sqrt(cost) < tol:
             break
-        J = np.empty((r.shape[0], 7))
-        for k in range(7):
-            d = np.zeros(7)
-            d[k] = 1e-7
-            J[:, k] = (func(theta + d) - func(theta - d)) / 2e-7
+        J = _central_jacobian(func, theta, 1e-7)
         improved = False
         for _ in range(25):
             H = J.T @ J + lam * np.eye(7)

@@ -205,6 +205,12 @@ def _checked_matrices(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return M, Vt[:, -1]
 
 
+def _ray_matrices(M: np.ndarray) -> np.ndarray:
+    # the one ray-matrix kernel: (k, 3, 4) cameras to their (k, 6, 3) lifts
+    A, B = M[:, [1, 2, 0]], M[:, [2, 0, 1]]
+    return (A[..., _MEET_I] * B[..., _MEET_J] - B[..., _MEET_I] * A[..., _MEET_J]).mT.copy()
+
+
 def posed_matrices(f, alpha, s, u0, v0, R, t) -> np.ndarray:
     """Stack of ``K [R | t]`` from k sets of internals, rotations and translations.
 
@@ -226,25 +232,31 @@ def posed_matrices(f, alpha, s, u0, v0, R, t) -> np.ndarray:
 
 
 class Camera:
-    """Projective camera ``p ~ M P`` with cached ray and line maps."""
+    """Projective camera ``p ~ M P`` with its ray map and a cached line map.
+
+    ``ray_matrix`` is the 6x3 lift whose column j is the optical ray of the
+    j-th image basis point, :func:`meet_planes` of the row pairs (1, 2),
+    (2, 0), (0, 1); one kernel builds it for a camera or a whole :meth:`stack`.
+    """
 
     def __init__(self, M):
         M = np.asarray(M, dtype=float)
         if M.shape != (3, 4):
             raise GeometryError("camera matrices are 3x4")
         (self.M,), (self._null,) = _checked_matrices(M[None])
+        (self.ray_matrix,) = _ray_matrices(self.M[None])
 
     @classmethod
     def stack(cls, M) -> list["Camera"]:
-        """One camera per block of a (k, 3, 4) array, all checked by one batched SVD."""
+        """One camera per block of a (k, 3, 4) array: one batched SVD, one ray-matrix call."""
         M = np.asarray(M, dtype=float)
         if M.ndim != 3 or M.shape[1:] != (3, 4):
             raise GeometryError("camera matrices are 3x4")
         M, null = _checked_matrices(M)
         cams = []
-        for Mk, nk in zip(M, null):
+        for Mk, nk, Rk in zip(M, null, _ray_matrices(M)):
             cam = cls.__new__(cls)
-            cam.M, cam._null = Mk, nk
+            cam.M, cam._null, cam.ray_matrix = Mk, nk, Rk
             cams.append(cam)
         return cams
 
@@ -260,15 +272,6 @@ class Camera:
     def center(self) -> np.ndarray:
         """Unique point annihilated by the camera matrix."""
         return sign_normalize(self._null)
-
-    @cached_property
-    def ray_matrix(self) -> np.ndarray:
-        """6x3 lift: column j is the optical ray of the j-th image basis point.
-
-        Its columns are :func:`meet_planes` of the row pairs (1, 2), (2, 0), (0, 1).
-        """
-        A, B = self.M[[1, 2, 0]], self.M[[2, 0, 1]]
-        return (A[:, _MEET_I] * B[:, _MEET_J] - B[:, _MEET_I] * A[:, _MEET_J]).T.copy()
 
     @cached_property
     def line_matrix(self) -> np.ndarray:

@@ -75,6 +75,13 @@ def _as_matrix(obj, shape, what: str) -> np.ndarray:
     return M
 
 
+def _integer(value, what: str) -> int:
+    # a JSON integer: Python's bool is an int, JSON's true is not
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer")
+    return value
+
+
 def _parse_camera(entry, idx: int, rng: np.random.Generator) -> Camera:
     what = f"cameras[{idx}]"
     if entry == "random":
@@ -107,7 +114,8 @@ def _parse_curve(entry, idx: int, default_seed: int) -> RationalCurve3D:
             if name not in PRESET_NAMES:
                 raise ConfigError(
                     f"{what}: unknown preset {name!r}, choose from {PRESET_NAMES}")
-            return preset_curve(name, int(entry.get("seed", default_seed)))
+            return preset_curve(name, _integer(entry.get("seed", default_seed),
+                                               f"{what}.seed"))
         if "coefficients" in entry:
             C = np.asarray(entry["coefficients"], dtype=float)
             if C.ndim != 2 or C.shape[0] != 4 or C.shape[1] < 2:
@@ -130,8 +138,9 @@ def _parse_dynamic(entry, idx: int) -> dict:
         raise ConfigError(f"{what}: unknown trajectory preset {entry['preset']!r}, "
                           f"choose from {TRAJECTORY_PRESETS}")
     out = {"preset": entry["preset"],
-           "n_cameras": int(entry.get("n_cameras", 10)),
-           "frames_per_camera": int(entry.get("frames_per_camera", 15))}
+           "n_cameras": _integer(entry.get("n_cameras", 10), f"{what}.n_cameras"),
+           "frames_per_camera": _integer(entry.get("frames_per_camera", 15),
+                                         f"{what}.frames_per_camera")}
     if out["n_cameras"] < 2:
         raise ConfigError(f"{what}: bad counts, n_cameras must be at least 2, "
                           f"got {out['n_cameras']}")
@@ -166,9 +175,7 @@ def parse_config(obj, seed_override: int | None = None,
     unknown = set(obj) - KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    seed = obj.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed must be an integer")
+    seed = _integer(obj.get("seed", 0), "seed")
     if seed_override is not None:
         seed = seed_override
     if seed < 0:
@@ -180,8 +187,8 @@ def parse_config(obj, seed_override: int | None = None,
 
     cam_field = obj.get("cameras", [])
     if isinstance(cam_field, dict) and set(cam_field) == {"ring"}:
-        n = cam_field["ring"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        n = _integer(cam_field["ring"], "cameras.ring")
+        if n < 0:
             raise ConfigError("cameras.ring must be a non-negative integer")
         cams = scenes.camera_ring(rng, n) if n else []
     elif isinstance(cam_field, list):
@@ -351,8 +358,8 @@ def _cmd_simulate(cfg: SceneConfig, rng: np.random.Generator, rep: Report, args)
         sc = scenes.observe_trajectory(dp["preset"], rng, dp["n_cameras"],
                                        dp["frames_per_camera"],
                                        noise_sigma=cfg.noise_sigma, point_id=pi)
-        for ci, pid, k, p in sc.detections:
-            det_rows.append([ci, pid, k, float(p[0]), float(p[1]), float(p[2])])
+        ids, pts = sc.detections
+        det_rows.extend(i + p for i, p in zip(ids.tolist(), pts.tolist()))
     rep.artifacts["detections"] = {
         "columns": ["camera_index", "point_id", "frame", "x", "y", "w"],
         "rows": det_rows}

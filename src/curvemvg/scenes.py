@@ -6,7 +6,7 @@ function of its seed; nothing in here touches global RNG state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,12 +148,15 @@ def make_trajectory(kind: str, rng: np.random.Generator) -> Trajectory:
 
 @dataclass
 class DynamicScene:
-    """Unsynchronized observations of one moving point by several cameras."""
+    """Unsynchronized observations of one moving point by several cameras.
+
+    ``detections`` is the pair ``(ids, points)``: an (n, 3) int array of camera,
+    point and frame ids and the (n, 3) unit image points, by camera, then frame.
+    """
 
     cameras: list[Camera]
     trajectory: Trajectory
-    detections: list[tuple[int, int, int, np.ndarray]] = field(default_factory=list)
-    noise_sigma: float = 0.0
+    detections: tuple[np.ndarray, np.ndarray]
 
 
 def lines_missing_points(points, rng: np.random.Generator, count: int,
@@ -185,10 +188,10 @@ def observe_trajectory(kind: str, rng: np.random.Generator, n_cameras: int = 10,
     jitter and, when noise_sigma > 0, a 3-vector of image noise, so the
     random stream is that of observing camera by camera.  The positions at
     all cameras' times are then evaluated once and projected by one stacked
-    product with the ring's matrices (built as one stack by
-    :func:`camera_ring`).  A frame whose point projects to the camera
-    center yields no detection but still consumes its noise draw, so the
-    stream does not depend on it.
+    product with the ring's matrices into the ``(ids, points)`` detection
+    arrays.  A frame whose point projects to the camera center yields no
+    detection but still consumes its noise draw, so the stream does not
+    depend on it.
     """
     traj = make_trajectory(kind, rng)
     cams = camera_ring(rng, n_cameras)
@@ -215,8 +218,6 @@ def observe_trajectory(kind: str, rng: np.random.Generator, n_cameras: int = 10,
     if noise_sigma != 0.0:
         p = p + noise_sigma * noise
         p = p / np.sqrt((p * p).sum(axis=-1))[..., None]
-    scene = DynamicScene(cams, traj, noise_sigma=noise_sigma)
     cis, ks = np.nonzero(keep)
-    scene.detections.extend(
-        (ci, point_id, k, p[ci, k]) for ci, k in zip(cis.tolist(), ks.tolist()))
-    return scene
+    ids = np.stack([cis, np.full_like(cis, point_id), ks], axis=1)
+    return DynamicScene(cams, traj, (ids, p[cis, ks]))

@@ -6,6 +6,7 @@ import pytest
 
 from curvemvg import dynamics as dy
 from curvemvg import polycore as pc
+from curvemvg import projective_cameras as pcam
 from curvemvg import scenes
 from curvemvg.projective_cameras import (GeometryError, PluckerLine, grassmann_residual,
                                          incidence, join_points, point_line_matrix,
@@ -37,11 +38,11 @@ def test_lift_observations_line_rays_meet_line():
 def test_lift_observations_match_per_ray_plucker_lines():
     sc, rays = _rays_for("cubic", 44, n_cameras=5, frames_per_camera=7,
                          noise_sigma=1e-3)
-    assert len(rays) == len(sc.detections) == 35
+    ids, pts = sc.detections
+    assert len(rays) == len(ids) == 35
     want = np.array([PluckerLine(sc.cameras[ci].ray_matrix @ p).v
-                     for ci, _, _, p in sc.detections])
+                     for ci, p in zip(ids[:, 0].tolist(), pts)])
     assert np.abs(rays.lines - want).max() <= 1e-15
-    ids = np.array([d[:3] for d in sc.detections])
     assert np.array_equal(rays.camera_ids, ids[:, 0])
     assert np.array_equal(rays.point_ids, ids[:, 1])
     assert np.array_equal(rays.time_ids, ids[:, 2])
@@ -56,8 +57,8 @@ def test_lift_observations_match_per_ray_plucker_lines():
 
 def test_lift_groups_rows_by_camera():
     sc, _ = _rays_for("line", 45, n_cameras=3, frames_per_camera=4)
-    shuffled = sc.detections[::-1]
-    rays = dy.lift_observations(sc.cameras, shuffled)
+    ids, pts = sc.detections
+    rays = dy.lift_observations(sc.cameras, (ids[::-1], pts[::-1]))
     assert rays.camera_ids.tolist() == [0] * 4 + [1] * 4 + [2] * 4
     assert rays.time_ids.tolist() == [3, 2, 1, 0] * 3
 
@@ -70,14 +71,16 @@ def test_lift_rejects_a_row_off_the_line_quadric():
         ray_matrix = cam.ray_matrix + np.eye(6, 3)
 
     with pytest.raises(GeometryError, match="line quadric"):
-        dy.lift_observations([Skewed()], [(0, 0, 0, np.array([1.0, 0.2, 0.3]))])
+        dy.lift_observations([Skewed()], (np.zeros((1, 3), dtype=int),
+                                          np.array([[1.0, 0.2, 0.3]])))
 
 
 def test_lift_skips_center_detection():
     sc, _ = _rays_for("line", 43, n_cameras=2, frames_per_camera=2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = dy.lift_observations(sc.cameras, [(0, 0, 0, np.zeros(3))])
+        out = dy.lift_observations(sc.cameras, (np.zeros((1, 3), dtype=int),
+                                                np.zeros((1, 3))))
     assert len(out) == 0
     assert len(caught) == 1
 
@@ -85,7 +88,8 @@ def test_lift_skips_center_detection():
 def _reference_lift(cams, detections):
     # detections grouped in a dict by camera, each block lifted on its own
     by_cam = {}
-    for det in detections:
+    for row, p in zip(*detections):
+        det = (*row.tolist(), p)
         by_cam.setdefault(det[0], []).append(det)
     blocks, ids = [], []
     for ci in sorted(by_cam):
@@ -105,9 +109,12 @@ def test_lift_is_bit_equal_to_the_per_camera_grouping():
         sc = scenes.observe_trajectory("cubic", np.random.default_rng((seed, 71)),
                                        n_cameras=5, frames_per_camera=9, noise_sigma=1e-3)
         r = np.random.default_rng(seed)
-        dets = [sc.detections[i] for i in r.permutation(len(sc.detections))]
-        dets = [d for d in dets if d[0] != 2 or d[2] % 3]
-        dets.insert(int(r.integers(len(dets))), (4, 0, 99, np.zeros(3)))
+        perm = r.permutation(len(sc.detections[0]))
+        ids, pts = (a[perm] for a in sc.detections)
+        kept = (ids[:, 0] != 2) | (ids[:, 2] % 3 != 0)
+        ids, pts = ids[kept], pts[kept]
+        at = int(r.integers(len(ids)))
+        dets = (np.insert(ids, at, [4, 0, 99], axis=0), np.insert(pts, at, 0.0, axis=0))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rays = dy.lift_observations(sc.cameras, dets)
@@ -121,8 +128,23 @@ def test_lift_is_bit_equal_to_the_per_camera_grouping():
 
 
 def test_lift_of_no_detections_is_empty():
-    rays = dy.lift_observations([], [])
+    rays = dy.lift_observations([], (np.zeros((0, 3), dtype=int), np.zeros((0, 3))))
     assert rays.lines.shape == (0, 6) and len(rays.camera_ids) == 0
+
+
+def test_trajectory_rays_take_one_ray_matrix_kernel_call(monkeypatch):
+    # the ring's ray matrices come from one stacked call, none from the lift
+    calls = []
+    kernel = pcam._ray_matrices
+
+    def counting(M):
+        calls.append(np.shape(M))
+        return kernel(M)
+
+    monkeypatch.setattr(pcam, "_ray_matrices", counting)
+    sc = scenes.observe_trajectory("cubic", np.random.default_rng(8))
+    dy.lift_observations(sc.cameras, sc.detections)
+    assert calls == [(10, 3, 4)]
 
 
 @pytest.mark.parametrize("kind,want_kind,want_deg",

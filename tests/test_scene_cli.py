@@ -27,6 +27,11 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
     ({"dynamic_points": [{"preset": "conic", "n_cameras": 1}]}, "counts"),
     ({"dynamic_points": [{"preset": "helix"}]}, "preset"),
     ({"seed": -3}, "seed"),
+    *[({"dynamic_points": [{"preset": "conic", key: bad}]}, f"dynamic_points[0].{key}")
+      for key in ("n_cameras", "frames_per_camera") for bad in ("x", [1], None, 2.5)],
+    ({"curves": [{"preset": "conic", "seed": [1]}]}, "curves[0].seed"),
+    ({"curves": [{"preset": "conic", "seed": 2.7}]}, "curves[0].seed"),
+    ({"cameras": {"ring": 2.0}}, "ring"),
 ])
 def test_parse_config_rejects(payload, fragment):
     with pytest.raises(sc.ConfigError) as err:

@@ -66,9 +66,10 @@ def test_observe_trajectory_matches_per_frame_reference(kind, sigma):
         got = scenes.observe_trajectory(kind, rng, 4, 6, noise_sigma=sigma)
         ref_rng = np.random.default_rng((seed, 61))
         want = _reference_observe(kind, ref_rng, 4, 6, sigma)
-        assert [d[:3] for d in got.detections] == [d[:3] for d in want]
-        assert all(type(x) is int for d in got.detections for x in d[:3])
-        diff = max(np.abs(g[3] - w[3]).max() for g, w in zip(got.detections, want))
+        ids, pts = got.detections
+        assert ids.tolist() == [list(d[:3]) for d in want]
+        assert ids.dtype.kind == "i" and pts.shape == ids.shape == (len(want), 3)
+        diff = max(np.abs(g - w[3]).max() for g, w in zip(pts, want))
         assert diff <= 1e-14
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -179,9 +180,10 @@ def _reference_observe_by_camera(kind, rng, n_cameras, frames_per_camera, noise_
 def test_observe_trajectory_is_bit_equal_to_the_per_camera_body(kind, sigma):
     for seed in range(4):
         rng = np.random.default_rng((seed, 67))
-        got = scenes.observe_trajectory(kind, rng, noise_sigma=sigma).detections
+        ids, pts = scenes.observe_trajectory(kind, rng, noise_sigma=sigma).detections
         ref_rng = np.random.default_rng((seed, 67))
         want = _reference_observe_by_camera(kind, ref_rng, 10, 15, sigma)
-        assert [d[:3] for d in got] == [d[:3] for d in want]
-        assert all(np.array_equal(g[3], w[3]) for g, w in zip(got, want))
+        assert ids.tolist() == [list(d[:3]) for d in want]
+        assert pts.shape == (len(want), 3)
+        assert all(np.array_equal(g, w[3]) for g, w in zip(pts, want))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
