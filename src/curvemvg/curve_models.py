@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import polycore as pc
 from .polycore import HomogeneousPolynomial, enumerate_monomials
-from .projective_cameras import Camera, GeometryError, PluckerLine, join_points
+from .projective_cameras import Camera, GeometryError, PluckerLine, line_span_planes
 
 PRESET_NAMES = ("conic", "twisted_cubic", "rational_quartic", "rational_quintic")
+# point-coordinate pairs (i, j) of the Plucker coordinates, in the order of join_points
+_PLUCKER_PAIRS = np.array([(0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2)]).T
 
 
 class CurveModelError(ValueError):
@@ -106,30 +108,47 @@ class RationalCurve3D:
 
     def velocity(self, theta) -> np.ndarray:
         """Derivative of the point path along the angle chart; one row per angle."""
-        return self._jet(np.asarray(theta))[1]
-
-    def _jet(self, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # degree-d monomials and velocity at the angles, from one cos and sin;
-        # the degree-(d-1) monomials are slices of the degree-d power tables
-        t, s = np.cos(th)[..., None], np.sin(th)[..., None]
-        down, up = _exponent_tables(self.degree)
-        T, S = t ** down, s ** up
-        mono = T[..., 1:] * S[..., :-1]
-        return T * S, -s * (mono @ self._partials[0].T) + t * (mono @ self._partials[1].T)
+        th = np.asarray(theta)
+        mono = _binary_monomials(th, self.degree - 1)
+        return (-np.sin(th)[..., None] * (mono @ self._partials[0].T)
+                + np.cos(th)[..., None] * (mono @ self._partials[1].T))
 
     def partial_matrices(self) -> np.ndarray:
         """Read-only coefficient matrices of the two parameter partials (degree d-1)."""
         return self._partials
 
+    @cached_property
+    def tangent_form(self) -> np.ndarray:
+        """Read-only 6 x (2d-1) Plucker coefficients of ``X_t ^ X_s``.
+
+        Each row is one Plucker coordinate of the tangent line as a binary
+        form over ``t^(2d-2), ..., s^(2d-2)``.  On the angle chart it equals
+        d times the point joined with its velocity, so it carries every space
+        tangent, every image tangent and the Kruppa tangency form.
+        """
+        # every coefficient is its exact value rounded once, the same on every
+        # IEEE platform, since the line map of an image tangent passing near
+        # the center magnifies coefficient errors: the halves of Dekker's
+        # split make every product exact, and math.fsum rounds each sum once
+        d, (i, j) = self.degree, _PLUCKER_PAIRS
+        scaled = 134217729.0 * self._partials
+        hi = scaled - (scaled - self._partials)
+        Ct, Cs = np.stack([hi, self._partials - hi], axis=1)
+        X = Ct[:, None, :, None, :, None] * Cs[None, :, None, :, None, :]
+        # (6, 4, 2, d, d) signed products with the index of the s-factor
+        # reversed, so that the terms of coefficient k lie on one diagonal
+        X = np.moveaxis(np.concatenate([X[:, :, i, j], -X[:, :, j, i]]), 2, 0)[..., ::-1]
+        terms = [np.diagonal(X, d - 1 - k, 3, 4).reshape(6, -1).tolist() for k in range(2 * d - 1)]
+        form = np.array([[math.fsum(row) for row in rows] for rows in terms]).T.copy()
+        form.setflags(write=False)
+        return form
+
     def tangent_line(self, theta: float) -> PluckerLine:
         """Tangent line of the curve at the angle parameter."""
-        Ct, Cs = self._partials
-        mono = _binary_monomials(theta, self.degree - 1)
-        return PluckerLine(join_points(Ct @ mono, Cs @ mono))
+        return PluckerLine(self.tangent_form @ _binary_monomials(theta, 2 * self.degree - 2))
 
     def tangent_plane_pencil(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         """Two planes spanning the pencil through the tangent line."""
-        from .projective_cameras import line_span_planes
         return line_span_planes(self.tangent_line(theta).v)
 
 
@@ -239,45 +258,29 @@ def implicit_image_curve(curve: RationalCurve3D, cam: Camera,
 def image_tangents(curve: RationalCurve3D, cam: Camera, thetas) -> np.ndarray:
     """Tangent lines of the image curve at the projections of ``thetas``, as rows.
 
-    Each row is the projected point crossed with the projected velocity, so
-    it is the tangent of the moving branch, unit-normalized with its first
-    significant coordinate positive (the real convention of
-    :func:`polycore.sign_normalize`).  A parameter whose projected velocity
-    degenerates raises.
+    Each row is the camera's line map applied to the curve's tangent form at
+    the parameter, i.e. the projected point crossed with the projected
+    velocity, unit-normalized with its first significant coordinate positive
+    (the real convention of :func:`polycore.sign_normalize`).  Every product
+    is taken row by row, so a parameter's row does not depend on the others
+    asked for with it.  A parameter whose tangent line meets the camera
+    center (the center on the tangent, or a curve point at the center) raises.
     """
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    mono, vel = curve._jet(th)
-    # camera rows 0, 1, 2, 0, 1: the cross product reads two shifted slices
-    M = cam.M[[0, 1, 2, 0, 1]]
-    p = mono @ (M @ curve.C).T
-    v = vel @ M.T
-    l = p[:, 1:4] * v[:, 2:5] - p[:, 2:5] * v[:, 1:4]
-    p, v = p[:, :3], v[:, :3]
-    norms = np.sqrt((l * l).sum(axis=1))
-    scale = np.sqrt((p * p).sum(axis=1) * (v * v).sum(axis=1))
-    if ((scale == 0.0) | (norms <= 1e-10 * scale)).any():
-        raise GeometryError("projected velocity degenerates at this parameter")
-    l = l / norms[:, None]
-    lead = l[np.arange(len(l)), (np.abs(l) > 1e-12).argmax(axis=1)]
-    return np.where(lead < 0.0, -1.0, 1.0)[:, None] * l
+    mono = _binary_monomials(th, 2 * curve.degree - 2)
+    L = np.vecdot(mono[:, None, :], curve.tangent_form)
+    l = np.vecdot(L[:, None, :], cam.line_matrix)
+    if (np.vecdot(l, l) <= 1e-20 * np.vecdot(L, L)).any():
+        raise GeometryError("the tangent line meets the camera center at this parameter")
+    return pc.sign_normalize_rows(l)
 
 
-def image_tangent(curve: RationalCurve3D, cam: Camera, theta: float,
-                  image_curve: ImageCurve | None = None) -> np.ndarray:
+def image_tangent(curve: RationalCurve3D, cam: Camera, theta: float) -> np.ndarray:
     """Tangent line of the image curve at the projection of ``theta``.
 
-    The one-row case of :func:`image_tangents`; when the implicit model is
-    supplied, landing on a singular point of the image is reported instead
-    of silently returning one branch.
+    The one-row call of :func:`image_tangents`, equal to its row bit for bit.
     """
-    l = image_tangents(curve, cam, theta)[0]
-    if image_curve is not None:
-        p = cam.M @ curve.point(theta)
-        g = pc.gradient_at(image_curve.f, p / np.linalg.norm(p))
-        if np.linalg.norm(g) <= 1e-6 * np.linalg.norm(image_curve.f.coeffs):
-            raise CurveModelError(
-                "image point is singular (two branches cross), tangent is ambiguous")
-    return l
+    return image_tangents(curve, cam, theta)[0]
 
 
 def fit_dual_image_curve(curve: RationalCurve3D, cam: Camera,

@@ -27,7 +27,7 @@ from .projective_cameras import (
     fundamental,
     join_points,
     line_span_points,
-    plucker_matrix,
+    swap_blocks,
 )
 
 
@@ -79,17 +79,23 @@ def constraint_vector(phi1: HomogeneousPolynomial, phi2: HomogeneousPolynomial,
     norms.  Callers that difference repeated evaluations should freeze the
     pivot so the output stays smooth in (e1, F).
     """
+    u, v, scale, strongest = _restricted_pair(phi1, phi2, e1, F, probe)
+    k = strongest if pivot is None else pivot
+    idx = [i for i in range(phi1.degree + 1) if i != k]
+    return (u[idx] * v[k] - u[k] * v[idx]) / scale
+
+
+def _restricted_pair(phi1, phi2, e1, F, probe):
+    # the one probe restriction: phi2(F p) and phi1(e1 x p) on the probe line,
+    # the product of their norms and the strongest coefficient's index
     a, b = probe
-    m = phi1.degree
     G = cross_matrix(e1)
     u = pc.restrict_to_line(phi2, np.asarray(F) @ a, np.asarray(F) @ b).coeffs
     v = pc.restrict_to_line(phi1, G @ a, G @ b).coeffs
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu <= 1e-13 or nv <= 1e-13:
         raise KruppaError("probe line degenerates both restricted forms")
-    k = int(np.argmax(np.abs(u) + np.abs(v))) if pivot is None else pivot
-    idx = [i for i in range(m + 1) if i != k]
-    return (u[idx] * v[k] - u[k] * v[idx]) / (nu * nv)
+    return u, v, nu * nv, int(np.argmax(np.abs(u) + np.abs(v)))
 
 
 def gen_kruppa_constraints(inst: KruppaInstance,
@@ -173,22 +179,14 @@ class TangencyData:
 def tangency_points(curve: RationalCurve3D, cam1: Camera, cam2: Camera) -> TangencyData:
     """Parameters where the epipolar plane of the pair is tangent to the curve.
 
-    The tangency condition is the vanishing of det[O1, O2, dP/dt, dP/ds],
-    a binary form of degree 2d-2 whose roots are found numerically; repeated
-    roots mean the pair sits on a non-generic tangency and are rejected.
+    The tangency condition is the vanishing of det[O1, O2, X_t, X_s], the
+    incidence of the baseline with the curve's tangent form: a binary form
+    of degree 2d-2 whose roots are found numerically; repeated roots mean
+    the pair sits on a non-generic tangency and are rejected.
     """
     O1, O2 = cam1.center, cam2.center
-    Ct, Cs = curve.partial_matrices()
-    dm1 = curve.degree - 1
-    # det[O1,O2,A,B] = sum_{k<l} D_kl (A_k B_l - A_l B_k), with A, B binary forms
-    coeff = np.zeros(2 * dm1 + 1)
-    for k in range(4):
-        for l in range(k + 1, 4):
-            rows = [r for r in range(4) if r not in (k, l)]
-            D = ((-1) ** (k + l)) * (O1[rows[0]] * O2[rows[1]] - O1[rows[1]] * O2[rows[0]])
-            if D == 0.0:
-                continue
-            coeff += D * (np.convolve(Ct[k], Cs[l]) - np.convolve(Ct[l], Cs[k]))
+    baseline = join_points(O1, O2)
+    coeff = swap_blocks(baseline) @ curve.tangent_form
     scale = np.abs(coeff).max()
     if scale == 0.0:
         raise GeometryError("tangency form vanished identically (degenerate pair)")
@@ -213,7 +211,7 @@ def tangency_points(curve: RationalCurve3D, cam1: Camera, cam2: Camera) -> Tange
     if len(params):
         q1 = q1 / np.linalg.norm(q1, axis=1, keepdims=True)
         q2 = q2 / np.linalg.norm(q2, axis=1, keepdims=True)
-    return TangencyData(join_points(O1, O2), np.asarray(params), Q, q1, q2, m, n_complex)
+    return TangencyData(baseline, np.asarray(params), Q, q1, q2, m, n_complex)
 
 
 def _polish_tangency(coeff: np.ndarray, theta: float) -> float:
@@ -306,19 +304,15 @@ def _constraint_map(instances, eg: EpipolarGeometry, rng: np.random.Generator,
     the variety is cut transversally, so rank and descent work draws at
     least two lines per instance.  Returns the chart and the map.
     """
-    G = cross_matrix(eg.e1)
     terms = []  # (instance, probe, pivot)
     for inst in instances:
         found = 0
         for cand in _probe_pool(rng, count=5 * per_instance):
             try:
-                constraint_vector(inst.phi1, inst.phi2, eg.e1, eg.F, cand)
+                *_, pivot = _restricted_pair(inst.phi1, inst.phi2, eg.e1, eg.F, cand)
             except (KruppaError, pc.PolynomialError):
                 continue
-            a, b = cand
-            u = pc.restrict_to_line(inst.phi2, eg.F @ a, eg.F @ b).coeffs
-            v = pc.restrict_to_line(inst.phi1, G @ a, G @ b).coeffs
-            terms.append((inst, cand, int(np.argmax(np.abs(u) + np.abs(v)))))
+            terms.append((inst, cand, pivot))
             found += 1
             if found == per_instance:
                 break

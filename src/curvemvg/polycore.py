@@ -534,11 +534,11 @@ def sign_normalize_rows(X: np.ndarray) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     norms = np.sqrt((X * X).sum(axis=1))
-    if np.any(norms == 0.0):
+    if (norms == 0.0).any():
         raise PolynomialError("cannot normalize the zero vector")
     X = X / norms[:, None]
-    lead = X[np.arange(len(X)), np.argmax(np.abs(X) > 1e-12, axis=1)]
-    return np.where(lead < 0.0, -1.0, 1.0)[:, None] * X
+    lead = X[np.arange(len(X)), (np.abs(X) > 1e-12).argmax(axis=1)]
+    return np.where(lead[:, None] < 0.0, -X, X)
 
 
 def cosine_similarity(u, v) -> float:

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from curvemvg import curve_models as cm
 from curvemvg import polycore as pc
-from curvemvg.projective_cameras import Camera, GeometryError, incidence, point_line_matrix
+from curvemvg.projective_cameras import (Camera, GeometryError, incidence, join_points,
+                                         point_line_matrix)
 
 
 def test_class_and_node_counts():
@@ -123,24 +126,31 @@ def test_image_tangents_match_per_parameter_rows(request, cams, name):
     assert np.abs(batch - reference).max() < 1e-14
 
 
-def _tangents_by_the_power_tensor(curve, cam, thetas):
-    # the image tangent written as first defined: two fresh power tables per
-    # degree, the partial matrices rebuilt, a gathered cross product
-    th = np.atleast_1d(np.asarray(thetas, dtype=float))
+def _exact_tangent_form(curve):
+    # X_t ^ X_s convolved pair by pair in exact rational arithmetic from the
+    # rebuilt partial matrices, each coefficient rounded once
     d = curve.degree
-
-    def monomials(e):
-        ks = np.arange(e + 1)
-        return np.cos(th)[:, None] ** (e - ks) * np.sin(th)[:, None] ** ks
-
     Et, Es = np.zeros((d + 1, d)), np.zeros((d + 1, d))
     for k in range(d):
         Et[k, k], Es[k + 1, k] = d - k, k + 1
-    mono = monomials(d - 1)
-    p = monomials(d) @ (cam.M @ curve.C).T
-    v = (-np.sin(th)[:, None] * (mono @ (curve.C @ Et).T)
-         + np.cos(th)[:, None] * (mono @ (curve.C @ Es).T)) @ cam.M.T
-    l = p[:, [1, 2, 0]] * v[:, [2, 0, 1]] - p[:, [2, 0, 1]] * v[:, [1, 2, 0]]
+    Ct, Cs = [[[Fraction(x) for x in row] for row in curve.C @ E] for E in (Et, Es)]
+    return np.array([[float(sum((Ct[i][a] * Cs[j][k - a] - Ct[j][a] * Cs[i][k - a]
+                                 for a in range(max(0, k - d + 1), min(d, k + 1))), Fraction(0)))
+                      for k in range(2 * d - 1)]
+                     for i, j in [(0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2)]])
+
+
+def _tangents_by_the_power_tensor(curve, cam, thetas):
+    # the image tangent as the line map of the tangent form, written out: the
+    # exactly rounded form, a fresh power table of degree 2d-2, row-by-row
+    # products
+    th = np.atleast_1d(np.asarray(thetas, dtype=float))
+    d = curve.degree
+    form = _exact_tangent_form(curve)
+    ks = np.arange(2 * d - 1)
+    mono = np.cos(th)[:, None] ** (2 * d - 2 - ks) * np.sin(th)[:, None] ** ks
+    L = np.vecdot(mono[:, None, :], form)
+    l = np.vecdot(L[:, None, :], cam.line_matrix)
     l = l / np.sqrt((l * l).sum(axis=1))[:, None]
     lead = l[np.arange(len(l)), np.argmax(np.abs(l) > 1e-12, axis=1)]
     return np.where(lead < 0.0, -1.0, 1.0)[:, None] * l
@@ -150,14 +160,46 @@ def _tangents_by_the_power_tensor(curve, cam, thetas):
 def test_image_tangents_are_bit_equal_to_the_power_tensor_formula(request, cams, name):
     curve = request.getfixturevalue(name)
     ths = np.concatenate([cm._sample_thetas(40), np.random.default_rng(2).uniform(0, np.pi, 40)])
+    assert np.array_equal(curve.tangent_form, _exact_tangent_form(curve))
     for cam in cams[:4]:
         batch = cm.image_tangents(curve, cam, ths)
         assert np.array_equal(batch, _tangents_by_the_power_tensor(curve, cam, ths))
         for th, row in zip(ths[::7], batch[::7]):
-            one = cm.image_tangent(curve, cam, th)
-            assert np.array_equal(one, _tangents_by_the_power_tensor(curve, cam, th)[0])
-            # BLAS takes a one-row product as gemv, not gemm: last bits differ
-            assert np.abs(one - row).max() < 1e-13
+            assert np.array_equal(cm.image_tangent(curve, cam, th), row)
+
+
+def _tangent_in_40_digits(mp, curve, cam, th):
+    # projected point crossed with projected velocity, from the float inputs
+    t, s = mp.cos(mp.mpf(th)), mp.sin(mp.mpf(th))
+    d = curve.degree
+    X = [mp.mpf(0)] * 4
+    V = [mp.mpf(0)] * 4
+    for k in range(d + 1):
+        m, dm = t ** (d - k) * s ** k, -(d - k) * t ** max(d - k - 1, 0) * s ** (k + 1)
+        dm += k * t ** (d - k + 1) * s ** max(k - 1, 0)
+        for i in range(4):
+            X[i] += mp.mpf(curve.C[i, k]) * m
+            V[i] += mp.mpf(curve.C[i, k]) * dm
+    p = [mp.fsum(mp.mpf(cam.M[r, i]) * X[i] for i in range(4)) for r in range(3)]
+    v = [mp.fsum(mp.mpf(cam.M[r, i]) * V[i] for i in range(4)) for r in range(3)]
+    l = [p[1] * v[2] - p[2] * v[1], p[2] * v[0] - p[0] * v[2], p[0] * v[1] - p[1] * v[0]]
+    n = mp.sqrt(mp.fsum(x * x for x in l))
+    lead = next(x for x in l if abs(x) > 1e-12 * n)
+    return np.array([float(x / n if lead > 0 else -x / n) for x in l])
+
+
+def test_image_tangents_are_accurate_against_40_digits(cams, conic, cubic, quartic, quintic):
+    # the line map loses digits on a tangent that passes near the center, so
+    # each coefficient of the form is rounded once from its exact value: with
+    # the form convolved in double the quintic reads 2.7e-14 here, the point
+    # x velocity formula 1.1e-14
+    mpmath = pytest.importorskip("mpmath")
+    ths = np.concatenate([cm._sample_thetas(40), np.random.default_rng(2).uniform(0, np.pi, 40)])
+    with mpmath.workdps(40):
+        for curve in (conic, cubic, quartic, quintic):
+            for cam in cams[:4]:
+                ref = np.stack([_tangent_in_40_digits(mpmath.mp, curve, cam, th) for th in ths])
+                assert np.abs(cm.image_tangents(curve, cam, ths) - ref).max() < 1e-14
 
 
 def test_partial_matrices_are_computed_once_and_read_only(quartic):
@@ -169,17 +211,42 @@ def test_partial_matrices_are_computed_once_and_read_only(quartic):
     assert np.array_equal(Cs[:, 3], 4 * quartic.C[:, 4])
 
 
+def test_tangent_form_is_computed_once_and_read_only(quartic):
+    T = quartic.tangent_form
+    assert quartic.tangent_form is T
+    assert T.shape == (6, 7) and not T.flags.writeable
+    with pytest.raises(ValueError):
+        T[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("name", ["conic", "cubic", "quartic", "quintic"])
+def test_tangent_form_is_the_join_of_the_partials(request, name):
+    curve = request.getfixturevalue(name)
+    Ct, Cs = curve.partial_matrices()
+    d = curve.degree
+    for th in np.linspace(0.05, 3.1, 17):
+        L = curve.tangent_form @ cm._binary_monomials(th, 2 * d - 2)
+        m = cm._binary_monomials(th, d - 1)
+        ref = join_points(Ct @ m, Cs @ m)
+        assert np.abs(L - ref).max() < 1e-14 * np.linalg.norm(ref)
+
+
+def _rejects(curve, cam, th0):
+    ths = np.array([0.3, th0, 2.5])
+    cm.image_tangents(curve, cam, ths[[0, 2]])
+    with pytest.raises(GeometryError):
+        cm.image_tangents(curve, cam, ths)
+    with pytest.raises(GeometryError):
+        cm.image_tangent(curve, cam, th0)
+
+
 def test_image_tangents_reject_a_degenerate_parameter(cubic):
     # a camera centered on the tangent line at th0 sees that tangent as a point
     th0 = 1.1
-    X = cubic.point_at(np.cos(th0), np.sin(th0)) + 0.5 * cubic.velocity(th0)
-    cam = Camera(np.linalg.svd(X[None, :])[2][1:])
-    ths = np.array([0.3, th0, 2.5])
-    cm.image_tangents(cubic, cam, ths[[0, 2]])
-    with pytest.raises(GeometryError):
-        cm.image_tangents(cubic, cam, ths)
-    with pytest.raises(GeometryError):
-        cm.image_tangent(cubic, cam, th0)
+    X = cubic.point_at(np.cos(th0), np.sin(th0))
+    _rejects(cubic, Camera(np.linalg.svd((X + 0.5 * cubic.velocity(th0))[None, :])[2][1:]), th0)
+    # so does a camera centered on the curve point itself
+    _rejects(cubic, Camera(np.linalg.svd(X[None, :])[2][1:]), th0)
 
 
 def test_separation_mask_is_cached_and_read_only():

@@ -3,6 +3,7 @@ import pytest
 
 from curvemvg import kruppa as kp
 from curvemvg import polycore as pc
+from curvemvg import scenes
 from curvemvg.curve_models import implicit_image_curve, preset_curve
 from curvemvg.projective_cameras import (EpipolarGeometry, adjugate3,
                                          cross_matrix, fundamental,
@@ -127,6 +128,23 @@ def test_refine_epipolar_recovers_truth(cams, cubic):
     result = kp.refine_epipolar(start, instances, rng=rng)
     assert result.residual < 1e-9
     assert pc.proportionality_residual(result.eg.F.ravel(), eg.F.ravel()) < 1e-6
+
+
+def test_probe_draw_restricts_each_accepted_probe_once(monkeypatch):
+    # a conic and two twisted cubics, two probes each: six accepted probes of
+    # two dual forms, so the draw restricts as often as one evaluation does
+    ring = scenes.camera_ring(np.random.default_rng(5000), 8)
+    curves = [preset_curve("conic", 11), preset_curve("twisted_cubic", 3),
+              preset_curve("twisted_cubic", 13)]
+    instances = [kp.build_instance(c, ring[0], ring[1]) for c in curves]
+    calls = []
+    restrict = pc.restrict_to_line
+    monkeypatch.setattr(pc, "restrict_to_line", lambda *a: calls.append(a) or restrict(*a))
+    _, func = kp._constraint_map(instances, fundamental(ring[0], ring[1]),
+                                 np.random.default_rng(1234), 2)
+    assert len(calls) == 12
+    func(np.zeros(7))
+    assert len(calls) == 24
 
 
 def test_epipolar_chart_covers_truth(cams):

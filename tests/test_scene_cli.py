@@ -287,13 +287,13 @@ README_DIGESTS = {
     "simulate --config simulate_demo.json":
         "7697a6ef227e450fff8d1d1a948ca4c2edee793b2c0b0de878a2b2fa1d8a83fe",
     "kruppa-check --config kruppa_trio.json --noise 1e-3":
-        "9369df18b578626fcf1b3435f842acc42fdfddb6a10bfffb14398b796935aa84",
+        "8b8f336a43d89eef8cc5aef315d688a77c77f287e8eca083666cc1d33b552d6f",
     "kruppa-dim --config conic_pair.json":
         "0afff9257d2fd2247c2d81be07e125069ca3530050c3403586b53d5549b14f66",
     "reconstruct-points --config cubic_pair.json --planes 60":
         "62633d267add7b22b637b90bd92ffff1f714071a01213c8bc6c00331ec5e9aee",
     "reconstruct-dual --config dual_quartic.json":
-        "b3e044407b34bbbcddf666740edcf2fbf7045702288f4ae0ba93be0537e08d6f",
+        "729a27009816fe34dcfbf09c7bffb1a7b8e7270f8867be9201b98c6895a77693",
     "reconstruct-chow --config chow_cubic.json":
         "3ca2549834a6e7ca8ccaeb8aa7306389e1dc6862a4976e2f24d7bba7132563d1",
     "classify-motion --config dynamics_mixed.json":

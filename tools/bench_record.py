@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""Record benchmark runs of a parent and a changed checkout as BENCH_*.json.
+
+Usage:
+
+    python3 tools/bench_record.py --parent DIR --change DIR \\
+        --workload curve_recovery --seeds 12001-12010 [--trace 0|1] [--out-dir .]
+
+Each seed is one pair: ``python3 perfbench/run.py`` runs on both checkouts,
+one after the other, at its default run length, with the parent first on
+even pairs and the change first on odd ones.  Every run's last line of
+standard output is stored as printed, with its workload, seed, trace
+setting, side and place in the pair.  Each side's runs go to
+``BENCH_<commit>.json`` in the output directory; a file that exists is
+appended to, so several workloads collect in one record.  The record names
+the commit, the git tree of ``src/`` and of ``perfbench/`` as measured, the
+checkout directory (``setup_s`` depends on it), the processor count and the
+Python and numpy versions.
+
+A checkout whose tracked files differ from its commit is recorded as
+``BENCH_<commit>-worktree.json``: such a record is keyed by its base commit
+plus ``src_tree``, which equals ``git rev-parse <c>:src`` of the commit
+``c`` that later holds the measured code.  Untracked files under ``src/`` or
+``perfbench/`` would not be in that tree, so the script refuses to record
+while there are any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+
+def git(checkout: Path, *args: str) -> str:
+    return subprocess.run(["git", "-C", str(checkout), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def describe(checkout: Path) -> dict:
+    """Commit, measured source trees and directory of one checkout."""
+    commit = git(checkout, "rev-parse", "HEAD")
+    untracked = git(checkout, "status", "--porcelain", "--untracked-files=all", "--",
+                    "src", "perfbench")
+    if any(line.startswith("??") for line in untracked.splitlines()):
+        raise SystemExit(f"{checkout}: untracked files under src/ or perfbench/; add them first")
+    modified = bool(git(checkout, "status", "--porcelain", "--untracked-files=no"))
+    # a stash commit holds the tracked files as they are, without touching them
+    measured = (git(checkout, "stash", "create") if modified else "") or commit
+    return {"commit": commit, "worktree_modified": modified,
+            "src_tree": git(checkout, "rev-parse", f"{measured}:src"),
+            "perfbench_tree": git(checkout, "rev-parse", f"{measured}:perfbench"),
+            "checkout": str(checkout)}
+
+
+def record_path(out_dir: Path, side: dict) -> Path:
+    suffix = "-worktree" if side["worktree_modified"] else ""
+    return out_dir / f"BENCH_{side['commit'][:12]}{suffix}.json"
+
+
+def load_record(path: Path, name: str, side: dict) -> dict:
+    if path.exists():
+        rec = json.loads(path.read_text())
+        if rec["side"] != side:
+            raise SystemExit(f"{path} was recorded from another checkout or tree")
+        return rec
+    return {"side": side, "name": name,
+            "machine": {"nproc": len(os.sched_getaffinity(0)),
+                        "python": platform.python_version(), "numpy": np.__version__},
+            "runs": []}
+
+
+def run_once(checkout: Path, workload: str, seed: int, trace: int) -> str:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True, timeout=1800)
+    if proc.returncode != 0 or not proc.stdout.strip():
+        raise SystemExit(f"{checkout}: run.py exited {proc.returncode}\n{proc.stderr}")
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def parse_seeds(text: str) -> list[int]:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--parent", type=Path, required=True)
+    p.add_argument("--change", type=Path, required=True)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seeds", type=parse_seeds, required=True, help="N or A-B")
+    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    p.add_argument("--out-dir", type=Path, default=Path("."))
+    args = p.parse_args(argv)
+    sides = {}
+    for name in ("parent", "change"):
+        checkout = getattr(args, name).resolve()
+        side = describe(checkout)
+        path = record_path(args.out_dir, side)
+        sides[name] = (checkout, path, load_record(path, name, side))
+    for pair, seed in enumerate(args.seeds):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for place, name in enumerate(order):
+            checkout, _, rec = sides[name]
+            line = run_once(checkout, args.workload, seed, args.trace)
+            rec["runs"].append({"workload": args.workload, "seed": seed, "trace": args.trace,
+                                "side": name, "first_in_pair": place == 0, "line": line})
+            print(f"{args.workload} seed {seed} {name}: {line}", file=sys.stderr)
+        for _, path, rec in sides.values():
+            path.write_text(json.dumps(rec, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
