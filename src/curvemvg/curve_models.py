@@ -16,11 +16,10 @@ import numpy as np
 
 from . import polycore as pc
 from .polycore import HomogeneousPolynomial, enumerate_monomials
-from .projective_cameras import Camera, GeometryError, PluckerLine, line_span_planes
+from .projective_cameras import (PLUCKER_PAIRS, Camera, GeometryError, PluckerLine,
+                                 line_span_planes)
 
 PRESET_NAMES = ("conic", "twisted_cubic", "rational_quartic", "rational_quintic")
-# point-coordinate pairs (i, j) of the Plucker coordinates, in the order of join_points
-_PLUCKER_PAIRS = np.array([(0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2)]).T
 
 
 class CurveModelError(ValueError):
@@ -130,7 +129,7 @@ class RationalCurve3D:
         # IEEE platform, since the line map of an image tangent passing near
         # the center magnifies coefficient errors: the halves of Dekker's
         # split make every product exact, and math.fsum rounds each sum once
-        d, (i, j) = self.degree, _PLUCKER_PAIRS
+        d, (i, j) = self.degree, np.transpose(PLUCKER_PAIRS)
         scaled = 134217729.0 * self._partials
         hi = scaled - (scaled - self._partials)
         Ct, Cs = np.stack([hi, self._partials - hi], axis=1)

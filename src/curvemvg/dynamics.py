@@ -25,7 +25,8 @@ from .projective_cameras import (
     PluckerLine,
     grassmann_residual,
     join_points,
-    point_line_matrices,
+    line_span_points,
+    point_line_matrix,
     swap_blocks,
 )
 from .reconstruct import (
@@ -114,8 +115,8 @@ def lift_observations(cams, detections) -> RaySet:
     if not len(L):
         empty = np.zeros(0, dtype=int)
         return RaySet(np.zeros((0, 6)), empty, empty, empty)
-    # PluckerLine's gate, for all rows at once: |L.swap(L)| / (2 |L|^2)
-    quadric = np.abs((L[:, :3] * L[:, 3:]).sum(axis=1)) / (L * L).sum(axis=1)
+    # PluckerLine's gate, for all rows at once
+    quadric = grassmann_residual(L)
     if quadric.max() > 1e-7:
         raise GeometryError(
             f"6-vector misses the line quadric (residual {quadric.max():.2e})")
@@ -150,7 +151,7 @@ def recover_static_point(rays, tol: float = 1e-7) -> np.ndarray:
     mat = _ray_rows(rays)
     if mat.shape[0] < 2:
         raise DynamicsError("need at least two rays to intersect")
-    A = point_line_matrices(mat)
+    A = point_line_matrix(mat)
     _, _, Vt = np.linalg.svd(A.reshape(-1, 4), full_matrices=False)
     P = pc.sign_normalize(Vt[-1])
     worst = _incidence_residual(A, P)
@@ -250,7 +251,7 @@ def classify_motion(rays, d_max: int = 3, tol: float | None = None,
         except DynamicsError as err:
             trace["static_reject"] = str(err)
         else:
-            worst = _incidence_residual(point_line_matrices(mat), P)
+            worst = _incidence_residual(point_line_matrix(mat), P)
             trace["static_residual"] = worst
             return MotionClass("static", P, residual=worst, trace=trace)
 
@@ -314,7 +315,7 @@ def localize_on_ray(G: ChowForm, ray: PluckerLine, tol: float = 1e-6,
     if rng is None:
         rng = np.random.default_rng(2024)
     probes = rng.standard_normal((4, 4))
-    A, B = ray.span_points()
+    A, B = line_span_points(ray.v)
     A = A / np.linalg.norm(A)
     B = B / np.linalg.norm(B)
 

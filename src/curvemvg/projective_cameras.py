@@ -5,8 +5,10 @@ Conventions fixed here and used everywhere else:
 * points of P^3 are 4-vectors, image points 3-vectors, both up to scale;
 * a camera is a full-rank 3x4 matrix whose rows are the planes pulled back
   from the image coordinate lines;
-* Plucker coordinates are ordered ``(p01, p02, p03, p23, p31, p12)`` with
-  ``p_ij = P_i Q_j - P_j Q_i`` for a join of points P, Q;
+* Plucker coordinates are ordered ``(p01, p02, p03, p23, p31, p12)``
+  (:data:`PLUCKER_PAIRS`) with ``p_ij = P_i Q_j - P_j Q_i`` for a join of
+  points P, Q; the line functions act on the last axis, so they take one
+  vector or a stack;
 * the incidence pairing of two lines contracts one vector against the
   block-swap of the other, and a 6-vector is a line iff it is isotropic for
   that pairing (the quadric ``p01 p23 + p02 p31 + p03 p12 = 0``).
@@ -28,109 +30,99 @@ class GeometryError(ValueError):
     """Raised for degenerate geometric configurations."""
 
 
-def _swap_blocks(L: np.ndarray) -> np.ndarray:
-    return np.concatenate([L[3:], L[:3]])
+# the one Plucker coordinate order: coordinate k of the join of P and Q is
+# p_ij = P_i Q_j - Q_i P_j for (i, j) = PLUCKER_PAIRS[k]
+PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
+_PAIR_I, _PAIR_J = np.transpose(PLUCKER_PAIRS)
+_SWAP = [3, 4, 5, 0, 1, 2]
+
+
+def _coords(x, n: int) -> np.ndarray:
+    # the one shape check: points and planes have 4 coordinates, lines 6,
+    # along the last axis of a single vector or a stack
+    x = np.asarray(x)
+    if x.ndim == 0 or x.shape[-1] != n:
+        raise GeometryError(f"expected {n} coordinates on the last axis, got shape {x.shape}")
+    return x
+
+
+def _wedge(P, Q) -> np.ndarray:
+    # the one line kernel: the p_ij of PLUCKER_PAIRS over the last axis, for
+    # two points (the join) or two planes (the meet, block-swapped)
+    P, Q = _coords(P, 4), _coords(Q, 4)
+    return P[..., _PAIR_I] * Q[..., _PAIR_J] - Q[..., _PAIR_I] * P[..., _PAIR_J]
 
 
 def swap_blocks(L) -> np.ndarray:
-    """Exchange the two 3-blocks of a Plucker vector (self-duality map)."""
-    L = np.asarray(L)
-    if L.shape != (6,):
-        raise GeometryError("Plucker vectors have six coordinates")
-    return _swap_blocks(L)
+    """Exchange the two 3-blocks of Plucker vectors (self-duality map)."""
+    return _coords(L, 6)[..., _SWAP]
 
 
-def incidence(L1, L2) -> float | complex:
-    """Incidence pairing; zero iff the two lines meet."""
-    L1 = np.asarray(L1)
-    L2 = np.asarray(L2)
-    return L1 @ _swap_blocks(L2)
+def incidence(L1, L2):
+    """Incidence pairing, row by row; zero iff the two lines meet."""
+    return (_coords(L1, 6) * swap_blocks(L2)).sum(axis=-1)
 
 
-def grassmann_residual(L) -> float:
-    """Normalized distance of a 6-vector from the quadric of actual lines."""
-    L = np.asarray(L)
-    n = np.linalg.norm(L)
-    if n == 0.0:
+def grassmann_residual(L):
+    """Normalized distance of 6-vectors from the quadric of actual lines.
+
+    ``|L . swap(L)| / (2 |L|^2)`` of each row: a float for one vector, an
+    array for a stack.  Zero rows raise.
+    """
+    L = _coords(L, 6)
+    nn = np.vecdot(L, L)
+    if np.any(nn == 0.0):
         raise GeometryError("zero vector is not a line")
-    return float(abs(L @ _swap_blocks(L)) / (2.0 * n * n))
+    return np.abs(incidence(L, L)) / (2.0 * nn)
 
 
 def join_points(P, Q) -> np.ndarray:
-    """Plucker coordinates of the line through two distinct points of P^3."""
-    P = np.asarray(P)
-    Q = np.asarray(Q)
-    pairs = np.outer(P, Q) - np.outer(Q, P)
-    L = np.array([pairs[0, 1], pairs[0, 2], pairs[0, 3],
-                  pairs[2, 3], pairs[3, 1], pairs[1, 2]])
-    if np.linalg.norm(L) <= 1e-14 * (np.linalg.norm(P) * np.linalg.norm(Q) + 1e-300):
-        raise GeometryError("join of equal points is undefined")
+    """Plucker coordinates of the lines through pairs of distinct points of P^3."""
+    L = _wedge(P, Q)
+    if np.any(np.linalg.norm(L, axis=-1) <= 1e-14 * (
+            np.linalg.norm(P, axis=-1) * np.linalg.norm(Q, axis=-1) + 1e-300)):
+        raise GeometryError("join of equal points (or meet of equal planes) is undefined")
     return L
 
 
 def meet_planes(A, B) -> np.ndarray:
-    """Plucker coordinates of the intersection line of two distinct planes."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    pairs = np.outer(A, B) - np.outer(B, A)
-    dual = np.array([pairs[0, 1], pairs[0, 2], pairs[0, 3],
-                     pairs[2, 3], pairs[3, 1], pairs[1, 2]])
-    if np.linalg.norm(dual) <= 1e-14 * (np.linalg.norm(A) * np.linalg.norm(B) + 1e-300):
-        raise GeometryError("meet of equal planes is undefined")
-    return _swap_blocks(dual)
+    """Plucker coordinates of the intersection lines of pairs of distinct planes."""
+    return swap_blocks(join_points(A, B))
 
 
 def plucker_matrix(L) -> np.ndarray:
-    """Antisymmetric matrix of a line; right-multiplying a plane gives the meet point."""
-    a01, a02, a03, a23, a31, a12 = np.asarray(L)
-    return np.array([
-        [0.0 * a01, a01, a02, a03],
-        [-a01, 0.0 * a01, a12, -a31],
-        [-a02, -a12, 0.0 * a01, a23],
-        [-a03, a31, -a23, 0.0 * a01],
-    ])
+    """Antisymmetric matrices ``W_ij = p_ij`` of lines; ``W @ A`` is the meet with plane A."""
+    L = _coords(L, 6)
+    W = np.zeros(L.shape[:-1] + (4, 4), dtype=np.result_type(L, 0.0))
+    W[..., _PAIR_I, _PAIR_J] = L
+    W[..., _PAIR_J, _PAIR_I] = -L
+    return W
 
 
 def point_line_matrix(L) -> np.ndarray:
-    """Matrix annihilating exactly the points lying on the line."""
-    return plucker_matrix(_swap_blocks(np.asarray(L)))
-
-
-# every entry of point_line_matrix is one coordinate of the line, signed, so
-# a single (16, 6) matrix of 0 and +-1 maps stacked lines to their matrices
-_POINT_LINE_MAP = np.stack([point_line_matrix(e) for e in np.eye(6)],
-                           axis=-1).reshape(16, 6)
-
-
-def point_line_matrices(lines) -> np.ndarray:
-    """:func:`point_line_matrix` of each row of an (n, 6) array, as (n, 4, 4)."""
-    return (np.asarray(lines) @ _POINT_LINE_MAP.T).reshape(-1, 4, 4)
+    """Matrices annihilating exactly the points lying on the lines."""
+    return plucker_matrix(swap_blocks(L))
 
 
 def meet_line_plane(L, A) -> np.ndarray:
     """Intersection point of a line with a plane not containing it."""
-    P = plucker_matrix(L) @ np.asarray(A)
+    P = plucker_matrix(L) @ _coords(A, 4)
     if np.linalg.norm(P) <= 1e-12 * (np.linalg.norm(L) * np.linalg.norm(A) + 1e-300):
         raise GeometryError("plane contains the line, meet point is undefined")
     return P
 
 
-def line_span_points(L) -> tuple[np.ndarray, np.ndarray]:
-    """Two orthonormal points spanning a line."""
-    W = point_line_matrix(L)
-    _, s, Vt = np.linalg.svd(W)
-    if s[1] <= 1e-10 * s[0]:
-        raise GeometryError("degenerate line has no two-point span")
-    return Vt[-1], Vt[-2]
-
-
 def line_span_planes(L) -> tuple[np.ndarray, np.ndarray]:
     """Two orthonormal planes whose intersection is the line."""
-    W = plucker_matrix(L)
-    _, s, Vt = np.linalg.svd(W)
+    _, s, Vt = np.linalg.svd(plucker_matrix(L))
     if s[1] <= 1e-10 * s[0]:
         raise GeometryError("degenerate line has no plane pencil")
     return Vt[-1], Vt[-2]
+
+
+def line_span_points(L) -> tuple[np.ndarray, np.ndarray]:
+    """Two orthonormal points spanning a line."""
+    return line_span_planes(swap_blocks(L))
 
 
 def cross_matrix(v) -> np.ndarray:
@@ -145,11 +137,8 @@ def line_map(V) -> np.ndarray:
     V = np.asarray(V)
     if V.shape != (4, 4):
         raise GeometryError("point transforms are 4x4")
-    pairs = [(0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2)]
-    W = np.empty((6, 6), dtype=V.dtype)
-    for col, (a, b) in enumerate(pairs):
-        W[:, col] = join_points(V[:, a], V[:, b])
-    return W
+    # column k is the join of the images of the pair PLUCKER_PAIRS[k]
+    return join_points(V.T[_PAIR_I], V.T[_PAIR_J]).T
 
 
 @dataclass(frozen=True)
@@ -162,32 +151,10 @@ class PluckerLine:
         v = np.asarray(self.v, dtype=float)
         if v.shape != (6,):
             raise GeometryError("Plucker vectors have six coordinates")
-        if np.linalg.norm(v) == 0.0:
-            raise GeometryError("zero vector is not a line")
-        if grassmann_residual(v) > 1e-7:
-            raise GeometryError(
-                f"6-vector misses the line quadric (residual {grassmann_residual(v):.2e})")
+        residual = grassmann_residual(v)
+        if residual > 1e-7:
+            raise GeometryError(f"6-vector misses the line quadric (residual {residual:.2e})")
         object.__setattr__(self, "v", sign_normalize(v))
-
-    @classmethod
-    def from_points(cls, P, Q) -> "PluckerLine":
-        return cls(join_points(P, Q))
-
-    def incidence(self, other) -> float:
-        other = other.v if isinstance(other, PluckerLine) else np.asarray(other)
-        return float(incidence(self.v, other))
-
-    def span_points(self) -> tuple[np.ndarray, np.ndarray]:
-        return line_span_points(self.v)
-
-
-def _as_line6(L) -> np.ndarray:
-    return L.v if isinstance(L, PluckerLine) else np.asarray(L)
-
-
-# the pairs (i, j) of meet_planes' block-swapped coordinates p_ij
-_MEET_I = [2, 3, 1, 0, 0, 0]
-_MEET_J = [3, 1, 2, 1, 2, 3]
 
 
 def _checked_matrices(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,9 +173,9 @@ def _checked_matrices(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ray_matrices(M: np.ndarray) -> np.ndarray:
-    # the one ray-matrix kernel: (k, 3, 4) cameras to their (k, 6, 3) lifts
-    A, B = M[:, [1, 2, 0]], M[:, [2, 0, 1]]
-    return (A[..., _MEET_I] * B[..., _MEET_J] - B[..., _MEET_I] * A[..., _MEET_J]).mT.copy()
+    # the one ray-matrix kernel: (k, 3, 4) cameras to their (k, 6, 3) lifts,
+    # the meets of the row pairs (1, 2), (2, 0), (0, 1)
+    return swap_blocks(_wedge(M[:, [1, 2, 0]], M[:, [2, 0, 1]])).mT.copy()
 
 
 def posed_matrices(f, alpha, s, u0, v0, R, t) -> np.ndarray:
@@ -280,8 +247,7 @@ class Camera:
         Equal to the transpose of :attr:`ray_matrix` read through the
         incidence pairing, i.e. ``ray_matrix.T`` composed with the block swap.
         """
-        Mhat = self.ray_matrix
-        return np.concatenate([Mhat[3:], Mhat[:3]], axis=0).T
+        return swap_blocks(self.ray_matrix.T)
 
     def project(self, P) -> np.ndarray:
         P = np.asarray(P)
@@ -308,9 +274,9 @@ def optical_ray(cam: Camera, p) -> PluckerLine:
 
 def line_image(cam: Camera, L) -> np.ndarray:
     """Image of a space line; the zero vector flags a line through the center."""
-    L6 = _as_line6(L)
-    out = cam.line_matrix @ L6
-    if np.linalg.norm(out) <= RAY_TOL * np.linalg.norm(L6):
+    L = _coords(L, 6)
+    out = cam.line_matrix @ L
+    if np.linalg.norm(out) <= RAY_TOL * np.linalg.norm(L):
         return np.zeros(3)
     return sign_normalize(out)
 

@@ -5,8 +5,8 @@ import pytest
 
 from curvemvg import curve_models as cm
 from curvemvg import polycore as pc
-from curvemvg.projective_cameras import (Camera, GeometryError, incidence, join_points,
-                                         point_line_matrix)
+from curvemvg.projective_cameras import (PLUCKER_PAIRS, Camera, GeometryError, incidence,
+                                         join_points, point_line_matrix)
 
 
 def test_class_and_node_counts():
@@ -126,7 +126,7 @@ def test_image_tangents_match_per_parameter_rows(request, cams, name):
     assert np.abs(batch - reference).max() < 1e-14
 
 
-def _exact_tangent_form(curve):
+def _exact_tangent_form(curve, pairs=((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))):
     # X_t ^ X_s convolved pair by pair in exact rational arithmetic from the
     # rebuilt partial matrices, each coefficient rounded once
     d = curve.degree
@@ -137,7 +137,7 @@ def _exact_tangent_form(curve):
     return np.array([[float(sum((Ct[i][a] * Cs[j][k - a] - Ct[j][a] * Cs[i][k - a]
                                  for a in range(max(0, k - d + 1), min(d, k + 1))), Fraction(0)))
                       for k in range(2 * d - 1)]
-                     for i, j in [(0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2)]])
+                     for i, j in pairs])
 
 
 def _tangents_by_the_power_tensor(curve, cam, thetas):
@@ -154,6 +154,15 @@ def _tangents_by_the_power_tensor(curve, cam, thetas):
     l = l / np.sqrt((l * l).sum(axis=1))[:, None]
     lead = l[np.arange(len(l)), np.argmax(np.abs(l) > 1e-12, axis=1)]
     return np.where(lead < 0.0, -1.0, 1.0)[:, None] * l
+
+
+@pytest.mark.parametrize("name", ["conic", "cubic", "quartic", "quintic"])
+def test_tangent_form_reads_the_plucker_pair_order(request, name):
+    # row k of the form is the exact p_ij of PLUCKER_PAIRS[k], sign bits included
+    curve = request.getfixturevalue(name)
+    want = _exact_tangent_form(curve, PLUCKER_PAIRS)
+    assert np.array_equal(curve.tangent_form, want)
+    assert np.array_equal(np.signbit(curve.tangent_form), np.signbit(want))
 
 
 @pytest.mark.parametrize("name", ["conic", "cubic", "quartic", "quintic"])

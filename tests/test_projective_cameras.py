@@ -10,6 +10,15 @@ def rng():
     return np.random.default_rng(101)
 
 
+def assert_bit_equal(got, want):
+    # np.array_equal reads -0.0 == +0.0; the sign bit of a zero steers
+    # LAPACK's pivots, so it is compared too
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_join_meet_duality():
     r = rng()
     P, Q = r.standard_normal(4), r.standard_normal(4)
@@ -38,7 +47,7 @@ def test_plucker_line_validation():
     with pytest.raises(pcam.GeometryError):
         PluckerLine(bad)
     r = rng()
-    L = PluckerLine.from_points(r.standard_normal(4), r.standard_normal(4))
+    L = PluckerLine(pcam.join_points(r.standard_normal(4), r.standard_normal(4)))
     assert abs(np.linalg.norm(L.v) - 1.0) < 1e-12
 
 
@@ -184,7 +193,8 @@ def test_ray_matrix_matches_meet_planes(cams):
         gamma, lam, theta = cam.M
         want = np.stack([pcam.meet_planes(lam, theta), pcam.meet_planes(theta, gamma),
                          pcam.meet_planes(gamma, lam)], axis=1)
-        assert np.array_equal(cam.ray_matrix, want)
+        assert_bit_equal(cam.ray_matrix, want)
+        assert_bit_equal(cam.line_matrix, pcam.swap_blocks(want.T))
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e300])
@@ -234,13 +244,68 @@ def test_adjugate3():
                        atol=1e-10)
 
 
-def test_point_line_matrices_match_point_line_matrix():
+def test_point_line_matrix_rows_match_one_row_calls():
     r = rng()
-    lines = np.stack([pcam.join_points(r.standard_normal(4), r.standard_normal(4))
-                      for _ in range(12)])
-    got = pcam.point_line_matrices(lines)
+    lines = pcam.join_points(r.standard_normal((12, 4)), r.standard_normal((12, 4)))
+    got = pcam.point_line_matrix(lines)
     assert got.shape == (12, 4, 4)
-    assert np.array_equal(got, np.stack([pcam.point_line_matrix(L) for L in lines]))
+    assert_bit_equal(got, np.stack([pcam.point_line_matrix(L) for L in lines]))
+    # the zeros are +0.0 whatever the signs of the coordinates
+    assert not np.signbit(np.diagonal(got, axis1=1, axis2=2)).any()
+
+
+@pytest.mark.parametrize("name", ["join_points", "meet_planes", "swap_blocks",
+                                  "grassmann_residual", "incidence", "plucker_matrix"])
+def test_line_function_rows_match_one_row_calls(name):
+    r = rng()
+    P, Q = r.standard_normal((2, 9, 4))
+    lines = pcam.join_points(P, Q)
+    args = {"join_points": (P, Q), "meet_planes": (P, Q), "swap_blocks": (lines,),
+            "grassmann_residual": (lines,), "plucker_matrix": (lines,),
+            "incidence": (lines, lines[::-1])}[name]
+    fn = getattr(pcam, name)
+    batch = fn(*args)
+    assert len(batch) == 9
+    for k in range(9):
+        assert_bit_equal(batch[k], fn(*(a[k] for a in args)))
+
+
+def test_plucker_pairs_fix_the_coordinate_order():
+    assert pcam.PLUCKER_PAIRS == ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
+    r = rng()
+    P, Q = r.standard_normal(4), r.standard_normal(4)
+    want = [P[i] * Q[j] - Q[i] * P[j] for i, j in pcam.PLUCKER_PAIRS]
+    assert_bit_equal(pcam.join_points(P, Q), want)
+    assert_bit_equal(pcam.meet_planes(P, Q), pcam.swap_blocks(want))
+    W = pcam.plucker_matrix(want)
+    for k, (i, j) in enumerate(pcam.PLUCKER_PAIRS):
+        assert W[i, j] == want[k] and W[j, i] == -want[k]
+
+
+_GOOD_LINE = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+_MALFORMED = {
+    "join_points: 3-vectors": lambda: pcam.join_points(np.ones(3), np.arange(3.0)),
+    "join_points: scalars": lambda: pcam.join_points(1.0, 2.0),
+    "meet_planes: 5-vectors": lambda: pcam.meet_planes(np.ones(5), np.arange(5.0)),
+    "swap_blocks: 5-vector": lambda: pcam.swap_blocks(np.ones(5)),
+    "incidence: 5-vectors": lambda: pcam.incidence(np.ones(5), np.ones(5)),
+    "incidence: first a 5-vector": lambda: pcam.incidence(np.ones(5), _GOOD_LINE),
+    "grassmann_residual: 5-vector": lambda: pcam.grassmann_residual(np.ones(5)),
+    "plucker_matrix: 5-vector": lambda: pcam.plucker_matrix(np.ones(5)),
+    "point_line_matrix: 7-vector": lambda: pcam.point_line_matrix(np.ones(7)),
+    "line_span_points: 5-vector": lambda: pcam.line_span_points(np.ones(5)),
+    "line_span_planes: 5-vector": lambda: pcam.line_span_planes(np.ones(5)),
+    "meet_line_plane: 5-vector line": lambda: pcam.meet_line_plane(np.ones(5), np.ones(4)),
+    "meet_line_plane: 3-vector plane": lambda: pcam.meet_line_plane(_GOOD_LINE, np.ones(3)),
+    "line_image: 5-vector": lambda: pcam.line_image(Camera(np.eye(3, 4)), np.ones(5)),
+    "PluckerLine: 5-vector": lambda: PluckerLine(np.ones(5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_line_input_raises_geometry_error(case):
+    with pytest.raises(pcam.GeometryError):
+        _MALFORMED[case]()
 
 
 def test_camera_stack_is_bit_equal_to_one_camera_at_a_time():

@@ -291,7 +291,7 @@ README_DIGESTS = {
     "kruppa-dim --config conic_pair.json":
         "0afff9257d2fd2247c2d81be07e125069ca3530050c3403586b53d5549b14f66",
     "reconstruct-points --config cubic_pair.json --planes 60":
-        "62633d267add7b22b637b90bd92ffff1f714071a01213c8bc6c00331ec5e9aee",
+        "dd3a8b8703ede4b67ddf40bbf659667663c1037c2d71e7e70e1cc75077bb0d90",
     "reconstruct-dual --config dual_quartic.json":
         "729a27009816fe34dcfbf09c7bffb1a7b8e7270f8867be9201b98c6895a77693",
     "reconstruct-chow --config chow_cubic.json":

@@ -17,6 +17,12 @@ the commit, the git tree of ``src/`` and of ``perfbench/`` as measured, the
 checkout directory (``setup_s`` depends on it), the processor count and the
 Python and numpy versions.
 
+When it creates a record, the script also runs the Tier-1 suite once in that
+checkout (``python -m pytest -q --continue-on-collection-errors`` with
+``src`` on ``PYTHONPATH``) and stores its passed and failed counts (errors
+count as failed), its wall time and its summary line under ``tier1``.  A
+record that is appended to keeps the figures of its first run.
+
 A checkout whose tracked files differ from its commit is recorded as
 ``BENCH_<commit>-worktree.json``: such a record is keyed by its base commit
 plus ``src_tree``, which equals ``git rev-parse <c>:src`` of the commit
@@ -31,8 +37,10 @@ import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +72,26 @@ def record_path(out_dir: Path, side: dict) -> Path:
     return out_dir / f"BENCH_{side['commit'][:12]}{suffix}.json"
 
 
+def run_tier1(checkout: Path) -> dict:
+    """Passed and failed counts and wall time of one Tier-1 run in the checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+        cwd=checkout, env=env, capture_output=True, text=True, timeout=1800)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    summary = lines[-1] if lines else ""
+    counts = {kind: 0 for kind in ("passed", "failed", "error")}
+    for n, kind in re.findall(r"(\d+) (passed|failed|error)", summary):
+        counts[kind] += int(n)
+    if not counts["passed"] + counts["failed"] + counts["error"]:
+        raise SystemExit(f"{checkout}: no Tier-1 summary line\n{proc.stdout}{proc.stderr}")
+    return {"passed": counts["passed"], "failed": counts["failed"] + counts["error"],
+            "wall_s": round(wall, 2), "summary": summary}
+
+
 def load_record(path: Path, name: str, side: dict) -> dict:
     if path.exists():
         rec = json.loads(path.read_text())
@@ -73,6 +101,7 @@ def load_record(path: Path, name: str, side: dict) -> dict:
     return {"side": side, "name": name,
             "machine": {"nproc": len(os.sched_getaffinity(0)),
                         "python": platform.python_version(), "numpy": np.__version__},
+            "tier1": run_tier1(Path(side["checkout"])),
             "runs": []}
 
 
