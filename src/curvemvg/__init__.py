@@ -6,6 +6,8 @@ three reconstruction routes (cone intersection, dual surface, Chow form),
 and classification of point trajectories observed by unsynchronized cameras.
 """
 
+from types import ModuleType as _ModuleType
+
 from .polycore import (
     HomogeneousPolynomial,
     MonomialBasis,
@@ -23,7 +25,6 @@ from .projective_cameras import (
     EpipolarGeometry,
     PluckerLine,
     canonical_pair,
-    center,
     fundamental,
     homography,
     line_image,
@@ -32,7 +33,6 @@ from .projective_cameras import (
 from .curve_models import (
     RationalCurve3D,
     class_of,
-    dual_image_curve,
     image_tangent,
     implicit_image_curve,
     node_count,
@@ -80,64 +80,6 @@ from .scenes import (
     random_camera,
 )
 
-__all__ = [
-    "HomogeneousPolynomial",
-    "MonomialBasis",
-    "enumerate_monomials",
-    "evaluate",
-    "fit_nullspace",
-    "fit_vanishing_form",
-    "pullback",
-    "quadratic_matrix",
-    "restrict_to_line",
-    "whitening_map",
-    "Camera",
-    "EpipolarGeometry",
-    "PluckerLine",
-    "canonical_pair",
-    "center",
-    "fundamental",
-    "homography",
-    "line_image",
-    "optical_ray",
-    "RationalCurve3D",
-    "class_of",
-    "dual_image_curve",
-    "image_tangent",
-    "implicit_image_curve",
-    "node_count",
-    "preset_curve",
-    "KruppaInstance",
-    "build_instance",
-    "detection_response",
-    "gen_kruppa_constraints",
-    "quadric_degeneracy",
-    "refine_epipolar",
-    "solution_dimension",
-    "tangency_points",
-    "ChowForm",
-    "DualSurface",
-    "InsufficientViews",
-    "ReconstructionError",
-    "chow_membership",
-    "chow_reconstruct",
-    "consistency_report",
-    "dual_reconstruct",
-    "epipolar_sweep",
-    "min_views_chow",
-    "min_views_dual",
-    "views_for_chow",
-    "views_for_dual",
-    "MotionClass",
-    "RaySet",
-    "classify_motion",
-    "lift_observations",
-    "localize_on_ray",
-    "recover_line_motion",
-    "recover_static_point",
-    "recover_trajectory_chow",
-    "camera_ring",
-    "make_trajectory",
-    "observe_trajectory",
-    "random_camera",
-]
+# the names imported above, without the submodules they come from
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

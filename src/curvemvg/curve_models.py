@@ -186,8 +186,8 @@ def preset_curve(name: str, rng_seed: int) -> RationalCurve3D:
     raise CurveModelError(f"could not draw a generic {name} from seed {rng_seed}")
 
 
-def _is_generic(curve: RationalCurve3D, n: int = 240) -> bool:
-    thetas = _sample_thetas(n)
+def _is_generic(curve: RationalCurve3D) -> bool:
+    thetas = _sample_thetas(240)
     P = curve.points(thetas)
     # immersion: velocity never parallel to the point
     p, v = P[::6, :, None], curve.velocity(thetas[::6])[:, None, :]
@@ -197,7 +197,7 @@ def _is_generic(curve: RationalCurve3D, n: int = 240) -> bool:
     # injectivity: well-separated parameters give distinct points
     G = P @ P.T
     np.abs(G, out=G)
-    return not np.any((G > 1.0 - 1e-8) & _separated(n))
+    return not np.any((G > 1.0 - 1e-8) & _separated(240))
 
 
 @lru_cache(maxsize=None)
@@ -232,18 +232,17 @@ def _projected_points(curve: RationalCurve3D, cam: Camera, thetas) -> np.ndarray
     return pts / norms[:, None]
 
 
-def implicit_image_curve(curve: RationalCurve3D, cam: Camera,
-                         oversample: float = 2.0) -> ImageCurve:
+def implicit_image_curve(curve: RationalCurve3D, cam: Camera) -> ImageCurve:
     """Fit the implicit degree-d form of the projected curve.
 
-    Uses ``oversample * C(d+2, 2)`` samples along the parametrization, then
-    validates the fitted form on a held-out set.  An ambiguous nullspace or a
-    bad held-out residual raises, since either means the projection is not a
-    generic degree-d plane curve.
+    Uses twice as many samples along the parametrization as the form has
+    coefficients (at least 6 more), then validates the fitted form on a
+    held-out set.  An ambiguous nullspace or a bad held-out residual raises,
+    since either means the projection is not a generic degree-d plane curve.
     """
     d = curve.degree
     basis = enumerate_monomials(3, d)
-    n = max(int(oversample * basis.size), basis.size + 6)
+    n = max(2 * basis.size, basis.size + 6)
     f, gap = pc.fit_vanishing_form(basis, _projected_points(curve, cam, _sample_thetas(n)))
     if gap >= 1e-3:
         raise CurveModelError(f"implicit fit is ambiguous (gap {gap:.2e})")
@@ -282,12 +281,16 @@ def image_tangent(curve: RationalCurve3D, cam: Camera, theta: float) -> np.ndarr
     return image_tangents(curve, cam, theta)[0]
 
 
-def fit_dual_image_curve(curve: RationalCurve3D, cam: Camera,
-                         oversample: float = 2.0) -> tuple[HomogeneousPolynomial, float]:
-    """Dual-curve fit returning the form and its nullspace gap."""
+def fit_dual_image_curve(curve: RationalCurve3D,
+                         cam: Camera) -> tuple[HomogeneousPolynomial, float]:
+    """Form of degree 2d+2g-2 vanishing on every tangent of the image, and its gap.
+
+    Fits twice as many sampled tangents as the form has coefficients (at
+    least 8 more) and validates the form on held-out tangents.
+    """
     m = class_of(curve.degree, 0)
     basis = enumerate_monomials(3, m)
-    n = max(int(oversample * basis.size), basis.size + 8)
+    n = max(2 * basis.size, basis.size + 8)
     lines = image_tangents(curve, cam, _sample_thetas(n))
     phi, gap = pc.fit_vanishing_form(basis, lines)
     if gap >= 1e-3:
@@ -299,22 +302,16 @@ def fit_dual_image_curve(curve: RationalCurve3D, cam: Camera,
     return phi, gap
 
 
-def dual_image_curve(curve: RationalCurve3D, cam: Camera) -> HomogeneousPolynomial:
-    """Form of degree 2d+2g-2 vanishing on every tangent line of the image."""
-    phi, _ = fit_dual_image_curve(curve, cam)
-    return phi
-
-
-def find_nodes(curve: RationalCurve3D, cam: Camera, image_curve: ImageCurve,
-               n_grid: int = 2000, tol: float = 1e-7) -> list[tuple[np.ndarray, tuple[float, float]]]:
+def find_nodes(curve: RationalCurve3D, cam: Camera,
+               image_curve: ImageCurve) -> list[tuple[np.ndarray, tuple[float, float]]]:
     """Locate nodes of the image curve by scanning for vanishing gradients.
 
-    Walks the real parametrization, polishes every shallow local minimum of
-    |grad f|, keeps the ones that reach ``tol``, and pairs up parameters that
-    land on one image point; only such visible crossings are returned.  A
-    secant of the space curve through the center whose two parameters are
-    complex conjugate produces an isolated singular point instead, which the
-    real-parameter walk cannot reach.
+    Walks 2000 points of the real parametrization, polishes every shallow
+    local minimum of |grad f|, keeps the ones below 1e-7, and pairs up
+    parameters that land on one image point; only such visible crossings
+    are returned.  A secant of the space curve through the center whose two
+    parameters are complex conjugate produces an isolated singular point
+    instead, which the real-parameter walk cannot reach.
     """
     f = image_curve.f
     grads = pc.gradient(f)
@@ -326,6 +323,7 @@ def find_nodes(curve: RationalCurve3D, cam: Camera, image_curve: ImageCurve,
         p = p / np.linalg.norm(p)
         return float(np.linalg.norm(pc.monomial_rows(gbasis, p) @ gcoeffs.T))
 
+    n_grid = 2000
     thetas = _sample_thetas(n_grid)
     pts = _projected_points(curve, cam, thetas)
     vals = np.linalg.norm(pc.monomial_rows(gbasis, pts) @ gcoeffs.T, axis=1)
@@ -337,7 +335,7 @@ def find_nodes(curve: RationalCurve3D, cam: Camera, image_curve: ImageCurve,
         if vals[i] < coarse and vals[i] <= vals[lo] and vals[i] <= vals[hi]:
             th, g = pc.golden_polish(gnorm, thetas[i] - 1.5 * span,
                                      thetas[i] + 1.5 * span, 1e-13)
-            if g >= tol:
+            if g >= 1e-7:
                 continue
             th = th % np.pi
             p = cam.M @ curve.point(th)

@@ -215,20 +215,19 @@ def recover_trajectory_chow(rays, d: int) -> ChowForm:
     return fit_chow_from_lines(_ray_rows(rays), d, per_view_blocks=blocks)
 
 
-def _holdout_split(n: int, every: int = 5) -> tuple[np.ndarray, np.ndarray]:
+def _holdout_split(n: int) -> tuple[np.ndarray, np.ndarray]:
     idx = np.arange(n)
-    held = idx[::every]
+    held = idx[::5]
     train = np.setdiff1d(idx, held)
     return train, held
 
 
-def classify_motion(rays, d_max: int = 3, tol: float | None = None,
-                    noise_sigma: float = 0.0) -> MotionClass:
+def classify_motion(rays, noise_sigma: float = 0.0) -> MotionClass:
     """Simplest accepted motion model for one point's rays.
 
     Stages: static (rays span a 2-plane and meet at a point), line (one
     hyperplane whose normal is itself a line), then fitted forms of degree
-    2..d_max validated on held-out rays.  Acceptance thresholds scale with
+    2 and 3 validated on held-out rays.  Acceptance thresholds scale with
     the declared image noise; with none they sit at exact-arithmetic levels.
     Returns "unclassified" with the residual trace when nothing accepts.
     """
@@ -236,7 +235,7 @@ def classify_motion(rays, d_max: int = 3, tol: float | None = None,
     n = mat.shape[0]
     if n < 8:
         raise DynamicsError("need at least eight rays to classify")
-    eff_tol = max(1e-7, 10.0 * noise_sigma) if tol is None else tol
+    eff_tol = max(1e-7, 10.0 * noise_sigma)
     rank_gate = max(1e-8, 20.0 * noise_sigma)
     trace: dict = {"n_rays": n, "tol": eff_tol}
 
@@ -276,7 +275,7 @@ def classify_motion(rays, d_max: int = 3, tol: float | None = None,
     # gracefully with noise (rank thresholds do not: the weakest true
     # direction and the noise floor overlap across instances).
     train, held = _holdout_split(n)
-    for d in range(2, d_max + 1):
+    for d in (2, 3):
         try:
             G = fit_chow_from_lines(mat[train], d, enforce_rank=False)
         except (InsufficientViews, ReconstructionError) as err:
@@ -303,14 +302,14 @@ class LocalizeResult:
 
 
 def localize_on_ray(G: ChowForm, ray: PluckerLine, tol: float = 1e-6,
-                    n_samples: int = 512, rng: np.random.Generator | None = None,
-                    hint=None) -> LocalizeResult:
+                    rng: np.random.Generator | None = None) -> LocalizeResult:
     """Scan a ray for its meeting points with the trajectory of G.
 
     Membership scoring joins each candidate point with fixed probe points;
-    on the trajectory every such joining line satisfies G.  The scan is
-    polished locally; a secant ray legitimately yields several minima, so
-    ties below tol are reported, never resolved silently.
+    on the trajectory every such joining line satisfies G.  A scan of 512
+    points along the ray is polished locally; a secant ray legitimately
+    yields several minima, so ties below tol are reported, never resolved
+    silently.
     """
     if rng is None:
         rng = np.random.default_rng(2024)
@@ -327,14 +326,15 @@ def localize_on_ray(G: ChowForm, ray: PluckerLine, tol: float = 1e-6,
         P = point_at(t)
         return max(abs(G(join_points(P, R))) for R in probes)
 
-    ts = np.linspace(0.0, np.pi, n_samples, endpoint=False)
+    n = 512
+    ts = np.linspace(0.0, np.pi, n, endpoint=False)
     vals = np.array([score(t) for t in ts])
     minima = []
-    for i in range(n_samples):
-        if vals[i] <= vals[i - 1] and vals[i] <= vals[(i + 1) % n_samples]:
+    for i in range(n):
+        if vals[i] <= vals[i - 1] and vals[i] <= vals[(i + 1) % n]:
             minima.append(i)
 
-    step = np.pi / n_samples
+    step = np.pi / n
     candidates = []
     for i in minima:
         t_best, v = pc.golden_polish(score, ts[i] - step, ts[i] + step, 1e-14)
@@ -356,8 +356,4 @@ def localize_on_ray(G: ChowForm, ray: PluckerLine, tol: float = 1e-6,
             f"(best {vals.min():.2e})")
     dedup.sort(key=lambda c: c[2])
     best = dedup[0]
-    if hint is not None:
-        h = np.asarray(hint, dtype=float)
-        h = h / np.linalg.norm(h)
-        best = min(dedup, key=lambda c: 1.0 - abs(c[1] @ h))
     return LocalizeResult(best[1], best[0], best[2], dedup, len(dedup) > 1)

@@ -63,11 +63,6 @@ def build_instance(curve: RationalCurve3D, cam1: Camera, cam2: Camera) -> Kruppa
     return KruppaInstance(phi1, phi2, fundamental(cam1, cam2))
 
 
-def _probe_pool(rng: np.random.Generator, count: int = 5):
-    for _ in range(count):
-        yield rng.standard_normal(3), rng.standard_normal(3)
-
-
 def constraint_vector(phi1: HomogeneousPolynomial, phi2: HomogeneousPolynomial,
                       e1, F, probe: tuple[np.ndarray, np.ndarray],
                       pivot: int | None = None) -> np.ndarray:
@@ -80,8 +75,12 @@ def constraint_vector(phi1: HomogeneousPolynomial, phi2: HomogeneousPolynomial,
     pivot so the output stays smooth in (e1, F).
     """
     u, v, scale, strongest = _restricted_pair(phi1, phi2, e1, F, probe)
-    k = strongest if pivot is None else pivot
-    idx = [i for i in range(phi1.degree + 1) if i != k]
+    return _cross_differences(u, v, scale, strongest if pivot is None else pivot)
+
+
+def _cross_differences(u, v, scale, k):
+    # the m cross-differences of a restricted pair against coefficient k
+    idx = [i for i in range(len(u)) if i != k]
     return (u[idx] * v[k] - u[k] * v[idx]) / scale
 
 
@@ -98,25 +97,38 @@ def _restricted_pair(phi1, phi2, e1, F, probe):
     return u, v, nu * nv, int(np.argmax(np.abs(u) + np.abs(v)))
 
 
-def gen_kruppa_constraints(inst: KruppaInstance,
-                           probe: tuple[np.ndarray, np.ndarray] | None = None,
-                           rng: np.random.Generator | None = None) -> np.ndarray:
-    """Constraint vector of one instance at its stored epipolar geometry."""
-    if probe is not None:
-        return constraint_vector(inst.phi1, inst.phi2, inst.eg.e1, inst.eg.F, probe)
-    rng = np.random.default_rng(0) if rng is None else rng
-    last: Exception | None = None
-    for cand in _probe_pool(rng):
+def _usable_probes(inst: KruppaInstance, e1, F, rng: np.random.Generator,
+                   want: int, pool: int) -> list:
+    # the one probe draw: up to ``want`` usable probe lines of ``pool`` drawn,
+    # each with its restricted pair; the draw stops at the ``want``-th
+    found, last = [], None
+    for _ in range(pool):
+        probe = rng.standard_normal(3), rng.standard_normal(3)
         try:
-            return constraint_vector(inst.phi1, inst.phi2, inst.eg.e1, inst.eg.F, cand)
+            found.append((probe, _restricted_pair(inst.phi1, inst.phi2, e1, F, probe)))
         except (KruppaError, pc.PolynomialError) as err:
             last = err
-    raise KruppaError(f"no usable probe line found: {last}")
+            continue
+        if len(found) == want:
+            break
+    if not found:
+        raise KruppaError(f"no usable probe line found: {last}")
+    return found
 
 
-def detection_response(inst: KruppaInstance, rng: np.random.Generator | None = None,
-                       n_probes: int = 3) -> float:
-    """Largest constraint magnitude over several independent probe lines.
+def gen_kruppa_constraints(inst: KruppaInstance,
+                           rng: np.random.Generator | None = None) -> np.ndarray:
+    """Constraint vector of one instance at its stored epipolar geometry.
+
+    The probe line is the first usable one of five drawn from ``rng``.
+    """
+    rng = np.random.default_rng(0) if rng is None else rng
+    [(_, pair)] = _usable_probes(inst, inst.eg.e1, inst.eg.F, rng, 1, 5)
+    return _cross_differences(*pair)
+
+
+def detection_response(inst: KruppaInstance, rng: np.random.Generator | None = None) -> float:
+    """Largest constraint magnitude over the first three usable of six probe lines.
 
     A single probe can land near the kernel of the probe-restricted
     constraint Jacobian and answer a genuinely wrong geometry with a
@@ -124,22 +136,8 @@ def detection_response(inst: KruppaInstance, rng: np.random.Generator | None = N
     that separates truth (still at fit-noise level) from perturbations.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    best = 0.0
-    used = 0
-    last: Exception | None = None
-    for cand in _probe_pool(rng, count=max(2 * n_probes, 5)):
-        try:
-            vec = constraint_vector(inst.phi1, inst.phi2, inst.eg.e1, inst.eg.F, cand)
-        except (KruppaError, pc.PolynomialError) as err:
-            last = err
-            continue
-        best = max(best, float(np.abs(vec).max()))
-        used += 1
-        if used == n_probes:
-            break
-    if used == 0:
-        raise KruppaError(f"no usable probe line found: {last}")
-    return best
+    draws = _usable_probes(inst, inst.eg.e1, inst.eg.F, rng, 3, 6)
+    return max(0.0, *(float(np.abs(_cross_differences(*pair)).max()) for _, pair in draws))
 
 
 def classical_kruppa_residual(eg: EpipolarGeometry, C1, C2) -> float:
@@ -234,7 +232,7 @@ def _polish_tangency(coeff: np.ndarray, theta: float) -> float:
     return theta % np.pi
 
 
-def quadric_degeneracy(td: TangencyData, rel_tol: float = 1e-8) -> bool:
+def quadric_degeneracy(td: TangencyData) -> bool:
     """Whether some quadric contains the baseline and every tangency point.
 
     Three points pin the baseline (a quadric through three collinear points
@@ -249,7 +247,7 @@ def quadric_degeneracy(td: TangencyData, rel_tol: float = 1e-8) -> bool:
     pts = np.vstack([line_pts, td.Q]) if td.Q.size else line_pts
     rows = pc.monomial_rows(basis, pts)
     rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    rank, _ = pc.numerical_rank(rows, rel_tol=rel_tol)
+    rank, _ = pc.numerical_rank(rows, rel_tol=1e-8)
     return rank < basis.size
 
 
@@ -306,18 +304,10 @@ def _constraint_map(instances, eg: EpipolarGeometry, rng: np.random.Generator,
     """
     terms = []  # (instance, probe, pivot)
     for inst in instances:
-        found = 0
-        for cand in _probe_pool(rng, count=5 * per_instance):
-            try:
-                *_, pivot = _restricted_pair(inst.phi1, inst.phi2, eg.e1, eg.F, cand)
-            except (KruppaError, pc.PolynomialError):
-                continue
-            terms.append((inst, cand, pivot))
-            found += 1
-            if found == per_instance:
-                break
-        if found < per_instance:
+        draws = _usable_probes(inst, eg.e1, eg.F, rng, per_instance, 5 * per_instance)
+        if len(draws) < per_instance:
             raise KruppaError("not enough usable probe lines for one instance")
+        terms.extend((inst, probe, pair[3]) for probe, pair in draws)
     chart = epipolar_chart(eg)
 
     def func(theta: np.ndarray) -> np.ndarray:
@@ -335,27 +325,24 @@ def _central_jacobian(func, theta: np.ndarray, step: float) -> np.ndarray:
 
 
 def solution_dimension(instances, eg_truth: EpipolarGeometry,
-                       step: float = 1e-6, rank_tol: float = 1e-7,
-                       gap_floor: float = 10.0,
-                       rng: np.random.Generator | None = None,
-                       probes_per_instance: int = 2) -> int:
+                       rng: np.random.Generator | None = None) -> int:
     """Local dimension of the constraint variety at the true geometry.
 
-    Differentiates the stacked constraints through the 7-chart by central
-    differences and reads off 7 minus the numerical rank; a singular-value
-    gap under ``gap_floor`` at the cut is reported as indeterminate rather
-    than rounded to a dimension.  Every probe restriction contains the true
-    variety, so stacking several lines per curve tightens conditioning
-    without overshooting the codimension.
+    Differentiates the stacked constraints of two probe lines per curve
+    through the 7-chart by central differences (step 1e-6) and reads off 7
+    minus the numerical rank at :data:`polycore.RANK_TOL`; a singular-value
+    gap under 10 at the cut is reported as indeterminate rather than rounded
+    to a dimension.  Every probe restriction contains the true variety, so
+    stacking several lines per curve tightens conditioning without
+    overshooting the codimension.
     """
     instances = list(instances)
     if not instances:
         raise KruppaError("need at least one curve instance")
     rng = np.random.default_rng(1234) if rng is None else rng
-    _, func = _constraint_map(instances, eg_truth, rng, probes_per_instance)
-    J = _central_jacobian(func, np.zeros(7), step)
-    rank, gap = pc.numerical_rank(J, rel_tol=rank_tol)
-    if gap < gap_floor:
+    _, func = _constraint_map(instances, eg_truth, rng, 2)
+    rank, gap = pc.numerical_rank(_central_jacobian(func, np.zeros(7), 1e-6))
+    if gap < 10.0:
         raise KruppaError(
             f"rank of the constraint Jacobian is indeterminate (gap {gap:.2f})")
     return 7 - rank
@@ -369,25 +356,25 @@ class RefineResult:
 
 
 def refine_epipolar(eg_init: EpipolarGeometry, instances,
-                    max_iter: int = 60, tol: float = 1e-9,
-                    rng: np.random.Generator | None = None,
-                    probes_per_instance: int = 3) -> RefineResult:
+                    rng: np.random.Generator | None = None) -> RefineResult:
     """Gauss-Newton descent of the stacked constraints over the 7-chart.
 
-    Returns the refined geometry with the final residual norm; a residual
-    plateau above 1e-6 raises, since that means the initial geometry is not
-    in the attraction basin of any solution.
+    Draws three probe lines per curve and takes at most 60 damped steps,
+    stopping once the residual norm is below 1e-9.  Returns the refined
+    geometry with the final residual norm; a residual plateau above 1e-6
+    raises, since that means the initial geometry is not in the attraction
+    basin of any solution.
     """
     instances = list(instances)
     rng = np.random.default_rng(99) if rng is None else rng
-    chart, func = _constraint_map(instances, eg_init, rng, probes_per_instance)
+    chart, func = _constraint_map(instances, eg_init, rng, 3)
     theta = np.zeros(7)
     r = func(theta)
     cost = float(r @ r)
     lam = 1e-6
     iterations = 0
-    for _ in range(max_iter):
-        if np.sqrt(cost) < tol:
+    for _ in range(60):
+        if np.sqrt(cost) < 1e-9:
             break
         J = _central_jacobian(func, theta, 1e-7)
         improved = False

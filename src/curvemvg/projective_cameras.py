@@ -257,11 +257,6 @@ class Camera:
         return f"Camera({np.array2string(self.M, precision=4)})"
 
 
-def center(cam: Camera) -> np.ndarray:
-    """Camera center, the point with no image."""
-    return cam.center
-
-
 def optical_ray(cam: Camera, p) -> PluckerLine:
     """Line in space projecting to the image point ``p``."""
     p = np.asarray(p)

@@ -27,6 +27,7 @@ from .projective_cameras import (
     join_points,
     line_span_points,
     sign_normalize,
+    swap_blocks,
     triangulate,
 )
 
@@ -123,20 +124,19 @@ def _line_curve_roots(f: HomogeneousPolynomial, line: np.ndarray) -> tuple[np.nd
 
 def epipolar_sweep(f1: ImageCurve, f2: ImageCurve, cam1: Camera, cam2: Camera,
                    n_planes: int = 60, *,
-                   check_views: list[tuple[HomogeneousPolynomial, Camera]],
-                   true_tol: float = 1e-8) -> ComponentSplit:
+                   check_views: list[tuple[HomogeneousPolynomial, Camera]]) -> ComponentSplit:
     """Cone-intersection candidates over a sweep of epipolar planes.
 
     Every plane through the baseline meets each image curve in d points;
     triangulating all d*d pairings samples the full intersection of the two
-    cones.  The d pairings whose reprojection lands on the curve in every
-    check view are the curve itself; the rest sample the extraneous
-    companion.  Candidates can be complex (a real plane meets the real curve
-    in conjugate point pairs), so membership is tested algebraically through
-    the check views' curve forms, which vanish on those points too.  Two
-    check views leave no room for accidental extraneous hits; one is enough
-    when the candidate set stays clear of the third cone.  Planes where
-    roots collide (tangency) are skipped.
+    cones.  The d pairings whose reprojection lands on the curve (residual
+    at most 1e-8) in every check view are the curve itself; the rest sample
+    the extraneous companion.  Candidates can be complex (a real plane meets
+    the real curve in conjugate point pairs), so membership is tested
+    algebraically through the check views' curve forms, which vanish on
+    those points too.  Two check views leave no room for accidental
+    extraneous hits; one is enough when the candidate set stays clear of the
+    third cone.  Planes where roots collide (tangency) are skipped.
     """
     if f1.degree != f2.degree:
         raise ReconstructionError("image curves must share their degree")
@@ -173,7 +173,7 @@ def epipolar_sweep(f1: ImageCurve, f2: ImageCurve, cam1: Camera, cam2: Camera,
                 q = cam.M @ P
                 worst = max(worst, abs(g(q / np.linalg.norm(q))))
             res[i] = worst
-        planes.append(PlaneCandidates(plane, cands, res <= true_tol, res))
+        planes.append(PlaneCandidates(plane, cands, res <= 1e-8, res))
     return ComponentSplit(d, planes, skipped)
 
 
@@ -328,16 +328,12 @@ def views_for_chow(d: int) -> int:
     return k
 
 
-
 def grassmann_quadric_form() -> HomogeneousPolynomial:
+    """Half the incidence pairing of a 6-vector with itself: the line quadric."""
     basis = enumerate_monomials(6, 2)
-    coeffs = np.zeros(basis.size)
-    for i, j in ((0, 3), (1, 4), (2, 5)):
-        e = [0] * 6
-        e[i] += 1
-        e[j] += 1
-        coeffs[basis.index(tuple(e))] = 1.0
-    return HomogeneousPolynomial(basis, coeffs)
+    # x_i x_j with j the block swap of i are the only quadratic monomials the swap fixes
+    E = basis.exponent_array()
+    return HomogeneousPolynomial(basis, np.all(swap_blocks(E) == E, axis=1).astype(float))
 
 
 @lru_cache(maxsize=None)
@@ -452,17 +448,14 @@ def chow_reconstruct(views: list[tuple[Camera, np.ndarray]], d: int) -> ChowForm
     return fit_chow_from_lines(np.concatenate(blocks), d, per_view_blocks=blocks)
 
 
-def chow_membership(G: ChowForm, P: np.ndarray, trials: int = 5,
-                    rng: np.random.Generator | None = None,
-                    tol: float = 1e-7) -> bool:
-    """Whether every random line through P is accepted by the Chow form."""
-    if trials < 3:
-        raise ReconstructionError("need at least 3 trial lines")
+def chow_membership(G: ChowForm, P: np.ndarray,
+                    rng: np.random.Generator | None = None) -> bool:
+    """Whether the Chow form is within 1e-7 on five random lines through P."""
     rng = np.random.default_rng(2024) if rng is None else rng
     P = np.asarray(P, dtype=float)
-    for _ in range(trials):
+    for _ in range(5):
         L = join_points(P, rng.standard_normal(4))
-        if abs(G(L)) > tol:
+        if abs(G(L)) > 1e-7:
             return False
     return True
 

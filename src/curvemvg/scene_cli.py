@@ -431,15 +431,16 @@ def _cmd_kruppa_dim(cfg: SceneConfig, rng: np.random.Generator, rep: Report, arg
 
 def _cmd_reconstruct_points(cfg: SceneConfig, rng: np.random.Generator,
                             rep: Report, args):
+    if args.planes < 1:
+        raise ConfigError(f"--planes must be at least 1, got {args.planes}")
     _need_cameras(cfg, 3, "reconstruct-points")
     _need_curves(cfg, 1, "reconstruct-points")
     curve = cfg.curves[0]
     d = curve.degree
     images = [implicit_image_curve(curve, cam) for cam in cfg.cameras]
     checks = [(f.f, cam) for f, cam in zip(images[2:], cfg.cameras[2:])]
-    n_planes = getattr(args, "planes", None) or 60
     split = rc.epipolar_sweep(images[0], images[1], cfg.cameras[0],
-                              cfg.cameras[1], n_planes=n_planes,
+                              cfg.cameras[1], n_planes=args.planes,
                               check_views=checks)
     counts = split.per_plane_counts
     rep.metrics["planes_kept"] = len(counts)
@@ -589,8 +590,8 @@ def _parse_range(text: str, what: str) -> range:
 
 def _cmd_consistency_tables(cfg: SceneConfig, rng: np.random.Generator,
                             rep: Report, args):
-    d_range = _parse_range(getattr(args, "d", None) or "2..4", "--d")
-    m_range = _parse_range(getattr(args, "m", None) or "2..6", "--m")
+    d_range = _parse_range(args.d, "--d")
+    m_range = _parse_range(args.m, "--m")
     rows = []
     all_ok = True
     for d in d_range:
@@ -627,14 +628,20 @@ _HANDLERS = {
 
 
 def run(command: str, cfg: SceneConfig, args=None) -> Report:
-    """Execute one command against a parsed config and assemble its report."""
+    """Execute one command against a parsed config and assemble its report.
+
+    ``args`` holds the command's flags as the parser gives them; without it
+    every flag takes its parser default.
+    """
     if command not in _HANDLERS:
         raise ConfigError(f"unknown command {command!r}, choose from {COMMANDS}")
+    if args is None:
+        args = _build_parser().parse_args([command])
     rng = np.random.default_rng(cfg.seed)
     rep = Report(command=command, inputs_digest=inputs_digest(command, cfg))
     rep.metrics["seed"] = cfg.seed
     rep.metrics["noise_sigma"] = cfg.noise_sigma
-    _HANDLERS[command](cfg, rng, rep, args or argparse.Namespace())
+    _HANDLERS[command](cfg, rng, rep, args)
     return rep
 
 

@@ -45,13 +45,12 @@ def look_at_rotation(position, target, up) -> np.ndarray:
     return np.stack([x, _cross3(z, x), z], axis=-2)
 
 
-def random_camera(rng: np.random.Generator, radius: tuple[float, float] = (3.5, 7.0),
-                  target_jitter: float = 0.4) -> Camera:
-    """Camera at a random standoff looking near the origin, generic internals."""
+def random_camera(rng: np.random.Generator) -> Camera:
+    """Camera 3.5 to 7 units out looking near the origin, generic internals."""
     direction = rng.standard_normal(3)
     direction /= np.linalg.norm(direction)
-    position = direction * rng.uniform(*radius)
-    target = rng.standard_normal(3) * target_jitter
+    position = direction * rng.uniform(3.5, 7.0)
+    target = rng.standard_normal(3) * 0.4
     while True:
         up = rng.standard_normal(3)
         axis = target - position

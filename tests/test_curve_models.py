@@ -299,7 +299,7 @@ def test_a_nodal_quartic_is_not_generic():
 def test_dual_image_curve_degree_and_vanishing(cams, conic, cubic):
     for curve in (conic, cubic):
         m = cm.class_of(curve.degree, 0)
-        phi = cm.dual_image_curve(curve, cams[2])
+        phi = cm.fit_dual_image_curve(curve, cams[2])[0]
         assert phi.degree == m
         for th in np.linspace(0.1, 2.9, 12):
             l = cm.image_tangent(curve, cams[2], th)
@@ -311,7 +311,7 @@ def test_dual_conic_is_adjugate(cams, conic):
     from curvemvg.projective_cameras import adjugate3
     ic = cm.implicit_image_curve(conic, cams[3])
     C = pc.quadratic_matrix(ic.f)
-    phi = cm.dual_image_curve(conic, cams[3])
+    phi = cm.fit_dual_image_curve(conic, cams[3])[0]
     D = pc.quadratic_matrix(phi)
     assert pc.proportionality_residual(D.ravel(), adjugate3(C).ravel()) < 1e-8
 

@@ -8,7 +8,7 @@ from curvemvg import polycore as pc
 from curvemvg import reconstruct as rc
 from curvemvg import scenes
 from curvemvg.curve_models import implicit_image_curve, image_tangent, preset_curve, _sample_thetas
-from curvemvg.projective_cameras import join_points
+from curvemvg.projective_cameras import incidence, join_points
 from curvemvg.scenes import lines_missing_points
 
 
@@ -237,6 +237,12 @@ def test_grassmann_quadric_vanishes_on_lines():
     for _ in range(10):
         L = join_points(rng.standard_normal(4), rng.standard_normal(4))
         assert abs(Q(L / np.linalg.norm(L))) < 1e-12
+
+
+def test_grassmann_quadric_is_half_the_incidence_pairing():
+    L = np.random.default_rng(6).standard_normal((50, 6))
+    got = pc.evaluate(rc.grassmann_quadric_form(), L)
+    assert np.allclose(got, incidence(L, L) / 2, rtol=1e-14, atol=1e-14)
 
 
 def test_consistency_report():

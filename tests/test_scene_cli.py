@@ -263,6 +263,16 @@ def test_main_exit_two_on_negative_seed(tmp_path, capsys):
     assert captured.err == "config error: seed must be a non-negative integer, got -3\n"
 
 
+@pytest.mark.parametrize("planes", ["0", "-3"])
+def test_main_exit_two_on_planes_below_one(planes, capsys):
+    rc = sc.main(["reconstruct-points", "--config", str(CONFIGS / "cubic_pair.json"),
+                  "--planes", planes])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"config error: --planes must be at least 1, got {planes}\n"
+
+
 def test_main_exit_two_on_nan_noise_in_config(tmp_path, capsys):
     cfgp = tmp_path / "nan.json"
     cfgp.write_text('{"seed": 1, "noise_sigma": NaN}', encoding="utf-8")

@@ -20,8 +20,9 @@ Python and numpy versions.
 When it creates a record, the script also runs the Tier-1 suite once in that
 checkout (``python -m pytest -q --continue-on-collection-errors`` with
 ``src`` on ``PYTHONPATH``) and stores its passed and failed counts (errors
-count as failed), its wall time and its summary line under ``tier1``.  A
-record that is appended to keeps the figures of its first run.
+count as failed), its wall time and its summary line under ``tier1``, and
+``src_lines``, the ``wc -l`` total of ``src/curvemvg/*.py`` in that
+checkout.  A record that is appended to keeps the figures of its first run.
 
 A checkout whose tracked files differ from its commit is recorded as
 ``BENCH_<commit>-worktree.json``: such a record is keyed by its base commit
@@ -92,6 +93,12 @@ def run_tier1(checkout: Path) -> dict:
             "wall_s": round(wall, 2), "summary": summary}
 
 
+def src_lines(checkout: Path) -> int:
+    """Line count of the library sources, as ``wc -l src/curvemvg/*.py`` totals it."""
+    sources = (checkout / "src" / "curvemvg").glob("*.py")
+    return sum(path.read_bytes().count(b"\n") for path in sources)
+
+
 def load_record(path: Path, name: str, side: dict) -> dict:
     if path.exists():
         rec = json.loads(path.read_text())
@@ -102,6 +109,7 @@ def load_record(path: Path, name: str, side: dict) -> dict:
             "machine": {"nproc": len(os.sched_getaffinity(0)),
                         "python": platform.python_version(), "numpy": np.__version__},
             "tier1": run_tier1(Path(side["checkout"])),
+            "src_lines": src_lines(Path(side["checkout"])),
             "runs": []}
 
 
