@@ -24,11 +24,8 @@ from .projective_cameras import (
     Camera,
     EpipolarGeometry,
     PluckerLine,
-    canonical_pair,
     fundamental,
     homography,
-    line_image,
-    optical_ray,
 )
 from .curve_models import (
     RationalCurve3D,
@@ -42,7 +39,6 @@ from .kruppa import (
     KruppaInstance,
     build_instance,
     detection_response,
-    gen_kruppa_constraints,
     quadric_degeneracy,
     refine_epipolar,
     solution_dimension,

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import polycore as pc
 from .polycore import HomogeneousPolynomial, enumerate_monomials
-from .projective_cameras import (PLUCKER_PAIRS, Camera, GeometryError, PluckerLine,
-                                 line_span_planes)
+from .projective_cameras import PLUCKER_PAIRS, Camera, GeometryError
 
 PRESET_NAMES = ("conic", "twisted_cubic", "rational_quartic", "rational_quintic")
 
@@ -59,6 +58,13 @@ def _binary_monomials(theta: float | np.ndarray, degree: int) -> np.ndarray:
     return np.cos(theta)[..., None] ** down * np.sin(theta)[..., None] ** up
 
 
+def _form_rows(thetas, degree: int, table: np.ndarray) -> np.ndarray:
+    # the binary forms along the table's last axis at each angle, one dot product
+    # per entry, so that a row does not depend on the others in its batch
+    mono = _binary_monomials(np.atleast_1d(np.asarray(thetas, dtype=float)), degree)
+    return np.vecdot(mono[(slice(None),) + (None,) * (table.ndim - 1)], table)
+
+
 def _derivative_shifts(degree: int) -> np.ndarray:
     # (2, degree+1, degree): column forms of d/dt and d/ds on binary forms
     E = np.zeros((2, degree + 1, degree))
@@ -92,29 +98,21 @@ class RationalCurve3D:
     def genus(self) -> int:
         return 0
 
-    def point(self, theta: float) -> np.ndarray:
-        """Point at the angle parameter, unit normalized."""
-        return pc.sign_normalize(self.C @ _binary_monomials(theta, self.degree))
-
     def points(self, thetas) -> np.ndarray:
-        P = _binary_monomials(np.asarray(thetas), self.degree) @ self.C.T
+        """Unit points at the angle parameters, one row each.
+
+        Every product is taken row by row, as in :meth:`velocity` and
+        :meth:`tangent_lines`, so a parameter's row does not depend on the
+        others asked for with it.
+        """
+        P = _form_rows(thetas, self.degree, self.C)
         return P / np.linalg.norm(P, axis=1, keepdims=True)
 
-    def point_at(self, t: complex, s: complex = 1.0) -> np.ndarray:
-        """Point at explicit (t : s), complex parameters allowed."""
-        down, up = _exponent_tables(self.degree)
-        return self.C @ (np.asarray(t) ** down * np.asarray(s) ** up)
-
-    def velocity(self, theta) -> np.ndarray:
-        """Derivative of the point path along the angle chart; one row per angle."""
-        th = np.asarray(theta)
-        mono = _binary_monomials(th, self.degree - 1)
-        return (-np.sin(th)[..., None] * (mono @ self._partials[0].T)
-                + np.cos(th)[..., None] * (mono @ self._partials[1].T))
-
-    def partial_matrices(self) -> np.ndarray:
-        """Read-only coefficient matrices of the two parameter partials (degree d-1)."""
-        return self._partials
+    def velocity(self, thetas) -> np.ndarray:
+        """Derivative of the point path along the angle chart, one row per angle."""
+        th = np.atleast_1d(np.asarray(thetas, dtype=float))
+        Vt, Vs = np.moveaxis(_form_rows(th, self.degree - 1, self._partials), 1, 0)
+        return -np.sin(th)[:, None] * Vt + np.cos(th)[:, None] * Vs
 
     @cached_property
     def tangent_form(self) -> np.ndarray:
@@ -142,13 +140,12 @@ class RationalCurve3D:
         form.setflags(write=False)
         return form
 
-    def tangent_line(self, theta: float) -> PluckerLine:
-        """Tangent line of the curve at the angle parameter."""
-        return PluckerLine(self.tangent_form @ _binary_monomials(theta, 2 * self.degree - 2))
+    def tangent_lines(self, thetas) -> np.ndarray:
+        """Tangent lines at the angle parameters, one Plucker row each.
 
-    def tangent_plane_pencil(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        """Two planes spanning the pencil through the tangent line."""
-        return line_span_planes(self.tangent_line(theta).v)
+        Each row is :attr:`tangent_form` at its parameter, not normalized.
+        """
+        return _form_rows(thetas, 2 * self.degree - 2, self.tangent_form)
 
 
 def _sample_thetas(n: int, offset: float = 0.0) -> np.ndarray:
@@ -264,9 +261,7 @@ def image_tangents(curve: RationalCurve3D, cam: Camera, thetas) -> np.ndarray:
     asked for with it.  A parameter whose tangent line meets the camera
     center (the center on the tangent, or a curve point at the center) raises.
     """
-    th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    mono = _binary_monomials(th, 2 * curve.degree - 2)
-    L = np.vecdot(mono[:, None, :], curve.tangent_form)
+    L = curve.tangent_lines(thetas)
     l = np.vecdot(L[:, None, :], cam.line_matrix)
     if (np.vecdot(l, l) <= 1e-20 * np.vecdot(L, L)).any():
         raise GeometryError("the tangent line meets the camera center at this parameter")
@@ -319,8 +314,7 @@ def find_nodes(curve: RationalCurve3D, cam: Camera,
     gcoeffs = np.stack([g.coeffs for g in grads])
 
     def gnorm(theta: float) -> float:
-        p = cam.M @ curve.point(theta)
-        p = p / np.linalg.norm(p)
+        p = _projected_points(curve, cam, [theta])[0]
         return float(np.linalg.norm(pc.monomial_rows(gbasis, p) @ gcoeffs.T))
 
     n_grid = 2000
@@ -338,8 +332,7 @@ def find_nodes(curve: RationalCurve3D, cam: Camera,
             if g >= 1e-7:
                 continue
             th = th % np.pi
-            p = cam.M @ curve.point(th)
-            hits.append((th, p / np.linalg.norm(p)))
+            hits.append((th, _projected_points(curve, cam, [th])[0]))
     nodes = []
     used = [False] * len(hits)
     for i in range(len(hits)):

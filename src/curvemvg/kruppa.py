@@ -116,17 +116,6 @@ def _usable_probes(inst: KruppaInstance, e1, F, rng: np.random.Generator,
     return found
 
 
-def gen_kruppa_constraints(inst: KruppaInstance,
-                           rng: np.random.Generator | None = None) -> np.ndarray:
-    """Constraint vector of one instance at its stored epipolar geometry.
-
-    The probe line is the first usable one of five drawn from ``rng``.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    [(_, pair)] = _usable_probes(inst, inst.eg.e1, inst.eg.F, rng, 1, 5)
-    return _cross_differences(*pair)
-
-
 def detection_response(inst: KruppaInstance, rng: np.random.Generator | None = None) -> float:
     """Largest constraint magnitude over the first three usable of six probe lines.
 
@@ -203,12 +192,8 @@ def tangency_points(curve: RationalCurve3D, cam1: Camera, cam2: Camera) -> Tange
     for a, b in zip(params, params[1:]):
         if abs(a - b) < 1e-7:
             raise GeometryError("repeated tangency parameters: non-generic camera pair")
-    Q = np.stack([curve.point(th) for th in params]) if params else np.zeros((0, 4))
-    q1 = Q @ cam1.M.T if len(params) else np.zeros((0, 3))
-    q2 = Q @ cam2.M.T if len(params) else np.zeros((0, 3))
-    if len(params):
-        q1 = q1 / np.linalg.norm(q1, axis=1, keepdims=True)
-        q2 = q2 / np.linalg.norm(q2, axis=1, keepdims=True)
+    Q = pc.sign_normalize_rows(curve.points(params))
+    q1, q2 = (q / np.linalg.norm(q, axis=1, keepdims=True) for q in (Q @ cam1.M.T, Q @ cam2.M.T))
     return TangencyData(baseline, np.asarray(params), Q, q1, q2, m, n_complex)
 
 

@@ -252,11 +252,6 @@ def gradient(p: HomogeneousPolynomial) -> list[HomogeneousPolynomial]:
     return [partial(p, i) for i in range(p.num_vars)]
 
 
-def gradient_at(p: HomogeneousPolynomial, x) -> np.ndarray:
-    """Gradient vector of ``p`` at a single point."""
-    return np.array([evaluate(g, x) for g in gradient(p)])
-
-
 def quadratic_matrix(p: HomogeneousPolynomial) -> np.ndarray:
     """Symmetric matrix M of a quadratic form, so p(x) = x^T M x."""
     if p.degree != 2:

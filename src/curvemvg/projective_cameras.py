@@ -23,8 +23,6 @@ import numpy as np
 
 from .polycore import cosine_similarity, sign_normalize
 
-RAY_TOL = 1e-10
-
 
 class GeometryError(ValueError):
     """Raised for degenerate geometric configurations."""
@@ -257,25 +255,6 @@ class Camera:
         return f"Camera({np.array2string(self.M, precision=4)})"
 
 
-def optical_ray(cam: Camera, p) -> PluckerLine:
-    """Line in space projecting to the image point ``p``."""
-    p = np.asarray(p)
-    if p.shape != (3,):
-        raise GeometryError("image points have three coordinates")
-    if np.linalg.norm(p) == 0.0:
-        raise GeometryError("zero image point has no ray")
-    return PluckerLine(cam.ray_matrix @ p)
-
-
-def line_image(cam: Camera, L) -> np.ndarray:
-    """Image of a space line; the zero vector flags a line through the center."""
-    L = _coords(L, 6)
-    out = cam.line_matrix @ L
-    if np.linalg.norm(out) <= RAY_TOL * np.linalg.norm(L):
-        return np.zeros(3)
-    return sign_normalize(out)
-
-
 def homography(cam1: Camera, cam2: Camera, plane) -> np.ndarray:
     """Transfer map between images induced by a plane avoiding both centers."""
     A = np.asarray(plane)
@@ -334,22 +313,6 @@ def fundamental(cam1: Camera, cam2: Camera) -> EpipolarGeometry:
     e1 = cam1.project(O2)
     e2 = cam2.project(O1)
     return EpipolarGeometry(F / np.linalg.norm(F), sign_normalize(e1), sign_normalize(e2))
-
-
-def canonical_pair(eg: EpipolarGeometry) -> tuple[Camera, Camera]:
-    """A camera pair realizing the given epipolar geometry.
-
-    The second camera is ``[[e2]_x F / |e2| , e2]``; the construction is
-    validated only through the round trip back to F, since the pair itself is
-    one representative of a projective family.
-    """
-    S = cross_matrix(eg.e2) @ eg.F / np.linalg.norm(eg.e2)
-    M1 = Camera(np.hstack([np.eye(3), np.zeros((3, 1))]))
-    M2 = Camera(np.hstack([S, eg.e2[:, None]]))
-    back = fundamental(M1, M2)
-    if cosine_similarity(back.F.ravel(), eg.F.ravel()) < 1.0 - 1e-9:
-        raise GeometryError("canonical pair failed to reproduce the fundamental matrix")
-    return M1, M2
 
 
 def adjugate3(A) -> np.ndarray:

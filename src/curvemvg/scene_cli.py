@@ -27,7 +27,7 @@ from . import scenes
 from .curve_models import (CurveModelError, RationalCurve3D, class_of, image_tangents,
                            implicit_image_curve, preset_curve, PRESET_NAMES)
 from .projective_cameras import (Camera, EpipolarGeometry, GeometryError, fundamental,
-                                 join_points)
+                                 join_points, line_span_planes)
 
 
 class ConfigError(ValueError):
@@ -497,8 +497,8 @@ def _cmd_reconstruct_dual(cfg: SceneConfig, rng: np.random.Generator,
     for vi, rk in enumerate(ds.per_view_ranks):
         rep.metrics[f"view{vi}_rank"] = rk
     held = []
-    for th in _thetas(25, rng.uniform(0, np.pi)):
-        A, B = curve.tangent_plane_pencil(th)
+    for L in curve.tangent_lines(_thetas(25, rng.uniform(0, np.pi))):
+        A, B = line_span_planes(L)
         for w in (0.2, 0.5, 0.8):
             held.append(abs(ds(w * A + (1 - w) * B)))
     rep.metrics["held_out_max"] = float(max(held))
@@ -532,8 +532,8 @@ def _cmd_reconstruct_chow(cfg: SceneConfig, rng: np.random.Generator,
     rep.metrics["rank_gap"] = cf.gap
     for vi, rk in enumerate(cf.per_view_ranks):
         rep.metrics[f"view{vi}_rank"] = rk
-    meet = [abs(cf(join_points(curve.point(th), rng.standard_normal(4))))
-            for th in _thetas(40, rng.uniform(0, np.pi))]
+    meet = [abs(cf(join_points(P, rng.standard_normal(4))))
+            for P in curve.points(_thetas(40, rng.uniform(0, np.pi)))]
     rep.metrics["held_out_max"] = float(max(meet))
     rep.verdicts["held_out_pass"] = max(meet) <= 1e-8
     ref = curve.points(_thetas(40 * d, 0.05))

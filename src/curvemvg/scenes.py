@@ -122,7 +122,8 @@ class Trajectory:
     def positions(self, times) -> np.ndarray:
         """Unit positions at the given times, one row each.
 
-        Curve points carry the sign convention of ``RationalCurve3D.point``.
+        Curve points are ``RationalCurve3D.points`` with the first coordinate
+        above 1e-12 in magnitude made positive (:func:`polycore.sign_normalize_rows`).
         """
         times = np.asarray(times, dtype=float)
         if self.kind == "static":

@@ -26,7 +26,7 @@ from curvemvg.curve_models import (implicit_image_curve, image_tangent,
 from curvemvg.projective_cameras import (EpipolarGeometry, fundamental,
                                          homography, join_points,
                                          point_line_matrix, incidence,
-                                         grassmann_residual)
+                                         grassmann_residual, line_span_planes)
 
 from test_scene_cli import CONFIGS
 
@@ -153,8 +153,8 @@ def _dual_views(curve, cams, n_lines):
 
 def _dual_holdout(ds, curve):
     res = []
-    for th in _sample_thetas(25, offset=0.57):
-        A, B = curve.tangent_plane_pencil(th)
+    for L in curve.tangent_lines(_sample_thetas(25, offset=0.57)):
+        A, B = line_span_planes(L)
         for w in (0.2, 0.5, 0.8):
             res.append(abs(ds(w * A + (1 - w) * B)))
     return max(res)
@@ -222,8 +222,8 @@ def _chow_views(curve, cams, n_pts):
 
 def _chow_quality(cf, curve):
     hrng = np.random.default_rng(555)
-    meet = [abs(cf(join_points(curve.point(th), hrng.standard_normal(4))))
-            for th in _sample_thetas(40, offset=0.83)]
+    meet = [abs(cf(join_points(P, hrng.standard_normal(4))))
+            for P in curve.points(_sample_thetas(40, offset=0.83))]
     ref = curve.points(_sample_thetas(60, offset=0.05))
     miss = [abs(cf(L)) for L in scenes.lines_missing_points(ref, hrng, 40)]
     return max(meet), min(miss)

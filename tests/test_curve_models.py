@@ -6,7 +6,8 @@ import pytest
 from curvemvg import curve_models as cm
 from curvemvg import polycore as pc
 from curvemvg.projective_cameras import (PLUCKER_PAIRS, Camera, GeometryError, incidence,
-                                         join_points, point_line_matrix)
+                                         join_points, line_span_planes, line_span_points,
+                                         point_line_matrix)
 
 
 def test_class_and_node_counts():
@@ -42,30 +43,28 @@ def test_point_matches_batch(cubic):
     ths = np.linspace(0.2, 2.8, 7)
     batch = cubic.points(ths)
     for th, row in zip(ths, batch):
-        assert pc.proportionality_residual(cubic.point(th), row) < 1e-12
+        assert pc.proportionality_residual(cubic.C @ cm._binary_monomials(th, 3), row) < 1e-12
 
 
 def test_tangent_line_touches_curve(cubic):
     # the tangent line passes through the point and follows the local motion
-    th = 0.83
-    L = cubic.tangent_line(th)
-    P = cubic.point(th)
-    assert np.linalg.norm(point_line_matrix(L.v) @ P) < 1e-10
-    h = 1e-6
-    Q = cubic.point(th + h)
-    assert np.linalg.norm(point_line_matrix(L.v) @ Q) < 5e-6
+    th, h = 0.83, 1e-6
+    L = cubic.tangent_lines([th])[0]
+    L /= np.linalg.norm(L)
+    P, Q = cubic.points([th, th + h])
+    assert np.linalg.norm(point_line_matrix(L) @ P) < 1e-10
+    assert np.linalg.norm(point_line_matrix(L) @ Q) < 5e-6
 
 
 def test_tangent_plane_pencil_contains_line(quintic):
     th = 1.21
-    L = quintic.tangent_line(th)
-    A, B = quintic.tangent_plane_pencil(th)
-    P = quintic.point(th)
+    L = quintic.tangent_lines([th])[0]
+    A, B = line_span_planes(L)
+    P = quintic.points([th])[0]
     for plane in (A, B):
         assert abs(plane @ P) < 1e-10
         # plane contains the whole tangent line
-        from curvemvg.projective_cameras import line_span_points
-        for X in line_span_points(L.v):
+        for X in line_span_points(L):
             assert abs(plane @ X) < 1e-10
 
 
@@ -83,35 +82,33 @@ def test_implicit_image_curve_all_presets(cams, conic, quartic, quintic):
     for curve in (conic, quartic, quintic):
         ic = cm.implicit_image_curve(curve, cams[1])
         assert ic.degree == curve.degree
-        p = cams[1].M @ curve.point(1.3)
+        p = cams[1].M @ curve.points([1.3])[0]
         assert abs(ic.f(p / np.linalg.norm(p))) < 1e-8
 
 
 def test_image_tangent_is_tangent(cams, cubic):
-    th = 0.4
+    th, h = 0.4, 1e-5
     l = cm.image_tangent(cubic, cams[0], th)
-    p = cams[0].M @ cubic.point(th)
+    p, q = cubic.points([th, th + h]) @ cams[0].M.T
     assert abs(l @ p) < 1e-9 * np.linalg.norm(l) * np.linalg.norm(p)
     # second-order contact: nearby image points stay near the line
-    h = 1e-5
-    q = cams[0].M @ cubic.point(th + h)
     q /= np.linalg.norm(q)
     assert abs(l @ q) / np.linalg.norm(l) < 1e-8
 
 
 def test_image_tangent_back_projects_to_tangent_plane(cams, cubic):
     # the plane of the image tangent line contains the space tangent line
-    from curvemvg.projective_cameras import line_span_points
     th = 2.2
     l = cm.image_tangent(cubic, cams[0], th)
     plane = cams[0].M.T @ l
-    for X in line_span_points(cubic.tangent_line(th).v):
+    for X in line_span_points(cubic.tangent_lines([th])[0]):
         assert abs(plane @ X) < 1e-8
 
 
 def _tangent_reference(curve, cam, th):
     # the per-parameter formula: projected point crossed with projected velocity
-    return pc.sign_normalize(np.cross(cam.M @ curve.point(th), cam.M @ curve.velocity(th)))
+    p, v = np.concatenate([curve.points([th]), curve.velocity([th])]) @ cam.M.T
+    return pc.sign_normalize(np.cross(p, v))
 
 
 @pytest.mark.parametrize("name", ["conic", "cubic", "quintic"])
@@ -212,8 +209,7 @@ def test_image_tangents_are_accurate_against_40_digits(cams, conic, cubic, quart
 
 
 def test_partial_matrices_are_computed_once_and_read_only(quartic):
-    Ct, Cs = quartic.partial_matrices()
-    assert quartic.partial_matrices() is quartic.partial_matrices()
+    Ct, Cs = quartic._partials
     assert Ct.shape == Cs.shape == (4, 4) and not Ct.flags.writeable
     # d/dt and d/ds of t^4 and s^4: columns 4 t^3 and 4 s^3
     assert np.array_equal(Ct[:, 0], 4 * quartic.C[:, 0])
@@ -231,13 +227,13 @@ def test_tangent_form_is_computed_once_and_read_only(quartic):
 @pytest.mark.parametrize("name", ["conic", "cubic", "quartic", "quintic"])
 def test_tangent_form_is_the_join_of_the_partials(request, name):
     curve = request.getfixturevalue(name)
-    Ct, Cs = curve.partial_matrices()
     d = curve.degree
-    for th in np.linspace(0.05, 3.1, 17):
-        L = curve.tangent_form @ cm._binary_monomials(th, 2 * d - 2)
-        m = cm._binary_monomials(th, d - 1)
-        ref = join_points(Ct @ m, Cs @ m)
-        assert np.abs(L - ref).max() < 1e-14 * np.linalg.norm(ref)
+    Ct, Cs = curve.C @ cm._derivative_shifts(d)
+    ths = np.linspace(0.05, 3.1, 17)
+    m = cm._binary_monomials(ths, d - 1)
+    ref = join_points(m @ Ct.T, m @ Cs.T)
+    err = np.abs(curve.tangent_lines(ths) - ref).max(axis=1)
+    assert np.all(err < 1e-14 * np.linalg.norm(ref, axis=1))
 
 
 def _rejects(curve, cam, th0):
@@ -252,8 +248,8 @@ def _rejects(curve, cam, th0):
 def test_image_tangents_reject_a_degenerate_parameter(cubic):
     # a camera centered on the tangent line at th0 sees that tangent as a point
     th0 = 1.1
-    X = cubic.point_at(np.cos(th0), np.sin(th0))
-    _rejects(cubic, Camera(np.linalg.svd((X + 0.5 * cubic.velocity(th0))[None, :])[2][1:]), th0)
+    X = cubic.C @ cm._binary_monomials(th0, 3)
+    _rejects(cubic, Camera(np.linalg.svd(X + 0.5 * cubic.velocity([th0]))[2][1:]), th0)
     # so does a camera centered on the curve point itself
     _rejects(cubic, Camera(np.linalg.svd(X[None, :])[2][1:]), th0)
 
@@ -322,7 +318,6 @@ def test_find_nodes_matches_count(cams, cubic):
     assert len(nodes) == cm.node_count(3, 0) == 1
     p, (th1, th2) = nodes[0]
     # both branches project to the node
-    q1 = cams[0].M @ cubic.point(th1)
-    q2 = cams[0].M @ cubic.point(th2)
+    q1, q2 = cubic.points([th1, th2]) @ cams[0].M.T
     assert pc.proportionality_residual(q1, q2) < 1e-6
     assert abs(ic.f(p)) < 1e-8

@@ -299,8 +299,7 @@ def test_localize_on_viewing_ray():
     mc = dy.classify_motion(rays)
     assert mc.kind == "conic"
     t_true = 1.234
-    P_true = sc.trajectory.curve.point(t_true)
-    P_true /= np.linalg.norm(P_true)
+    P_true = sc.trajectory.curve.points([t_true])[0]
     ray = PluckerLine(join_points(sc.cameras[0].center, P_true))
     loc = dy.localize_on_ray(mc.model, ray)
     assert 1 - abs(loc.point @ P_true) < 1e-5
@@ -310,8 +309,7 @@ def test_localize_on_viewing_ray():
 def test_localize_reports_secant_ambiguity():
     sc, rays = _rays_for("conic", 11)
     mc = dy.classify_motion(rays)
-    Q1 = sc.trajectory.curve.point(0.4)
-    Q2 = sc.trajectory.curve.point(2.1)
+    Q1, Q2 = sc.trajectory.curve.points([0.4, 2.1])
     loc = dy.localize_on_ray(mc.model, PluckerLine(join_points(Q1, Q2)))
     assert loc.ambiguous
     assert len(loc.candidates) == 2

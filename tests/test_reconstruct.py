@@ -8,7 +8,7 @@ from curvemvg import polycore as pc
 from curvemvg import reconstruct as rc
 from curvemvg import scenes
 from curvemvg.curve_models import implicit_image_curve, image_tangent, preset_curve, _sample_thetas
-from curvemvg.projective_cameras import incidence, join_points
+from curvemvg.projective_cameras import incidence, join_points, line_span_planes
 from curvemvg.scenes import lines_missing_points
 
 
@@ -109,8 +109,8 @@ def test_dual_reconstruct_cubic(cams, cubic):
     assert ds.per_view_ranks == [rc.dual_view_cap(m)] * 5
     # held-out tangent planes of the curve, across each pencil
     res = []
-    for th in _sample_thetas(25, offset=0.57):
-        A, B = cubic.tangent_plane_pencil(th)
+    for L in cubic.tangent_lines(_sample_thetas(25, offset=0.57)):
+        A, B = line_span_planes(L)
         for w in np.linspace(0.1, 0.9, 3):
             res.append(abs(ds(w * A + (1 - w) * B)))
     assert max(res) < 1e-7
@@ -137,8 +137,8 @@ def test_dual_reconstruct_conic(cams, conic):
         rc.dual_reconstruct(views[:2], 2)
     ds = rc.dual_reconstruct(views, 2)
     res = []
-    for th in _sample_thetas(25, offset=0.77):
-        A, B = conic.tangent_plane_pencil(th)
+    for L in conic.tangent_lines(_sample_thetas(25, offset=0.77)):
+        A, B = line_span_planes(L)
         res.append(abs(ds(0.3 * A + 0.7 * B)))
     assert max(res) < 1e-9
 
@@ -188,8 +188,8 @@ def test_chow_reconstruct(cams, name, seed, d, nviews, npts):
     assert np.abs(ideal @ cf.Gamma.coeffs).max() < 1e-10
     # held-out lines meeting the curve
     hrng = np.random.default_rng(555)
-    meet = [abs(cf(join_points(curve.point(th), hrng.standard_normal(4))))
-            for th in _sample_thetas(40, offset=0.83)]
+    meet = [abs(cf(join_points(P, hrng.standard_normal(4))))
+            for P in curve.points(_sample_thetas(40, offset=0.83))]
     assert max(meet) < 1e-8
     # random lines bounded away from the curve evaluate large
     ref = curve.points(_sample_thetas(60, offset=0.05))
@@ -208,8 +208,8 @@ def test_chow_membership(cams, conic):
     views = _point_views(conic, cams[:5], 16)
     cf = rc.chow_reconstruct(views, 2)
     rng = np.random.default_rng(88)
-    for th in _sample_thetas(10, offset=0.3):
-        assert rc.chow_membership(cf, conic.point(th), rng=rng)
+    for P in conic.points(_sample_thetas(10, offset=0.3)):
+        assert rc.chow_membership(cf, P, rng=rng)
     hits = sum(rc.chow_membership(cf, rng.standard_normal(4), rng=rng)
                for _ in range(10))
     assert hits == 0

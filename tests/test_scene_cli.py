@@ -303,7 +303,7 @@ README_DIGESTS = {
     "reconstruct-points --config cubic_pair.json --planes 60":
         "dd3a8b8703ede4b67ddf40bbf659667663c1037c2d71e7e70e1cc75077bb0d90",
     "reconstruct-dual --config dual_quartic.json":
-        "729a27009816fe34dcfbf09c7bffb1a7b8e7270f8867be9201b98c6895a77693",
+        "9bacb58bdb4a083b3e4cd39154f8782d4e4edbfab5f53c48be8a120f6d5e972a",
     "reconstruct-chow --config chow_cubic.json":
         "3ca2549834a6e7ca8ccaeb8aa7306389e1dc6862a4976e2f24d7bba7132563d1",
     "classify-motion --config dynamics_mixed.json":

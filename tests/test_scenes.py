@@ -4,6 +4,7 @@ import pytest
 
 from curvemvg import polycore as pc
 from curvemvg import scenes
+from curvemvg.curve_models import _binary_monomials
 from curvemvg.projective_cameras import join_points, meet_planes, point_line_matrix
 
 
@@ -50,7 +51,8 @@ def _reference_observe(kind, rng, n_cameras, frames_per_camera, noise_sigma):
         stride = rng.uniform(0.8, 1.25) * np.pi / frames_per_camera
         for k in range(frames_per_camera):
             time = offset + stride * k + rng.uniform(0, 0.1 * stride)
-            P = traj.anchor if kind == "static" else traj.curve.point(time)
+            P = (traj.anchor if kind == "static" else
+                 pc.sign_normalize(traj.curve.C @ _binary_monomials(time, traj.curve.degree)))
             p = cam.M @ P
             if np.linalg.norm(p) <= 1e-9:
                 continue

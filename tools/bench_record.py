@@ -30,6 +30,18 @@ plus ``src_tree``, which equals ``git rev-parse <c>:src`` of the commit
 ``c`` that later holds the measured code.  Untracked files under ``src/`` or
 ``perfbench/`` would not be in that tree, so the script refuses to record
 while there are any.
+
+After the pairs, the script reads the two records as written and prints one
+line per end-to-end metric of ``BENCHMARK.json`` (in the change checkout) over
+every pair of the workload and trace setting that both records hold: a
+verdict, both medians, the number of pairs the change won (ties count for
+neither side), how much worse the change's median is, the wider of the two
+sides' quartile distances and the metric's bound, the last three as
+percentages of the parent's median, as the bound is a fraction of it.  The
+verdict is ``worse`` when the change's median is worse by more than the
+bound, else ``unresolved`` when the quartile distance exceeds the bound (the
+runs spread too widely to tell), else ``within bound``.  A last line gives
+each side's failed and attempted operations.
 """
 
 from __future__ import annotations
@@ -123,6 +135,38 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int) -> str:
     return proc.stdout.strip().splitlines()[-1]
 
 
+def summarize(records: dict, workload: str, trace: int, bench: dict) -> list[str]:
+    """Per-metric verdict lines over the pairs (same seed) both records hold."""
+    results = {name: {run["seed"]: json.loads(run["line"]) for run in rec["runs"]
+                      if run["workload"] == workload and run["trace"] == trace}
+               for name, rec in records.items()}
+    seeds = sorted(results["parent"].keys() & results["change"].keys())
+    lines = []
+    for metric in bench["end_to_end"]:
+        name, bound = metric["name"], metric["bound"]
+        parent, change = (np.array([results[side][s]["metrics"][name]["value"] for s in seeds])
+                          for side in ("parent", "change"))
+        sign = 1.0 if metric["better"] == "lower" else -1.0
+        won = int(np.sum(sign * (change - parent) < 0.0))
+        med_p, med_c = np.median(parent), np.median(change)
+        # every share below is a fraction of the parent's median, as the bound is
+        worse = sign * (med_c - med_p) / med_p
+        spread = max(np.subtract(*np.percentile(runs, [75, 25])) / med_p
+                     for runs in (parent, change))
+        verdict = ("worse" if worse > bound else "unresolved" if spread > bound
+                   else "within bound")
+        way = "worse" if worse > 0 else "better"
+        lines.append(f"{workload} {name} ({metric['better']} is better): {verdict}; "
+                     f"median {med_p:.4g} -> {med_c:.4g} {metric['unit']} "
+                     f"({100.0 * abs(worse):.1f}% {way}), change won {won}/{len(seeds)} pairs, "
+                     f"quartile distance {100.0 * spread:.1f}%, bound {100.0 * bound:.0f}%")
+    ops = {side: [sum(results[side][s][key] for s in seeds) for key in ("failed", "attempted")]
+           for side in ("parent", "change")}
+    lines.append(f"{workload} failed operations: parent {ops['parent'][0]}/{ops['parent'][1]}, "
+                 f"change {ops['change'][0]}/{ops['change'][1]}")
+    return lines
+
+
 def parse_seeds(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
@@ -153,6 +197,10 @@ def main(argv=None) -> int:
             print(f"{args.workload} seed {seed} {name}: {line}", file=sys.stderr)
         for _, path, rec in sides.values():
             path.write_text(json.dumps(rec, indent=1) + "\n")
+    bench = json.loads((args.change.resolve() / "BENCHMARK.json").read_text())
+    records = {name: rec for name, (_, _, rec) in sides.items()}
+    for line in summarize(records, args.workload, args.trace, bench):
+        print(line)
     return 0
 
 
