@@ -16,7 +16,7 @@ import numpy as np
 
 from . import polycore as pc
 from .polycore import HomogeneousPolynomial, enumerate_monomials
-from .projective_cameras import PLUCKER_PAIRS, Camera, GeometryError
+from .projective_cameras import PLUCKER_PAIRS, Camera, GeometryError, _map_rows
 
 PRESET_NAMES = ("conic", "twisted_cubic", "rational_quartic", "rational_quintic")
 
@@ -222,7 +222,7 @@ class ImageCurve:
 
 
 def _projected_points(curve: RationalCurve3D, cam: Camera, thetas) -> np.ndarray:
-    pts = curve.points(thetas) @ cam.M.T
+    pts = cam.project(curve.points(thetas))
     norms = np.linalg.norm(pts, axis=1)
     if norms.min() <= 1e-9:
         raise GeometryError("curve passes through the camera center")
@@ -262,7 +262,7 @@ def image_tangents(curve: RationalCurve3D, cam: Camera, thetas) -> np.ndarray:
     center (the center on the tangent, or a curve point at the center) raises.
     """
     L = curve.tangent_lines(thetas)
-    l = np.vecdot(L[:, None, :], cam.line_matrix)
+    l = _map_rows(cam.line_matrix, L)
     if (np.vecdot(l, l) <= 1e-20 * np.vecdot(L, L)).any():
         raise GeometryError("the tangent line meets the camera center at this parameter")
     return pc.sign_normalize_rows(l)

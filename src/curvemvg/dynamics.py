@@ -23,6 +23,7 @@ from . import polycore as pc
 from .projective_cameras import (
     GeometryError,
     PluckerLine,
+    _map_rows,
     grassmann_residual,
     join_points,
     line_span_points,
@@ -88,20 +89,17 @@ def lift_observations(cams, detections) -> RaySet:
     ``detections`` is the ``(ids, points)`` pair of a ``DynamicScene``: (n, 3)
     camera, point and frame ids and (n, 3) image points.  ``cams`` is
     indexed by camera id and each entry needs only a ``ray_matrix``.  One
-    stable sort by camera id groups the detections, and each camera's block
-    is lifted by one product with its ray matrix, so the rows come out
+    stable sort by camera id groups the detections and one gathered lift
+    gives each row its camera's ``Camera.rays`` row, so the rows come out
     grouped by camera in ascending id, in detection order within a camera.
     A detection at its camera's center has no ray and is skipped with a warning.
     """
     ids, pts = detections
-    n = len(ids)
     order = np.argsort(ids[:, 0], kind="stable")
     ids, pts = ids[order], pts[order]
-    # the first row of each camera's block in the sorted rows
-    starts = np.flatnonzero(np.diff(ids[:, 0], prepend=ids[:1, 0] - 1)).tolist()
-    L = np.empty((n, 6))
-    for a, b in zip(starts, [*starts[1:], n]):
-        L[a:b] = pts[a:b] @ cams[int(ids[a, 0])].ray_matrix.T
+    seen, which = np.unique(ids[:, 0], return_inverse=True)
+    R = np.array([cams[c].ray_matrix for c in seen.tolist()]).reshape(-1, 6, 3)
+    L = _map_rows(R[which], pts)
     pnorm = np.sqrt((pts * pts).sum(axis=1))
     Lnorm = np.sqrt((L * L).sum(axis=1))
     at_center = pnorm <= 1e-12
@@ -110,18 +108,13 @@ def lift_observations(cams, detections) -> RaySet:
         ci, pi, ti = ids[i].tolist()
         what = "is at the camera center" if at_center[i] else "back-projects to no ray"
         warnings.warn(f"detection (cam {ci}, point {pi}, frame {ti}) {what}; skipped")
-    keep = ~skip
-    L, ids = L[keep], ids[keep]
-    if not len(L):
-        empty = np.zeros(0, dtype=int)
-        return RaySet(np.zeros((0, 6)), empty, empty, empty)
+    L, ids = L[~skip], ids[~skip]
     # PluckerLine's gate, for all rows at once
     quadric = grassmann_residual(L)
-    if quadric.max() > 1e-7:
+    if (quadric > 1e-7).any():
         raise GeometryError(
             f"6-vector misses the line quadric (residual {quadric.max():.2e})")
-    cam_ids, point_ids, time_ids = ids.T
-    return RaySet(pc.sign_normalize_rows(L), cam_ids, point_ids, time_ids)
+    return RaySet(pc.sign_normalize_rows(L), *ids.T)
 
 
 def _ray_rows(rays) -> np.ndarray:

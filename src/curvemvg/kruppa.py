@@ -193,7 +193,7 @@ def tangency_points(curve: RationalCurve3D, cam1: Camera, cam2: Camera) -> Tange
         if abs(a - b) < 1e-7:
             raise GeometryError("repeated tangency parameters: non-generic camera pair")
     Q = pc.sign_normalize_rows(curve.points(params))
-    q1, q2 = (q / np.linalg.norm(q, axis=1, keepdims=True) for q in (Q @ cam1.M.T, Q @ cam2.M.T))
+    q1, q2 = (q / np.linalg.norm(q, axis=1, keepdims=True) for q in (cam1.project(Q), cam2.project(Q)))
     return TangencyData(baseline, np.asarray(params), Q, q1, q2, m, n_complex)
 
 

@@ -170,6 +170,12 @@ def _checked_matrices(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return M, Vt[:, -1]
 
 
+def _map_rows(A, X) -> np.ndarray:
+    # the one camera product: A (M, M.T, ray_matrix or line_matrix, or a stack of
+    # them) on each row of X alone; A goes first as np.vecdot conjugates it
+    return np.vecdot(A, _coords(X, A.shape[-1])[..., None, :])
+
+
 def _ray_matrices(M: np.ndarray) -> np.ndarray:
     # the one ray-matrix kernel: (k, 3, 4) cameras to their (k, 6, 3) lifts,
     # the meets of the row pairs (1, 2), (2, 0), (0, 1)
@@ -248,8 +254,12 @@ class Camera:
         return swap_blocks(self.ray_matrix.T)
 
     def project(self, P) -> np.ndarray:
-        P = np.asarray(P)
-        return (self.M @ P.T).T if P.ndim == 2 else self.M @ P
+        """The one projection: unscaled image points ``M P``, of a point or row by row."""
+        return _map_rows(self.M, P)
+
+    def rays(self, p) -> np.ndarray:
+        """The one ray lift: unscaled optical rays ``ray_matrix p``, of a point or row by row."""
+        return _map_rows(self.ray_matrix, p)
 
     def __repr__(self):
         return f"Camera({np.array2string(self.M, precision=4)})"
@@ -310,9 +320,8 @@ def fundamental(cam1: Camera, cam2: Camera) -> EpipolarGeometry:
     if cosine_similarity(O1, O2) >= 1.0 - 1e-12:
         raise GeometryError("coincident camera centers admit no epipolar geometry")
     F = cam2.line_matrix @ cam1.ray_matrix
-    e1 = cam1.project(O2)
-    e2 = cam2.project(O1)
-    return EpipolarGeometry(F / np.linalg.norm(F), sign_normalize(e1), sign_normalize(e2))
+    return EpipolarGeometry(F / np.linalg.norm(F), sign_normalize(cam1.project(O2)),
+                            sign_normalize(cam2.project(O1)))
 
 
 def adjugate3(A) -> np.ndarray:

@@ -23,6 +23,7 @@ from .polycore import HomogeneousPolynomial, enumerate_monomials
 from .projective_cameras import (
     Camera,
     GeometryError,
+    _map_rows,
     fundamental,
     join_points,
     line_span_points,
@@ -81,7 +82,7 @@ class ComponentSplit:
 def _epipolar_line(cam: Camera, plane: np.ndarray) -> np.ndarray:
     # unique image line whose back-projected plane is the given one
     l = np.linalg.lstsq(cam.M.T, plane, rcond=None)[0]
-    if np.linalg.norm(cam.M.T @ l - plane) > 1e-9 * np.linalg.norm(plane):
+    if np.linalg.norm(_map_rows(cam.M.T, l) - plane) > 1e-9 * np.linalg.norm(plane):
         raise GeometryError("plane does not pass through the camera center")
     return l / np.linalg.norm(l)
 
@@ -166,15 +167,27 @@ def epipolar_sweep(f1: ImageCurve, f2: ImageCurve, cam1: Camera, cam2: Camera,
             continue
         cands = np.stack([triangulate(cam1, p1, cam2, p2)
                           for p1 in pts1 for p2 in pts2])
-        res = np.empty(len(cands))
-        for i, P in enumerate(cands):
-            worst = 0.0
-            for g, cam in check_views:
-                q = cam.M @ P
-                worst = max(worst, abs(g(q / np.linalg.norm(q))))
-            res[i] = worst
+        res = np.zeros(len(cands))
+        for g, cam in check_views:
+            q = cam.project(cands)
+            res = np.maximum(res, np.abs(g(q / np.linalg.norm(q, axis=1, keepdims=True))))
         planes.append(PlaneCandidates(plane, cands, res <= 1e-8, res))
     return ComponentSplit(d, planes, skipped)
+
+
+def _unit_lifts(views, lift, what: str) -> list[np.ndarray]:
+    # each view's rows lifted by lift(cam, rows) to unit rows; a zero or non-finite row raises
+    blocks = []
+    for vi, (cam, rows) in enumerate(views):
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise ReconstructionError(f"{what}s must be rows of length 3")
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1) | ~rows.any(axis=1))
+        if len(bad):
+            raise ReconstructionError(f"{what} row {bad[0]} of view {vi} is zero or not finite")
+        lifted = lift(cam, rows)
+        blocks.append(lifted / np.linalg.norm(lifted, axis=1, keepdims=True))
+    return blocks
 
 
 def _view_ranks(basis, blocks) -> list[int]:
@@ -257,13 +270,7 @@ def dual_reconstruct(views: list[tuple[Camera, np.ndarray]], m: int) -> DualSurf
     """
     basis = enumerate_monomials(4, m)
     needed = basis.size - 1
-    blocks = []
-    for cam, lines in views:
-        lines = np.asarray(lines, dtype=float)
-        if lines.ndim != 2 or lines.shape[1] != 3:
-            raise ReconstructionError("tangent lines must be rows of length 3")
-        planes = lines @ cam.M
-        blocks.append(planes / np.linalg.norm(planes, axis=1, keepdims=True))
+    blocks = _unit_lifts(views, lambda cam, lines: _map_rows(cam.M.T, lines), "tangent line")
     ranks = _view_ranks(basis, blocks)
     fit = pc.whitened_nullspace(basis, np.concatenate(blocks))
     total = fit.rank()
@@ -437,14 +444,7 @@ def chow_reconstruct(views: list[tuple[Camera, np.ndarray]], d: int) -> ChowForm
     Each image point p of view i lifts to the optical ray, a line meeting the
     curve, hence one linear condition on the degree-d form.
     """
-    blocks = []
-    for cam, pts in views:
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ReconstructionError("image points must be rows of length 3")
-        rays = pts @ cam.ray_matrix.T
-        rays = rays / np.linalg.norm(rays, axis=1, keepdims=True)
-        blocks.append(rays)
+    blocks = _unit_lifts(views, Camera.rays, "image point")
     return fit_chow_from_lines(np.concatenate(blocks), d, per_view_blocks=blocks)
 
 

@@ -342,7 +342,7 @@ def _cmd_simulate(cfg: SceneConfig, rng: np.random.Generator, rep: Report, args)
         ths = _thetas(24, rng.uniform(0, np.pi))
         pts = curve.points(ths)
         for ci, cam in enumerate(cfg.cameras):
-            img = pts @ cam.M.T
+            img = cam.project(pts)
             norms = np.linalg.norm(img, axis=1)
             finite = finite and bool(np.all(norms > 1e-12))
             img = img / np.maximum(norms, 1e-300)[:, None]
@@ -519,9 +519,8 @@ def _cmd_reconstruct_chow(cfg: SceneConfig, rng: np.random.Generator,
     n_pts = rc.chow_view_cap(d) + 8
     views = []
     for cam in cfg.cameras:
-        pts = curve.points(_thetas(n_pts, rng.uniform(0, np.pi))) @ cam.M.T
-        pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        views.append((cam, pts))
+        pts = cam.project(curve.points(_thetas(n_pts, rng.uniform(0, np.pi))))
+        views.append((cam, pts / np.linalg.norm(pts, axis=1, keepdims=True)))
     try:
         cf = rc.chow_reconstruct(views, d)
     except rc.ReconstructionError as err:

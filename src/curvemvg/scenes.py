@@ -12,7 +12,7 @@ import numpy as np
 
 from . import polycore as pc
 from .curve_models import RationalCurve3D, preset_curve
-from .projective_cameras import Camera, join_points, point_line_matrix, posed_matrices
+from .projective_cameras import Camera, _map_rows, join_points, point_line_matrix, posed_matrices
 
 
 def _cross3(u, v) -> np.ndarray:
@@ -173,8 +173,8 @@ def lines_missing_points(points, rng: np.random.Generator, count: int,
     while len(kept) < count:
         L = join_points(rng.standard_normal(4), rng.standard_normal(4))
         L = L / np.linalg.norm(L)
-        M = point_line_matrix(L)
-        if np.linalg.norm(points @ M.T, axis=1).min() >= min_gap:
+        W = point_line_matrix(L)
+        if np.linalg.norm(points @ W.T, axis=1).min() >= min_gap:
             kept.append(L)
     return np.array(kept)
 
@@ -187,9 +187,9 @@ def observe_trajectory(kind: str, rng: np.random.Generator, n_cameras: int = 10,
     Each camera draws its clock offset and stride, then per frame a time
     jitter and, when noise_sigma > 0, a 3-vector of image noise, so the
     random stream is that of observing camera by camera.  The positions at
-    all cameras' times are then evaluated once and projected by one stacked
-    product with the ring's matrices into the ``(ids, points)`` detection
-    arrays.  A frame whose point projects to the camera center yields no
+    all cameras' times are then evaluated once and projected row by row by
+    one call with the ring's stacked matrices into the ``(ids, points)``
+    detection arrays.  A frame whose point projects to the camera center yields no
     detection but still consumes its noise draw, so the stream does not
     depend on it.
     """
@@ -209,9 +209,8 @@ def observe_trajectory(kind: str, rng: np.random.Generator, n_cameras: int = 10,
                 jitter[k] = rng.uniform(0, 0.1 * stride)
                 noise[ci, k] = rng.standard_normal(3)
         times[ci] = offset + stride * frames + jitter
-    M = np.array([cam.M for cam in cams]).reshape(n_cameras, 3, 4)
     P = traj.positions(times.ravel()).reshape(n_cameras, frames_per_camera, 4)
-    p = P @ M.mT
+    p = _map_rows(np.array([cam.M for cam in cams])[:, None], P)
     norms = np.sqrt((p * p).sum(axis=-1))
     keep = norms > 1e-9
     p = p / np.where(keep, norms, 1.0)[..., None]

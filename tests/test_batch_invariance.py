@@ -1,8 +1,8 @@
-"""Every batched curve quantity gives a parameter's row the same bits alone.
+"""Every batched curve quantity and camera product gives a row the same bits alone.
 
-The batch a parameter is evaluated in is an incidental choice, so no row
-may depend on it: each row of a batched call must equal the one-row call,
-sign bits included, and permuting the batch must permute the rows.
+The batch a parameter or a point is evaluated in is an incidental choice, so
+no row may depend on it: each row of a batched call must equal the one-row
+call, sign bits included, and permuting the batch must permute the rows.
 """
 
 from functools import lru_cache
@@ -11,9 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from curvemvg import curve_models as cm
+from curvemvg import dynamics as dy
 from curvemvg import polycore as pc
+from curvemvg import projective_cameras as pcam
 
 _QUANTITIES = {
     "points": lambda curve, cam, ths: curve.points(ths),
@@ -33,10 +36,12 @@ def _curve(name: str, seed: int) -> cm.RationalCurve3D:
 
 
 def _assert_bit_equal(got, want):
-    # np.array_equal reads -0.0 == +0.0, so the sign bits are compared too
+    # np.array_equal reads -0.0 == +0.0, so the sign bits are compared too,
+    # of the real and the imaginary parts
     assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+    for g, w in ((got.real, want.real), (got.imag, want.imag)):
+        assert np.array_equal(g, w)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
 
 
 @pytest.mark.parametrize("quantity", sorted(_QUANTITIES))
@@ -60,3 +65,59 @@ def test_an_empty_batch_gives_no_rows(cams, cubic, quantity):
     # kruppa.tangency_points asks for the points of zero real tangencies so
     rows = _QUANTITIES[quantity](cubic, cams[0], [])
     assert rows.ndim == 2 and len(rows) == 0
+
+
+_REAL = (float, st.floats(-4.0, 4.0))
+_CAMERA_PRODUCTS = {
+    # name: (dtype and entries of the rows, their width, one camera's product)
+    "project": (_REAL, 4, lambda cam, X: cam.project(X)),
+    # reconstruct.epipolar_sweep projects complex cone-intersection candidates
+    "project_complex": ((complex, st.complex_numbers(max_magnitude=4.0)), 4,
+                        lambda cam, X: cam.project(X)),
+    "rays": (_REAL, 3, lambda cam, X: cam.rays(X)),
+    # reconstruct.dual_reconstruct lifts image lines l to the planes M^T l
+    "tangent_planes": (_REAL, 3, lambda cam, X: pcam._map_rows(cam.M.T, X)),
+}
+
+
+@pytest.mark.parametrize("product", sorted(_CAMERA_PRODUCTS))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(ci=st.integers(0, 7), n=st.integers(1, 24), data=st.data())
+def test_camera_rows_equal_one_row_calls(cams, product, ci, n, data):
+    (dtype, entries), width, rows = _CAMERA_PRODUCTS[product]
+    cam = cams[ci]
+    X = data.draw(hnp.arrays(dtype, (n, width), elements=entries))
+    batch = rows(cam, X)
+    assert batch.shape == (n, len(rows(cam, X[0])))
+    for x, row in zip(X, batch):
+        _assert_bit_equal(rows(cam, x), row)
+        _assert_bit_equal(rows(cam, x[None])[0], row)
+    perm = data.draw(st.permutations(range(n)))
+    _assert_bit_equal(rows(cam, X[perm]), batch[perm])
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(n=st.integers(1, 15), seed=st.integers(0, 2**32 - 1))
+def test_a_ring_stack_projects_each_row_as_its_camera_does(cams, n, seed):
+    # scenes.observe_trajectory projects every camera's frames in one call
+    P = np.random.default_rng(seed).standard_normal((len(cams), n, 4))
+    stacked = pcam._map_rows(np.array([cam.M for cam in cams])[:, None], P)
+    for cam, points, rows in zip(cams, P, stacked):
+        for x, row in zip(points, rows):
+            _assert_bit_equal(cam.project(x), row)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(blocks=st.dictionaries(st.integers(0, 7), st.integers(1, 12), min_size=1),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_lifted_detections_equal_one_row_rays(cams, blocks, seed, data):
+    # shuffled detections; each camera's block holds 1 to 12 of them
+    cam_ids = np.repeat(list(blocks), list(blocks.values()))
+    perm = data.draw(st.permutations(range(len(cam_ids))))
+    ids = np.stack([cam_ids, np.zeros_like(cam_ids), np.arange(len(cam_ids))], axis=1)[perm]
+    pts = np.random.default_rng(seed).standard_normal((len(ids), 3))
+    rays = dy.lift_observations(cams, (ids, pts))
+    order = np.argsort(ids[:, 0], kind="stable")
+    assert np.array_equal(rays.time_ids, ids[order, 2])
+    for line, ci, p in zip(rays.lines, ids[order, 0], pts[order]):
+        _assert_bit_equal(line, pc.sign_normalize_rows(cams[ci].rays(p[None]))[0])

@@ -1,5 +1,6 @@
 """Curve reconstruction: epipolar sweep, dual surface, Chow form."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,23 @@ def test_dual_reconstruct_refuses_an_empty_view(cams, cubic):
     views[2] = (views[2][0], np.zeros((0, 3)))
     with pytest.raises(pc.PolynomialError, match="no samples"):
         rc.dual_reconstruct(views, 4)
+
+
+@pytest.mark.parametrize("route,value", [("chow", 0.0), ("chow", np.nan), ("chow", np.inf),
+                                         ("dual", 0.0), ("dual", np.nan)])
+def test_a_row_with_no_lift_is_named(cams, route, value):
+    # a row with no lift raises the documented error, naming its view and
+    # row, and no warning comes before it
+    curve = preset_curve("conic", 3)
+    if route == "chow":
+        views, fit = _point_views(curve, cams[:5], 13), rc.chow_reconstruct
+    else:
+        views, fit = _tangent_views(curve, cams[:5], 14), rc.dual_reconstruct
+    views[3][1][4] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(rc.ReconstructionError, match="row 4 of view 3 is zero or not finite"):
+            fit(views, 2)
 
 
 def test_dual_reconstruct_conic(cams, conic):

@@ -301,7 +301,7 @@ README_DIGESTS = {
     "kruppa-dim --config conic_pair.json":
         "0afff9257d2fd2247c2d81be07e125069ca3530050c3403586b53d5549b14f66",
     "reconstruct-points --config cubic_pair.json --planes 60":
-        "dd3a8b8703ede4b67ddf40bbf659667663c1037c2d71e7e70e1cc75077bb0d90",
+        "a62b1fb7c1f1ee539cfc7ffe7c98e3403be610e37f0a338b173172fc55c76629",
     "reconstruct-dual --config dual_quartic.json":
         "9bacb58bdb4a083b3e4cd39154f8782d4e4edbfab5f53c48be8a120f6d5e972a",
     "reconstruct-chow --config chow_cubic.json":
