@@ -297,55 +297,42 @@ def fit_dual_image_curve(curve: RationalCurve3D,
     return phi, gap
 
 
+# fixed generic weights of the three pulled-back partials in find_nodes
+_NODE_MIX = np.array([0.5772, -0.3679, 0.7071])
+
+
 def find_nodes(curve: RationalCurve3D, cam: Camera,
-               image_curve: ImageCurve) -> list[tuple[np.ndarray, tuple[float, float]]]:
-    """Locate nodes of the image curve by scanning for vanishing gradients.
+               image_curve: ImageCurve) -> list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]]:
+    """Nodes of the image curve, each with the two parameters that meet there.
 
-    Walks 2000 points of the real parametrization, polishes every shallow
-    local minimum of |grad f|, keeps the ones below 1e-7, and pairs up
-    parameters that land on one image point; only such visible crossings
-    are returned.  A secant of the space curve through the center whose two
-    parameters are complex conjugate produces an isolated singular point
-    instead, which the real-parameter walk cannot reach.
+    Each partial of the image form, pulled back along the image
+    parametrization ``cam.M @ curve.C``, is a binary form of degree d(d-1).
+    On the curve the gradient is the tangent line times a form that vanishes
+    exactly at the node parameters, so these are the roots of one fixed
+    combination at which all three partials vanish (below 1e-9 of their
+    largest coefficient).  Roots that map to one image point are paired.
+    Each node comes back as a unit point with its two parameters as unit
+    (t : s) rows, complex where needed.  Acnodes, whose two parameters are
+    complex conjugate, are found too, and like crossnodes give a real point;
+    the other complex nodes come in conjugate pairs of complex points.
     """
-    f = image_curve.f
-    grads = pc.gradient(f)
-    gbasis = grads[0].basis
-    gcoeffs = np.stack([g.coeffs for g in grads])
-
-    def gnorm(theta: float) -> float:
-        p = _projected_points(curve, cam, [theta])[0]
-        return float(np.linalg.norm(pc.monomial_rows(gbasis, p) @ gcoeffs.T))
-
-    n_grid = 2000
-    thetas = _sample_thetas(n_grid)
-    pts = _projected_points(curve, cam, thetas)
-    vals = np.linalg.norm(pc.monomial_rows(gbasis, pts) @ gcoeffs.T, axis=1)
-    coarse = 0.2 * np.median(vals)
-    hits: list[tuple[float, np.ndarray]] = []
-    span = np.pi / n_grid
-    for i in range(n_grid):
-        lo, hi = (i - 1) % n_grid, (i + 1) % n_grid
-        if vals[i] < coarse and vals[i] <= vals[lo] and vals[i] <= vals[hi]:
-            th, g = pc.golden_polish(gnorm, thetas[i] - 1.5 * span,
-                                     thetas[i] + 1.5 * span, 1e-13)
-            if g >= 1e-7:
-                continue
-            th = th % np.pi
-            hits.append((th, _projected_points(curve, cam, [th])[0]))
+    d = curve.degree
+    K = cam.M @ curve.C
+    n = d * (d - 1)
+    # monomial y^a of the d+1 coordinates y_k = t^(d-k) s^k has s-degree sum(k a_k)
+    sdeg = enumerate_monomials(d + 1, d - 1).exponent_array() @ np.arange(d + 1)
+    forms = np.stack([pc.pullback(g, K).coeffs for g in pc.gradient(image_curve.f)])
+    forms = forms @ (sdeg[:, None] == np.arange(n + 1))
+    roots, _ = pc._binary_roots(_NODE_MIX @ forms)
+    vals = np.abs(pc.monomial_rows(enumerate_monomials(2, n), roots) @ forms.T)
+    roots = roots[vals.max(axis=1) <= 1e-9 * np.abs(forms).max()]
+    X = pc.monomial_rows(enumerate_monomials(2, d), roots) @ K.T
+    X = X / np.linalg.norm(X, axis=1, keepdims=True)
+    G = np.abs(X.conj() @ X.T)
+    np.fill_diagonal(G, 0.0)
     nodes = []
-    used = [False] * len(hits)
-    for i in range(len(hits)):
-        if used[i]:
-            continue
-        for j in range(i + 1, len(hits)):
-            if used[j]:
-                continue
-            th_i, p_i = hits[i]
-            th_j, p_j = hits[j]
-            sep = min(abs(th_i - th_j), np.pi - abs(th_i - th_j))
-            if sep > 1e-3 and pc.cosine_similarity(p_i, p_j) > 1.0 - 1e-7:
-                nodes.append((pc.sign_normalize(p_i), (th_i, th_j)))
-                used[i] = used[j] = True
-                break
+    for i, j in enumerate(G.argmax(axis=1) if len(G) else []):
+        if i < j and G[j].argmax() == i and G[i, j] > 1.0 - 1e-12:
+            p = pc.sign_normalize(X[i])
+            nodes.append((p.real if np.abs(p.imag).max() <= 1e-8 else p, (roots[i], roots[j])))
     return nodes

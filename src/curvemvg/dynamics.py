@@ -92,7 +92,8 @@ def lift_observations(cams, detections) -> RaySet:
     stable sort by camera id groups the detections and one gathered lift
     gives each row its camera's ``Camera.rays`` row, so the rows come out
     grouped by camera in ascending id, in detection order within a camera.
-    A detection at its camera's center has no ray and is skipped with a warning.
+    A detection that is not finite, or at its camera's center, has no ray
+    and is skipped with a warning.
     """
     ids, pts = detections
     order = np.argsort(ids[:, 0], kind="stable")
@@ -102,11 +103,13 @@ def lift_observations(cams, detections) -> RaySet:
     L = _map_rows(R[which], pts)
     pnorm = np.sqrt((pts * pts).sum(axis=1))
     Lnorm = np.sqrt((L * L).sum(axis=1))
+    finite = np.isfinite(pts).all(axis=1)
     at_center = pnorm <= 1e-12
-    skip = at_center | (Lnorm <= 1e-12 * pnorm)
+    skip = ~finite | at_center | (Lnorm <= 1e-12 * pnorm)
     for i in np.flatnonzero(skip).tolist():
         ci, pi, ti = ids[i].tolist()
-        what = "is at the camera center" if at_center[i] else "back-projects to no ray"
+        what = ("is not finite" if not finite[i] else
+                "is at the camera center" if at_center[i] else "back-projects to no ray")
         warnings.warn(f"detection (cam {ci}, point {pi}, frame {ti}) {what}; skipped")
     L, ids = L[~skip], ids[~skip]
     # PluckerLine's gate, for all rows at once
@@ -296,57 +299,37 @@ class LocalizeResult:
 
 def localize_on_ray(G: ChowForm, ray: PluckerLine, tol: float = 1e-6,
                     rng: np.random.Generator | None = None) -> LocalizeResult:
-    """Scan a ray for its meeting points with the trajectory of G.
+    """Points where a ray meets the trajectory of G, from the roots of one form.
 
-    Membership scoring joins each candidate point with fixed probe points;
-    on the trajectory every such joining line satisfies G.  A scan of 512
-    points along the ray is polished locally; a secant ray legitimately
-    yields several minima, so ties below tol are reported, never resolved
-    silently.
+    A point P of the ray is on the trajectory exactly when every line
+    joining P with a fixed probe point satisfies G.  Restricted to the joins
+    of the ray's points with the first of 4 probes, G is a binary form of
+    degree d whose roots hold every meeting point; a root is a candidate
+    when its probe score, the largest |G| over the joins with all 4 probes,
+    is at most tol.  A secant ray legitimately yields several candidates,
+    so they are all reported, never resolved silently; a double root (a
+    tangent ray) counts once.  The parameter is the angle of the point in
+    the orthonormal span of the ray.
     """
     if rng is None:
         rng = np.random.default_rng(2024)
     probes = rng.standard_normal((4, 4))
     A, B = line_span_points(ray.v)
-    A = A / np.linalg.norm(A)
-    B = B / np.linalg.norm(B)
-
-    def point_at(t: float) -> np.ndarray:
-        P = np.cos(t) * A + np.sin(t) * B
-        return P / np.linalg.norm(P)
-
-    def score(t: float) -> float:
-        P = point_at(t)
-        return max(abs(G(join_points(P, R))) for R in probes)
-
-    n = 512
-    ts = np.linspace(0.0, np.pi, n, endpoint=False)
-    vals = np.array([score(t) for t in ts])
-    minima = []
-    for i in range(n):
-        if vals[i] <= vals[i - 1] and vals[i] <= vals[(i + 1) % n]:
-            minima.append(i)
-
-    step = np.pi / n
-    candidates = []
-    for i in minima:
-        t_best, v = pc.golden_polish(score, ts[i] - step, ts[i] + step, 1e-14)
-        if v <= tol:
-            candidates.append((t_best, point_at(t_best), v))
-    # dedup: minima from adjacent grid cells polish to the same root
-    candidates.sort(key=lambda c: c[0])
-    dedup: list[tuple[float, np.ndarray, float]] = []
-    for c in candidates:
-        if dedup and min(abs(c[0] - dedup[-1][0]),
-                         np.pi - abs(c[0] - dedup[-1][0])) < 10 * step:
-            if c[2] < dedup[-1][2]:
-                dedup[-1] = c
-            continue
-        dedup.append(c)
-    if not dedup:
+    form = pc.restrict_to_line(G.Gamma, join_points(A, probes[0]), join_points(B, probes[0]))
+    roots, _ = pc._binary_roots(form.coeffs)
+    # every root is scored at the real part of its t (s is real), so a
+    # near-real conjugate pair lands on one angle
+    theta = np.sort(np.arctan2(roots[:, 1].real, roots[:, 0].real) % np.pi)
+    P = np.cos(theta)[:, None] * A + np.sin(theta)[:, None] * B
+    scores = np.abs([[G(L) for L in join_points(p, probes)] for p in P]).max(axis=1)
+    ok = np.flatnonzero(scores <= tol)
+    if not ok.size:
         raise DynamicsError(
-            f"no membership minimum below {tol:.1e} along the ray "
-            f"(best {vals.min():.2e})")
-    dedup.sort(key=lambda c: c[2])
-    best = dedup[0]
-    return LocalizeResult(best[1], best[0], best[2], dedup, len(dedup) > 1)
+            f"no root of the restricted Chow form scores below {tol:.1e} "
+            f"(best {scores.min():.2e})")
+    # a double root (a tangent ray) counts once: the last of a run closer than 1e-6
+    ok = ok[np.diff(theta[ok], append=theta[ok[0]] + np.pi) > 1e-6]
+    order = ok[np.argsort(scores[ok], kind="stable")]
+    candidates = [(float(theta[i]), P[i], float(scores[i])) for i in order]
+    best = candidates[0]
+    return LocalizeResult(best[1], best[0], best[2], candidates, len(candidates) > 1)

@@ -168,30 +168,23 @@ def tangency_points(curve: RationalCurve3D, cam1: Camera, cam2: Camera) -> Tange
 
     The tangency condition is the vanishing of det[O1, O2, X_t, X_s], the
     incidence of the baseline with the curve's tangent form: a binary form
-    of degree 2d-2 whose roots are found numerically; repeated roots mean
-    the pair sits on a non-generic tangency and are rejected.
+    of degree 2d-2 whose roots come from :func:`polycore._binary_roots` and
+    are polished on the angle chart.  A repeated root means the pair sits on
+    a non-generic tangency and is rejected; a form that vanishes
+    identically (both centers in the plane of a conic) raises
+    :class:`polycore.PolynomialError`.
     """
     O1, O2 = cam1.center, cam2.center
     baseline = join_points(O1, O2)
     coeff = swap_blocks(baseline) @ curve.tangent_form
-    scale = np.abs(coeff).max()
-    if scale == 0.0:
-        raise GeometryError("tangency form vanished identically (degenerate pair)")
-    coeff = coeff / scale
+    roots, sep = pc._binary_roots(coeff)
+    if sep < 1e-7:
+        raise GeometryError("repeated tangency parameters: non-generic camera pair")
     m = 2 * curve.degree - 2
-    lead = np.abs(coeff) > 1e-11
-    first = int(np.argmax(lead))  # leading zeros are roots at s = 0, i.e. theta = 0
-    params = [0.0] * first
-    n_complex = 0
-    for r in np.roots(coeff[first:]):
-        if abs(r.imag) > 1e-8 * max(1.0, abs(r)):
-            n_complex += 1
-            continue
-        params.append(_polish_tangency(coeff, float(np.arctan2(1.0, r.real)) % np.pi))
-    params = sorted(p % np.pi for p in params)
-    for a, b in zip(params, params[1:]):
-        if abs(a - b) < 1e-7:
-            raise GeometryError("repeated tangency parameters: non-generic camera pair")
+    # s is real, so a root is real when t is
+    real = roots[np.abs(roots[:, 0].imag) <= 1e-8].real
+    params = sorted(_polish_tangency(coeff, th) for th in np.arctan2(real[:, 1], real[:, 0]))
+    n_complex = len(roots) - len(real)
     Q = pc.sign_normalize_rows(curve.points(params))
     q1, q2 = (q / np.linalg.norm(q, axis=1, keepdims=True) for q in (cam1.project(Q), cam2.project(Q)))
     return TangencyData(baseline, np.asarray(params), Q, q1, q2, m, n_complex)

@@ -26,6 +26,9 @@ WHITENING_FLOOR = 1e-12
 # relative singular-value cut of every fitted rank
 RANK_TOL = 1e-7
 
+# relative size under which a leading binary-form coefficient is zero
+BINARY_LEAD_CUT = 1e-12
+
 
 @lru_cache(maxsize=None)
 def _exponents(num_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
@@ -546,37 +549,29 @@ def cosine_similarity(u, v) -> float:
     return float(abs(np.vdot(u, v)) / (nu * nv))
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+def _binary_roots(coeffs) -> tuple[np.ndarray, float]:
+    """The n roots of a binary form over ``t^n, ..., s^n`` as unit (t : s) rows.
 
-
-def golden_polish(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
-    """Minimise a unimodal f on [lo, hi] by golden-section search.
-
-    Each step keeps one interior point and its value, so it costs a single
-    evaluation; the bracket shrinks by the golden ratio per step until it is
-    at most xtol wide.  A minimum at either end of the bracket is returned
-    as that end.  Returns ``(x, f(x))`` for the best point evaluated.
+    The one root finder of the package.  A finite root r is the row
+    ``(r, 1)`` scaled to unit norm, so ``s`` is real and positive; each
+    leading coefficient below :data:`BINARY_LEAD_CUT` times the largest is a
+    root at ``s = 0``, the row ``(1, 0)``, listed after the finite ones.  The
+    rows are real when every root is.  Also returns the smallest pairwise
+    separation ``|t_i s_j - t_j s_i|`` (inf for fewer than two roots), which
+    is zero at a repeated root.  A zero or non-finite form raises.
     """
-    a, b = float(lo), float(hi)
-    width = b - a
-    steps = 0
-    if width > xtol:
-        steps = math.ceil(math.log(width / xtol) / -math.log(_INV_PHI))
-    c, d = b - _INV_PHI * width, a + _INV_PHI * width
-    fc, fd = f(c), f(d)
-    for _ in range(steps):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    x, fx = (c, fc) if fc < fd else (d, fd)
-    if a == lo or b == hi:
-        edge = a if a == lo else b
-        fe = f(edge)
-        if fe <= fx:
-            x, fx = edge, fe
-    return x, fx
+    g = np.asarray(coeffs)
+    scale = np.abs(g).max(initial=0.0)
+    if not 0.0 < scale < np.inf:
+        raise PolynomialError("binary form is zero or not finite")
+    first = int(np.argmax(np.abs(g) > BINARY_LEAD_CUT * scale))
+    finite = np.roots(g[first:])
+    rows = np.ones((g.size - 1, 2), dtype=finite.dtype)
+    rows[: finite.size, 0] = finite
+    rows[finite.size:, 1] = 0.0
+    # real and imaginary squares summed apart, as numpy's vector norm sums
+    # them: the sweep's points, and so its pinned digest, keep their bits
+    rows /= np.sqrt((rows.real ** 2).sum(axis=1) + (rows.imag ** 2).sum(axis=1))[:, None]
+    i, j = np.triu_indices(len(rows), 1)
+    cross = np.abs(rows[i, 0] * rows[j, 1] - rows[i, 1] * rows[j, 0])
+    return rows, float(cross.min(initial=np.inf))

@@ -96,31 +96,15 @@ def _image_line_span(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _line_curve_roots(f: HomogeneousPolynomial, line: np.ndarray) -> tuple[np.ndarray, float]:
     """Intersection points of an image line with the curve, over the complexes.
 
-    Returns ``(points, min_separation)`` where the separation is the smallest
-    projective distance between the (t:s) roots; a collision means the line
-    is tangent.
+    Returns ``(points, min_separation)``, the unit points at the roots of
+    the curve form restricted to the line and their smallest separation
+    from :func:`polycore._binary_roots`; a collision means the line is
+    tangent.
     """
     A, B = _image_line_span(line)
-    g = pc.restrict_to_line(f, A, B).coeffs
-    d = f.degree
-    scale = np.abs(g).max()
-    if scale == 0.0:
-        raise GeometryError("curve form vanishes on the whole line")
-    lead = np.abs(g) > 1e-12 * scale
-    first = int(np.argmax(lead))
-    finite = np.roots(g[first:])
-    # roots as projective pairs (t : 1), plus (1 : 0) for each dropped lead
-    pairs = [np.array([r, 1.0]) for r in finite] + [np.array([1.0, 0.0])] * first
-    pairs = [p / np.linalg.norm(p) for p in pairs]
-    sep = np.inf
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            sep = min(sep, abs(pairs[i][0] * pairs[j][1] - pairs[i][1] * pairs[j][0]))
-    pts = np.stack([t * A + s * B for t, s in pairs])
-    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    if len(pairs) != d:
-        raise GeometryError("line meets the curve in fewer points than its degree")
-    return pts, float(sep)
+    roots, sep = pc._binary_roots(pc.restrict_to_line(f, A, B).coeffs)
+    pts = roots[:, :1] * A + roots[:, 1:] * B
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True), sep
 
 
 def epipolar_sweep(f1: ImageCurve, f2: ImageCurve, cam1: Camera, cam2: Camera,
@@ -159,7 +143,7 @@ def epipolar_sweep(f1: ImageCurve, f2: ImageCurve, cam1: Camera, cam2: Camera,
             l2 = _epipolar_line(cam2, plane)
             pts1, sep1 = _line_curve_roots(f1.f, l1)
             pts2, sep2 = _line_curve_roots(f2.f, l2)
-        except GeometryError:
+        except (GeometryError, pc.PolynomialError):
             skipped += 1
             continue
         if min(sep1, sep2) < 1e-7:

@@ -312,12 +312,26 @@ def test_dual_conic_is_adjugate(cams, conic):
     assert pc.proportionality_residual(D.ravel(), adjugate3(C).ravel()) < 1e-8
 
 
-def test_find_nodes_matches_count(cams, cubic):
-    ic = cm.implicit_image_curve(cubic, cams[0])
-    nodes = cm.find_nodes(cubic, cams[0], ic)
-    assert len(nodes) == cm.node_count(3, 0) == 1
-    p, (th1, th2) = nodes[0]
-    # both branches project to the node
-    q1, q2 = cubic.points([th1, th2]) @ cams[0].M.T
-    assert pc.proportionality_residual(q1, q2) < 1e-6
-    assert abs(ic.f(p)) < 1e-8
+def test_find_nodes_matches_count(cams):
+    # every node of a generic projection, acnodes and complex nodes included:
+    # a singular point of the image, met by both of its parameters
+    for name in ("twisted_cubic", "rational_quartic", "rational_quintic"):
+        for seed in range(3):
+            curve = cm.preset_curve(name, seed)
+            d = curve.degree
+            for ci, cam in enumerate(cams):
+                ic = cm.implicit_image_curve(curve, cam)
+                grads = np.stack([g.coeffs for g in pc.gradient(ic.f)])
+                nodes = cm.find_nodes(curve, cam, ic)
+                assert len(nodes) == cm.node_count(d, 0), (name, seed, ci)
+                for p, params in nodes:
+                    grad = pc.monomial_rows(pc.enumerate_monomials(3, d - 1), p) @ grads.T
+                    assert np.abs(grad).max() <= 1e-10 * np.abs(grads).max(), (name, seed, ci)
+                    images = pc.monomial_rows(pc.enumerate_monomials(2, d), np.stack(params))
+                    for q in images @ (cam.M @ curve.C).T:
+                        assert pc.proportionality_residual(q, p) < 1e-9, (name, seed, ci)
+                    # crossnodes (real parameters) and acnodes (conjugate
+                    # parameters) are real points
+                    a, b = params
+                    if np.allclose(a, b.conj()) or not (a.imag.any() or b.imag.any()):
+                        assert np.isrealobj(p), (name, seed, ci)

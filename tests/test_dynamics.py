@@ -85,6 +85,23 @@ def test_lift_skips_center_detection():
     assert len(caught) == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lift_skips_a_detection_that_is_not_finite(bad):
+    sc = scenes.observe_trajectory("line", np.random.default_rng(3), n_cameras=3,
+                                   frames_per_camera=4)
+    ids, pts = sc.detections
+    pts = pts.copy()
+    pts[5, 1] = bad
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rays = dy.lift_observations(sc.cameras, (ids, pts))
+    ci, pi, ti = ids[5].tolist()
+    assert [str(w.message) for w in caught] == [
+        f"detection (cam {ci}, point {pi}, frame {ti}) is not finite; skipped"]
+    assert len(rays) == len(ids) - 1 and np.isfinite(rays.lines).all()
+    assert dy.classify_motion(rays).kind == "line"
+
+
 def _reference_lift(cams, detections):
     # detections grouped in a dict by camera, each block lifted on its own
     by_cam = {}
@@ -316,6 +333,16 @@ def test_localize_reports_secant_ambiguity():
     for _, P, _ in loc.candidates:
         best = min(1 - abs(P @ (Q / np.linalg.norm(Q))) for Q in (Q1, Q2))
         assert best < 1e-5
+
+
+def test_localize_counts_a_tangent_ray_once():
+    sc, rays = _rays_for("conic", 11)
+    mc = dy.classify_motion(rays)
+    curve = sc.trajectory.curve
+    for th in (0.3, 1.0, 2.5):
+        loc = dy.localize_on_ray(mc.model, PluckerLine(curve.tangent_lines([th])[0]))
+        assert len(loc.candidates) == 1 and not loc.ambiguous
+        assert 1 - abs(loc.point @ curve.points([th])[0]) < 1e-9
 
 
 def test_localize_rejects_missing_ray():

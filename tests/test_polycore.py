@@ -338,47 +338,56 @@ def test_sign_normalize_conventions():
     assert abs(np.linalg.norm(z) - 1.0) < 1e-12
 
 
-def _counted(f):
-    calls = []
-
-    def g(t):
-        calls.append(t)
-        return f(t)
-    return g, calls
-
-
-def _golden_budget(width, xtol):
-    import math
-    return math.ceil(math.log(width / xtol) / math.log((1 + math.sqrt(5)) / 2)) + 3
-
-
-@pytest.mark.parametrize("xtol", [1e-6, 1e-10, 1e-13])
-def test_golden_polish_v_shape(xtol):
-    t0 = 0.3141
-    f, calls = _counted(lambda t: abs(t - t0))
-    x, fx = pc.golden_polish(f, -1.0, 2.0, xtol)
-    assert abs(x - t0) <= xtol
-    assert fx == abs(x - t0)
-    assert len(calls) <= _golden_budget(3.0, xtol)
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_binary_roots_count_leading_zeros_as_roots_at_infinity(k):
+    # (t - 2s)(t + s) s^k, one leading zero below the cut; every root is real
+    coeffs = np.concatenate([[0.0] * k, [1.0, -1.0, -2.0]])
+    if k:
+        coeffs[0] = 1e-14
+    rows, sep = pc._binary_roots(coeffs)
+    assert rows.shape == (k + 2, 2) and rows.dtype == float
+    assert np.array_equal(rows[2:], np.tile([1.0, 0.0], (k, 1)))
+    assert np.allclose(sorted(rows[:2, 0] / rows[:2, 1]), [-1.0, 2.0])
+    # the closest pair is (2 : 1) and (1 : 0) when there is a root at infinity
+    assert sep == (0.0 if k > 1 else pytest.approx(1 / np.sqrt(5) if k else 3 / np.sqrt(10)))
 
 
-def test_golden_polish_quadratic():
-    t0 = -0.72
-    f, calls = _counted(lambda t: 5.0 * (t - t0) ** 2)
-    x, fx = pc.golden_polish(f, -1.0, 0.5, 1e-9)
-    assert abs(x - t0) <= 1e-9
-    assert fx == 5.0 * (x - t0) ** 2
-    assert len(calls) <= _golden_budget(1.5, 1e-9)
+def test_binary_roots_returns_complex_conjugate_pairs():
+    # (t^2 + s^2)(t - 3s): roots i, -i and 3
+    rows, sep = pc._binary_roots([1.0, -3.0, 1.0, -3.0])
+    assert np.iscomplexobj(rows)
+    assert np.allclose(rows[:, 1].imag, 0.0) and (rows[:, 1].real > 0).all()
+    ratios = rows[:, 0] / rows[:, 1]
+    assert np.allclose(sorted(ratios, key=lambda r: (r.real, r.imag)), [-1j, 1j, 3.0])
+    assert np.allclose(np.linalg.norm(rows, axis=1), 1.0)
+    # |i - 3| / (sqrt(2) sqrt(10)) is below the conjugate pair's 1
+    assert sep == pytest.approx(1 / np.sqrt(2))
 
 
-@pytest.mark.parametrize("slope", [1.0, -1.0])
-def test_golden_polish_returns_bracket_edge(slope):
-    lo, hi = 0.25, 0.75
-    f, calls = _counted(lambda t: slope * t)
-    x, fx = pc.golden_polish(f, lo, hi, 1e-12)
-    assert x == (lo if slope > 0 else hi)
-    assert fx == slope * x
-    assert len(calls) <= _golden_budget(hi - lo, 1e-12)
+def test_binary_roots_double_root_has_zero_separation():
+    # (t - 0.7 s)^2 (t + 2 s)
+    coeffs = np.polymul(np.polymul([1.0, -0.7], [1.0, -0.7]), [1.0, 2.0])
+    _, sep = pc._binary_roots(coeffs)
+    assert sep < 1e-7
+
+
+def test_binary_roots_refuses_a_zero_or_non_finite_form():
+    for coeffs in ([0.0, 0.0, 0.0], [1.0, np.nan, 2.0], [np.inf, 1.0]):
+        with pytest.raises(pc.PolynomialError):
+            pc._binary_roots(coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 20])
+def test_binary_roots_are_roots(n):
+    rng = np.random.default_rng(n)
+    # one form with coefficients of one size, one spread over six decades
+    for coeffs in rng.standard_normal((2, n + 1)) * [[1.0], [1e6]] ** np.linspace(0, 1, n + 1):
+        rows, _ = pc._binary_roots(coeffs)
+        assert rows.shape == (n, 2)
+        # each value relative to the sum of its terms' magnitudes
+        mono = pc.monomial_rows(pc.enumerate_monomials(2, n), rows)
+        assert (np.abs(mono @ coeffs) <= 1e-12 * (np.abs(mono) @ np.abs(coeffs))).all()
+        assert np.allclose(np.abs(rows[:, 0]) ** 2 + np.abs(rows[:, 1]) ** 2, 1.0)
 
 
 def test_sign_normalize_rows_matches_sign_normalize():
