@@ -21,8 +21,8 @@ import numpy as np
 
 from . import polycore as pc
 from .projective_cameras import (
-    GeometryError,
     PluckerLine,
+    _check_on_quadric,
     _map_rows,
     grassmann_residual,
     join_points,
@@ -30,12 +30,7 @@ from .projective_cameras import (
     point_line_matrix,
     swap_blocks,
 )
-from .reconstruct import (
-    ChowForm,
-    InsufficientViews,
-    ReconstructionError,
-    fit_chow_from_lines,
-)
+from .reconstruct import ChowForm, _fit_chow, fit_chow_from_lines
 
 
 class DynamicsError(ValueError):
@@ -112,11 +107,7 @@ def lift_observations(cams, detections) -> RaySet:
                 "is at the camera center" if at_center[i] else "back-projects to no ray")
         warnings.warn(f"detection (cam {ci}, point {pi}, frame {ti}) {what}; skipped")
     L, ids = L[~skip], ids[~skip]
-    # PluckerLine's gate, for all rows at once
-    quadric = grassmann_residual(L)
-    if (quadric > 1e-7).any():
-        raise GeometryError(
-            f"6-vector misses the line quadric (residual {quadric.max():.2e})")
+    _check_on_quadric(L)
     return RaySet(pc.sign_normalize_rows(L), *ids.T)
 
 
@@ -202,13 +193,14 @@ def recover_line_motion(rays, tol: float = 1e-8,
 
 
 def recover_trajectory_chow(rays, d: int) -> ChowForm:
-    """Degree-d form vanishing on the rays, via the reconstruct fitting core."""
-    blocks = None
+    """Degree-d form vanishing on the rays, rank-checked as chow_reconstruct is.
+
+    A RaySet gives one view per camera to the per-view rank checks; the
+    rows of a plain (n, 6) array count as one view.
+    """
     if isinstance(rays, RaySet):
-        # per-camera blocks for the per-view rank checks
-        cams = rays.camera_ids
-        blocks = [rays.lines[cams == c] for c in np.unique(cams)]
-    return fit_chow_from_lines(_ray_rows(rays), d, per_view_blocks=blocks)
+        return _fit_chow([rays.lines[rays.camera_ids == c] for c in np.unique(rays.camera_ids)], d)
+    return _fit_chow([_ray_rows(rays)], d)
 
 
 def _holdout_split(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -272,11 +264,7 @@ def classify_motion(rays, noise_sigma: float = 0.0) -> MotionClass:
     # direction and the noise floor overlap across instances).
     train, held = _holdout_split(n)
     for d in (2, 3):
-        try:
-            G = fit_chow_from_lines(mat[train], d, enforce_rank=False)
-        except (InsufficientViews, ReconstructionError) as err:
-            trace[f"degree{d}_reject"] = str(err)
-            continue
+        G = fit_chow_from_lines(mat[train], d)
         worst = float(np.abs(pc.evaluate(G.Gamma, mat[held])).max())
         trace[f"degree{d}_holdout"] = worst
         trace[f"degree{d}_gap"] = G.gap

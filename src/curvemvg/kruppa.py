@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polycore as pc
-from .curve_models import RationalCurve3D, fit_dual_image_curve
+from .curve_models import (RationalCurve3D, _binary_monomials, _derivative_shifts,
+                           fit_dual_image_curve)
 from .polycore import HomogeneousPolynomial
 from .projective_cameras import (
     Camera,
@@ -191,16 +192,14 @@ def tangency_points(curve: RationalCurve3D, cam1: Camera, cam2: Camera) -> Tange
 
 
 def _polish_tangency(coeff: np.ndarray, theta: float) -> float:
-    # Newton steps on the dehomogenized angle chart
+    # Newton steps on the angle chart; the derivative is -s g_t + t g_s, as
+    # RationalCurve3D.velocity reads it
     n = coeff.shape[0] - 1
+    partials = coeff @ _derivative_shifts(n)
     for _ in range(40):
-        t, s = np.cos(theta), np.sin(theta)
-        ks = np.arange(n + 1)
-        mono = t ** (n - ks) * s ** ks
-        g = float(coeff @ mono)
-        dmono = -(n - ks) * np.where(n - ks >= 1, t ** np.maximum(n - ks - 1, 0), 0.0) * s ** (ks + 1) \
-            + ks * t ** (n - ks + 1) * np.where(ks >= 1, s ** np.maximum(ks - 1, 0), 0.0)
-        dg = float(coeff @ dmono)
+        g = float(coeff @ _binary_monomials(theta, n))
+        gt, gs = partials @ _binary_monomials(theta, n - 1)
+        dg = float(np.cos(theta) * gs - np.sin(theta) * gt)
         if dg == 0.0:
             break
         step = g / dg

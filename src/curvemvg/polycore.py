@@ -239,15 +239,10 @@ def partial(p: HomogeneousPolynomial, i: int) -> HomogeneousPolynomial:
     if p.degree == 0:
         raise PolynomialError("constants have no homogeneous derivative")
     target = enumerate_monomials(p.num_vars, p.degree - 1)
-    idx = _index_of(p.num_vars, p.degree - 1)
-    out = np.zeros(target.size, dtype=p.coeffs.dtype)
-    for coeff, exps in zip(p.coeffs, p.basis.exponents):
-        if exps[i] == 0 or coeff == 0:
-            continue
-        shifted = list(exps)
-        shifted[i] -= 1
-        out[idx[tuple(shifted)]] += exps[i] * coeff
-    return HomogeneousPolynomial(target, out)
+    # each target monomial times x_i is one monomial of p, whose exponent of
+    # x_i it carries as a factor; + 0.0 turns a -0.0 term into +0.0
+    up = _product_index_map(p.num_vars, p.degree - 1, 1)[:, i]
+    return HomogeneousPolynomial(target, (target.exponent_array()[:, i] + 1) * p.coeffs[up] + 0.0)
 
 
 def gradient(p: HomogeneousPolynomial) -> list[HomogeneousPolynomial]:
@@ -259,19 +254,8 @@ def quadratic_matrix(p: HomogeneousPolynomial) -> np.ndarray:
     """Symmetric matrix M of a quadratic form, so p(x) = x^T M x."""
     if p.degree != 2:
         raise PolynomialError("only quadratic forms have a matrix")
-    n = p.num_vars
-    M = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            e = [0] * n
-            e[i] += 1
-            e[j] += 1
-            c = p.coeffs[p.basis.index(tuple(e))]
-            if i == j:
-                M[i, i] = c
-            else:
-                M[i, j] = M[j, i] = c / 2.0
-    return M
+    # entry (i, j) reads the coefficient of x_i x_j, halved off the diagonal
+    return p.coeffs[_product_index_map(p.num_vars, 1, 1)] / (2.0 - np.eye(p.num_vars))
 
 
 def restrict_to_line(p: HomogeneousPolynomial, a, b) -> HomogeneousPolynomial:

@@ -74,6 +74,13 @@ def grassmann_residual(L):
     return np.abs(incidence(L, L)) / (2.0 * nn)
 
 
+def _check_on_quadric(L) -> None:
+    # the one line-quadric gate: a 6-vector, or every row of a stack, within 1e-7
+    residual = grassmann_residual(L)
+    if np.any(residual > 1e-7):
+        raise GeometryError(f"6-vector misses the line quadric (residual {np.max(residual):.2e})")
+
+
 def join_points(P, Q) -> np.ndarray:
     """Plucker coordinates of the lines through pairs of distinct points of P^3."""
     L = _wedge(P, Q)
@@ -149,9 +156,7 @@ class PluckerLine:
         v = np.asarray(self.v, dtype=float)
         if v.shape != (6,):
             raise GeometryError("Plucker vectors have six coordinates")
-        residual = grassmann_residual(v)
-        if residual > 1e-7:
-            raise GeometryError(f"6-vector misses the line quadric (residual {residual:.2e})")
+        _check_on_quadric(v)
         object.__setattr__(self, "v", sign_normalize(v))
 
 

@@ -12,7 +12,7 @@ number of measurements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,7 +24,6 @@ from .projective_cameras import (
     Camera,
     GeometryError,
     _map_rows,
-    fundamental,
     join_points,
     line_span_points,
     sign_normalize,
@@ -176,16 +175,37 @@ def _unit_lifts(views, lift, what: str) -> list[np.ndarray]:
 
 def _view_ranks(basis, blocks) -> list[int]:
     """Whitened rank of each view's block, from one stacked fit per block shape."""
-    blocks = [np.asarray(b, dtype=float) for b in blocks]
     ranks = {}
     for shape in dict.fromkeys(b.shape for b in blocks):
-        if len(shape) != 2:
-            raise pc.PolynomialError(
-                f"samples have shape {shape}, basis expects {basis.num_vars} coordinates")
         views = [i for i, b in enumerate(blocks) if b.shape == shape]
         fits = pc.whitened_nullspace(basis, np.stack([blocks[i] for i in views]))
         ranks.update((i, fit.rank()) for i, fit in zip(views, fits))
     return [ranks[i] for i in range(len(blocks))]
+
+
+def _checked_fit(basis, blocks, nullity: int, what: str, cap: int,
+                 blind_hint) -> tuple[pc.NullspaceFit, list[int]]:
+    """The one rank-checked fit of stacked view blocks, and each view's rank.
+
+    The stacked rank must leave exactly ``nullity`` null directions.  Below
+    that, :class:`InsufficientViews` names the rank, the per-view ranks
+    against their ``cap`` and ``blind_hint(number of views)``, the blind
+    family the views leave ("" for none); above it the rows fit no such
+    family of forms, which raises :class:`ReconstructionError`.
+    """
+    ranks = _view_ranks(basis, blocks)
+    fit = pc.whitened_nullspace(basis, np.concatenate(blocks))
+    total, needed = fit.rank(), basis.size - nullity
+    if total < needed:
+        hint = (blind_hint(len(blocks)) or "views are too sparsely sampled; "
+                f"supply at least {cap} {what}s per view")
+        raise InsufficientViews(f"stacked {what} equations have rank {total} < {needed} "
+                                f"(per-view ranks {ranks}, caps {cap}; {hint})")
+    if total > needed:
+        raise ReconstructionError(
+            f"{what} equations have rank {total} > {needed}: "
+            f"the {what}s do not all come from one curve at degree {basis.degree}")
+    return fit, ranks
 
 
 # ---------------------------------------------------------------------------
@@ -250,26 +270,18 @@ def dual_reconstruct(views: list[tuple[Camera, np.ndarray]], m: int) -> DualSurf
     exceed C(m+2,2)-1 independent rows no matter how many tangents are
     supplied, and across views the stacked system always retains the
     center-hyperplane products counted by dual_ambiguity_dim, so fewer than
-    m+1 views raise even when the per-view caps are all saturated.
+    m+1 views raise even when the per-view caps are all saturated.  Tangents
+    that no single degree-m form satisfies raise too, instead of returning
+    the least-bad form.
     """
-    basis = enumerate_monomials(4, m)
-    needed = basis.size - 1
-    blocks = _unit_lifts(views, lambda cam, lines: _map_rows(cam.M.T, lines), "tangent line")
-    ranks = _view_ranks(basis, blocks)
-    fit = pc.whitened_nullspace(basis, np.concatenate(blocks))
-    total = fit.rank()
-    if total < needed:
-        k = len(views)
+    def blind_hint(k):
         blind = dual_ambiguity_dim(m, k)
-        if blind:
-            hint = (f"{k} views leave a {blind}-dim family of center-hyperplane "
-                    f"products; class {m} needs at least {m + 1} views")
-        else:
-            hint = ("views are too sparsely sampled; supply at least "
-                    f"{dual_view_cap(m)} tangents per view")
-        raise InsufficientViews(
-            f"stacked tangent equations have rank {total} < {needed} "
-            f"(per-view ranks {ranks}, caps {dual_view_cap(m)}; {hint})")
+        return (f"{k} views leave a {blind}-dim family of center-hyperplane products; "
+                f"class {m} needs at least {m + 1} views") if blind else ""
+
+    blocks = _unit_lifts(views, lambda cam, lines: _map_rows(cam.M.T, lines), "tangent line")
+    fit, ranks = _checked_fit(enumerate_monomials(4, m), blocks, 1, "tangent",
+                              dual_view_cap(m), blind_hint)
     return DualSurface(fit.form(), fit.gap(), ranks)
 
 
@@ -330,19 +342,14 @@ def grassmann_quadric_form() -> HomogeneousPolynomial:
 @lru_cache(maxsize=None)
 def _ideal_rows(d: int) -> np.ndarray:
     """Orthonormal coefficient basis of the degree-d multiples of the quadric."""
-    Q = grassmann_quadric_form()
     if d < 2:
         raise ReconstructionError("degree must be at least 2")
-    mon = enumerate_monomials(6, d - 2)
-    rows = []
-    for e in mon.exponent_array():
-        m_coeffs = np.zeros(mon.size)
-        m_coeffs[mon.index(tuple(e))] = 1.0
-        prod = pc.multiply(HomogeneousPolynomial(mon, m_coeffs), Q)
-        rows.append(prod.coeffs)
-    R = np.stack(rows)
+    # row i: monomial i of degree d-2 times the quadric
+    imap = pc._product_index_map(6, d - 2, 2)
+    R = np.zeros((len(imap), math.comb(d + 5, 5)))
+    R[np.arange(len(imap))[:, None], imap] = grassmann_quadric_form().coeffs
     q, _ = np.linalg.qr(R.T)
-    ideal = q.T[: R.shape[0]]
+    ideal = q.T[: len(imap)]
     ideal.setflags(write=False)
     return ideal
 
@@ -357,7 +364,7 @@ class ChowForm:
 
     Gamma: HomogeneousPolynomial
     gap: float
-    per_view_ranks: list[int] = field(default_factory=list)
+    per_view_ranks: list[int]
 
     @property
     def degree(self) -> int:
@@ -368,58 +375,47 @@ class ChowForm:
         return self.Gamma(L / np.linalg.norm(L))
 
 
-def fit_chow_from_lines(lines: np.ndarray, d: int,
-                        per_view_blocks: list[np.ndarray] | None = None,
-                        enforce_rank: bool = True) -> ChowForm:
-    """Chow form of degree d from Plucker vectors of lines meeting the curve.
-
-    Fits the nullspace of the vanishing conditions in a whitened frame.  The
-    nullspace holds the Chow class plus every degree-d multiple of the
-    Grassmann quadric (those vanish on all lines whatsoever), so the fit
-    extracts 1 + C(d+3,5) directions and projects out the ideal part to land
-    on the canonical representative.  The stacked rank is read from the
-    fit's own singular values and must match that count exactly;
-    ``per_view_ranks`` holds the rank of each of ``per_view_blocks``, or
-    the stacked rank alone when no blocks are given.  With
-    ``enforce_rank=False`` no rank is checked, ``per_view_blocks`` is
-    unused, ``per_view_ranks`` is left empty and the weakest directions are
-    fit unconditionally; callers must then validate the result on held-out
-    lines, since a wrong-degree fit simply evaluates large instead of
-    raising.
-    """
-    lines = np.asarray(lines, dtype=float)
-    lines = lines / np.linalg.norm(lines, axis=1, keepdims=True)
-    basis = enumerate_monomials(6, d)
+def _chow_form(fit: pc.NullspaceFit, d: int, ranks: list[int]) -> ChowForm:
+    # the canonical representative: the 1 + C(d+3,5) weakest directions
+    # pulled back, minus their part in the degree-d multiples of the quadric
     k = chow_ideal_dim(d)
-    needed = basis.size - k - 1
-    fit = pc.whitened_nullspace(basis, lines)
-    ranks = []
-    if enforce_rank:
-        total = fit.rank()
-        ranks = [total] if per_view_blocks is None else _view_ranks(basis, per_view_blocks)
-        if total < needed:
-            blind = chow_ambiguity_dim(d, len(ranks))
-            if per_view_blocks is not None and blind:
-                hint = (f"{len(ranks)} centers leave a {blind}-dim family of "
-                        f"forms through their alpha-planes; degree {d} needs rays "
-                        f"from at least {views_for_chow(d)} distinct centers")
-            else:
-                hint = (f"supply more rays: at least {chow_view_cap(d)} "
-                        f"per center and {views_for_chow(d)} centers")
-            raise InsufficientViews(
-                f"stacked ray equations have rank {total} < {needed} "
-                f"(per-view ranks {ranks}, caps {chow_view_cap(d)}; {hint})")
-        if total > needed:
-            raise ReconstructionError(
-                f"ray equations have rank {total} > {needed}: "
-                "the rays are not all incident to one degree-matched curve")
     pulled = fit.null(k + 1) @ pc.sym_power(fit.pullback_map(), d)
     pulled = pulled / np.linalg.norm(pulled, axis=1, keepdims=True)
     ideal = _ideal_rows(d)
     resid = pulled - (pulled @ ideal.T) @ ideal
     _, _, Vr = np.linalg.svd(resid, full_matrices=False)
-    rep = sign_normalize(Vr[0])
-    return ChowForm(HomogeneousPolynomial(basis, rep), fit.gap(k + 1), ranks)
+    Gamma = HomogeneousPolynomial(enumerate_monomials(6, d), sign_normalize(Vr[0]))
+    return ChowForm(Gamma, fit.gap(k + 1), ranks)
+
+
+def fit_chow_from_lines(lines: np.ndarray, d: int) -> ChowForm:
+    """Chow form of degree d from Plucker vectors of lines meeting the curve.
+
+    The whitened nullspace holds the Chow class plus every degree-d multiple
+    of the Grassmann quadric (those vanish on all lines whatsoever), so the
+    fit takes 1 + C(d+3,5) directions and projects out the ideal part to land
+    on the canonical representative.  No rank is checked (chow_reconstruct
+    is the checked route) and ``per_view_ranks`` is empty, so callers must
+    validate the fit on held-out lines: a wrong-degree fit evaluates large.
+    """
+    lines = np.asarray(lines, dtype=float)
+    lines = lines / np.linalg.norm(lines, axis=1, keepdims=True)
+    return _chow_form(pc.whitened_nullspace(enumerate_monomials(6, d), lines), d, [])
+
+
+def _fit_chow(blocks: list[np.ndarray], d: int) -> ChowForm:
+    # the rank-checked route, one block of rays per center; each row is
+    # normalized once more, as fit_chow_from_lines does, so both fit the same bits
+    def blind_hint(k):
+        blind = chow_ambiguity_dim(d, k)
+        return (f"{k} centers leave a {blind}-dim family of forms through their "
+                f"alpha-planes; degree {d} needs rays from at least {views_for_chow(d)} "
+                "distinct centers") if blind else ""
+
+    blocks = [b / np.linalg.norm(b, axis=1, keepdims=True) for b in blocks]
+    fit, ranks = _checked_fit(enumerate_monomials(6, d), blocks, chow_ideal_dim(d) + 1,
+                              "ray", chow_view_cap(d), blind_hint)
+    return _chow_form(fit, d, ranks)
 
 
 def chow_reconstruct(views: list[tuple[Camera, np.ndarray]], d: int) -> ChowForm:
@@ -428,8 +424,7 @@ def chow_reconstruct(views: list[tuple[Camera, np.ndarray]], d: int) -> ChowForm
     Each image point p of view i lifts to the optical ray, a line meeting the
     curve, hence one linear condition on the degree-d form.
     """
-    blocks = _unit_lifts(views, Camera.rays, "image point")
-    return fit_chow_from_lines(np.concatenate(blocks), d, per_view_blocks=blocks)
+    return _fit_chow(_unit_lifts(views, Camera.rays, "image point"), d)
 
 
 def chow_membership(G: ChowForm, P: np.ndarray,

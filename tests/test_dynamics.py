@@ -7,6 +7,7 @@ import pytest
 from curvemvg import dynamics as dy
 from curvemvg import polycore as pc
 from curvemvg import projective_cameras as pcam
+from curvemvg import reconstruct as rc
 from curvemvg import scenes
 from curvemvg.projective_cameras import (GeometryError, PluckerLine, grassmann_residual,
                                          incidence, join_points, point_line_matrix,
@@ -271,7 +272,7 @@ def test_recover_trajectory_chow_matches_classifier():
     mat = rays.lines
     assert max(abs(G(L)) for L in mat) < 1e-9
     # degree 2 cannot absorb a cubic trajectory
-    with pytest.raises((dy.ReconstructionError, dy.InsufficientViews)):
+    with pytest.raises((rc.ReconstructionError, rc.InsufficientViews)):
         dy.recover_trajectory_chow(rays, 2)
 
 

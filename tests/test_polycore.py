@@ -127,6 +127,49 @@ def test_partial_derivative():
     assert fx(np.array([3.0, 5.0, 1.0])) == pytest.approx(30.0)
 
 
+def _partial_reference(p, i):
+    # the term-by-term loop over exponent tuples, skipping zero terms
+    target = pc.enumerate_monomials(p.num_vars, p.degree - 1)
+    out = np.zeros(target.size, dtype=p.coeffs.dtype)
+    for coeff, exps in zip(p.coeffs, p.basis.exponents):
+        if exps[i] and coeff != 0:
+            out[target.index(exps[:i] + (exps[i] - 1,) + exps[i + 1:])] += exps[i] * coeff
+    return out
+
+
+def _quadratic_matrix_reference(p):
+    n = p.num_vars
+    M = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            e = [0] * n
+            e[i] += 1
+            e[j] += 1
+            M[i, j] = M[j, i] = p.coeffs[p.basis.index(tuple(e))] / (1.0 if i == j else 2.0)
+    return M
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_partial_and_quadratic_matrix_match_the_loops_to_the_bit(n):
+    # signed zeros included: a -0.0 coefficient gives +0.0, as a skipped term does
+    rng = np.random.default_rng(n)
+    for d in range(1, 6):
+        b = pc.enumerate_monomials(n, d)
+        for kind in ("real", "zeros", "signed_zeros", "complex"):
+            c = rng.standard_normal(b.size)
+            if kind == "complex":
+                c = c + 1j * rng.standard_normal(b.size)
+            if kind != "real":
+                c[rng.random(b.size) < 0.5] = -0.0 if kind != "zeros" else 0.0
+            f = pc.HomogeneousPolynomial(b, c)
+            for i in range(n):
+                got, ref = pc.partial(f, i).coeffs, _partial_reference(f, i)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            if d == 2 and kind != "complex":
+                got, ref = pc.quadratic_matrix(f), _quadratic_matrix_reference(f)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
 def test_euler_identity():
     rng = np.random.default_rng(3)
     b = pc.enumerate_monomials(4, 4)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from curvemvg import dynamics as dy
 from curvemvg import polycore as pc
 from curvemvg import reconstruct as rc
 from curvemvg import scenes
@@ -123,6 +124,17 @@ def test_dual_reconstruct_raises_below_enough_views(cams, cubic):
         with pytest.raises(rc.InsufficientViews) as err:
             rc.dual_reconstruct(views[:k], 4)
         assert "center-hyperplane" in str(err.value)
+
+
+@pytest.mark.parametrize("curve_name,m,k,rank", [("cubic", 3, 5, 20), ("quartic", 4, 8, 35)])
+def test_dual_reconstruct_refuses_tangents_of_a_higher_class(request, cams, curve_name, m, k, rank):
+    # tangents of a curve whose class exceeds m satisfy no degree-m dual form:
+    # the stacked rank exceeds C(m+3,3) - 1 and the fit refuses instead of
+    # returning a form those tangents miss
+    views = _tangent_views(request.getfixturevalue(curve_name), cams[:k], 20)
+    with pytest.raises(rc.ReconstructionError, match=f"rank {rank} > {rank - 1}") as err:
+        rc.dual_reconstruct(views, m)
+    assert not isinstance(err.value, rc.InsufficientViews)
 
 
 def test_dual_reconstruct_refuses_an_empty_view(cams, cubic):
@@ -246,7 +258,7 @@ def test_chow_rejects_incoherent_rays():
     rays = np.stack([join_points(rng.standard_normal(4), rng.standard_normal(4))
                      for _ in range(80)])
     with pytest.raises(rc.ReconstructionError):
-        rc.fit_chow_from_lines(rays, 2)
+        dy.recover_trajectory_chow(rays, 2)
 
 
 def test_grassmann_quadric_vanishes_on_lines():
@@ -277,6 +289,7 @@ def test_consistency_report():
 
 
 def test_unenforced_chow_fit_reads_no_ranks():
+    # the unconditional fit and the rank-checked route fit the same bits
     cams = scenes.camera_ring(np.random.default_rng(8), 6)
     curve = preset_curve("conic", 2)
     blocks = []
@@ -284,9 +297,8 @@ def test_unenforced_chow_fit_reads_no_ranks():
         pts = curve.points(np.linspace(0.1, 3.0, 12)) @ cam.M.T
         rays = pts @ cam.ray_matrix.T
         blocks.append(rays / np.linalg.norm(rays, axis=1, keepdims=True))
-    lines = np.concatenate(blocks)
-    free = rc.fit_chow_from_lines(lines, 2, per_view_blocks=blocks, enforce_rank=False)
-    checked = rc.fit_chow_from_lines(lines, 2, per_view_blocks=blocks)
+    free = rc.fit_chow_from_lines(np.concatenate(blocks), 2)
+    checked = rc._fit_chow(blocks, 2)
     assert free.per_view_ranks == []
     assert checked.per_view_ranks == [rc.chow_view_cap(2)] * 6
     assert np.array_equal(free.Gamma.coeffs, checked.Gamma.coeffs)
@@ -318,8 +330,8 @@ def test_stacked_samples_are_expanded_once(monkeypatch, cams, conic, cubic):
 
 
 def test_unchecked_chow_fit_reports_its_stacked_rank(cams, conic):
-    # without per-view blocks the stacked rank is the one per-view rank
+    # a plain array of rays is one view, whose rank is the stacked rank
     views = _point_views(conic, cams[:5], 16)
     lines = np.concatenate([pts @ cam.ray_matrix.T for cam, pts in views])
-    cf = rc.fit_chow_from_lines(lines, 2)
+    cf = dy.recover_trajectory_chow(lines, 2)
     assert cf.per_view_ranks == [rc.chow_unknowns(2) - 1]
