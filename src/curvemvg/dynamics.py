@@ -29,6 +29,7 @@ from .projective_cameras import (
     line_span_points,
     point_line_matrix,
     swap_blocks,
+    triangulate,
 )
 from .reconstruct import ChowForm, _fit_chow, fit_chow_from_lines
 
@@ -130,18 +131,15 @@ def _pairing_residual(mat: np.ndarray, line: PluckerLine) -> float:
 
 
 def recover_static_point(rays, tol: float = 1e-7) -> np.ndarray:
-    """Least-squares common point of the rays.
+    """Least-squares common point of the rays, by :func:`triangulate`.
 
-    Stacks the incidence matrices of all rays; the common point is the
-    nullvector.  Raises when any ray passes farther than tol from it.
+    Raises when any ray passes farther than tol from it.
     """
     mat = _ray_rows(rays)
     if mat.shape[0] < 2:
         raise DynamicsError("need at least two rays to intersect")
-    A = point_line_matrix(mat)
-    _, _, Vt = np.linalg.svd(A.reshape(-1, 4), full_matrices=False)
-    P = pc.sign_normalize(Vt[-1])
-    worst = _incidence_residual(A, P)
+    P = pc.sign_normalize(triangulate(mat))
+    worst = _incidence_residual(point_line_matrix(mat), P)
     if worst > tol:
         raise DynamicsError(
             f"rays do not meet at one point (worst incidence {worst:.2e} > {tol:.1e})")

@@ -486,21 +486,17 @@ def numerical_rank(matrix, rel_tol: float = RANK_TOL) -> tuple[int, float]:
 def sign_normalize(v: np.ndarray) -> np.ndarray:
     """Unit-norm representative with the first significant coordinate positive.
 
-    Complex vectors are rotated so the largest-magnitude coordinate is real
-    positive; this makes homogeneous outputs comparable across runs.
+    Complex vectors take the phase rule of :func:`sign_normalize_rows`, real
+    if it zeroes their imaginary part; outputs compare across runs.
     """
     v = np.asarray(v)
+    if np.iscomplexobj(v):
+        v = sign_normalize_rows(v[None])[0]
+        return v if v.imag.any() else v.real.copy()
     n = np.linalg.norm(v)
     if n == 0.0:
         raise PolynomialError("cannot normalize the zero vector")
     v = v / n
-    if np.iscomplexobj(v):
-        k = int(np.argmax(np.abs(v)))
-        phase = v[k] / abs(v[k])
-        v = v / phase
-        if np.abs(v.imag).max() < 1e-12:
-            v = v.real.copy()
-        return v
     significant = np.abs(v) > 1e-12
     if not np.any(significant):
         return v
@@ -509,17 +505,27 @@ def sign_normalize(v: np.ndarray) -> np.ndarray:
 
 
 def sign_normalize_rows(X: np.ndarray) -> np.ndarray:
-    """Real :func:`sign_normalize` applied to every row of a 2-d array.
+    """:func:`sign_normalize` applied to every row of a 2-d array.
 
-    Each row is scaled to unit norm and negated if its first coordinate
-    above 1e-12 in magnitude is negative (a unit row always has one).
+    Each row is scaled to unit norm.  A real row is negated if its first
+    coordinate above 1e-12 in magnitude is negative (a unit row always has
+    one).  A complex row is rotated so its largest-magnitude coordinate is
+    real positive; its imaginary part is zeroed if all of it is below 1e-12.
     """
-    X = np.asarray(X, dtype=float)
-    norms = np.sqrt((X * X).sum(axis=1))
+    X = np.asarray(X)
+    cplx = np.iscomplexobj(X)
+    # real and imaginary squares summed apart, as numpy's vector norm sums them
+    sq = (X.real * X.real).sum(axis=1)
+    norms = np.sqrt(sq + (X.imag * X.imag).sum(axis=1) if cplx else sq)
     if (norms == 0.0).any():
         raise PolynomialError("cannot normalize the zero vector")
     X = X / norms[:, None]
-    lead = X[np.arange(len(X)), (np.abs(X) > 1e-12).argmax(axis=1)]
+    rows = np.arange(len(X))
+    if cplx:
+        lead = X[rows, np.abs(X).argmax(axis=1)]
+        X = X / (lead / np.abs(lead))[:, None]
+        return np.where((np.abs(X.imag) < 1e-12).all(axis=1)[:, None], X.real, X)
+    lead = X[rows, (np.abs(X) > 1e-12).argmax(axis=1)]
     return np.where(lead[:, None] < 0.0, -X, X)
 
 

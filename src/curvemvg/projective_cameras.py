@@ -110,9 +110,10 @@ def point_line_matrix(L) -> np.ndarray:
 
 
 def meet_line_plane(L, A) -> np.ndarray:
-    """Intersection point of a line with a plane not containing it."""
+    """Intersection points of lines with a plane containing none of them."""
     P = plucker_matrix(L) @ _coords(A, 4)
-    if np.linalg.norm(P) <= 1e-12 * (np.linalg.norm(L) * np.linalg.norm(A) + 1e-300):
+    if np.any(np.linalg.norm(P, axis=-1) <= 1e-12 * (
+            np.linalg.norm(L, axis=-1) * np.linalg.norm(A) + 1e-300)):
         raise GeometryError("plane contains the line, meet point is undefined")
     return P
 
@@ -276,8 +277,8 @@ def homography(cam1: Camera, cam2: Camera, plane) -> np.ndarray:
     for cam in (cam1, cam2):
         if abs(A @ cam.center) <= 1e-9 * np.linalg.norm(A):
             raise GeometryError("plane passes through a camera center")
-    cols = [plucker_matrix(cam1.ray_matrix[:, j]) @ A for j in range(3)]
-    H = cam2.M @ np.stack(cols, axis=1)
+    # column j is the image in cam2 of where the j-th basis ray of cam1 meets the plane
+    H = cam2.project(meet_line_plane(cam1.ray_matrix.T, A)).T
     return H / np.linalg.norm(H)
 
 
@@ -342,11 +343,14 @@ def adjugate3(A) -> np.ndarray:
     return C.T
 
 
-def triangulate(cam1: Camera, p1, cam2: Camera, p2) -> np.ndarray:
-    """Algebraic intersection of two optical rays (complex-safe)."""
-    rows = np.vstack([
-        cross_matrix(np.asarray(p1)) @ cam1.M,
-        cross_matrix(np.asarray(p2)) @ cam2.M,
-    ])
-    _, _, Vt = np.linalg.svd(rows)
-    return sign_normalize(Vt[-1].conj())
+def triangulate(rays) -> np.ndarray:
+    """The one triangulation: the common point ``(..., 4)`` of each ``(..., k, 6)`` ray stack.
+
+    Linear (DLT) triangulation (Hartley & Zisserman, *Multiple View Geometry*,
+    2nd ed., sec. 12.2): the least singular vector of each stack's point-line
+    matrices read as one (4k, 4) system, from one batched SVD.  Unit norm,
+    free in sign or phase; complex rays give complex points.
+    """
+    W = point_line_matrix(rays)
+    W = W.reshape(W.shape[:-3] + (4 * W.shape[-3], 4))
+    return np.linalg.svd(W, full_matrices=False)[2][..., -1, :].conj()

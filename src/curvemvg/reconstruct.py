@@ -22,7 +22,6 @@ from .curve_models import ImageCurve
 from .polycore import HomogeneousPolynomial, enumerate_monomials
 from .projective_cameras import (
     Camera,
-    GeometryError,
     _map_rows,
     join_points,
     line_span_points,
@@ -60,7 +59,7 @@ class PlaneCandidates:
     """All cone-intersection candidates on one epipolar plane."""
 
     plane: np.ndarray
-    points: np.ndarray           # (d*d, 4) complex candidates
+    points: np.ndarray           # (d*d, 4) candidates, phase-normalized row-wise
     is_true: np.ndarray          # boolean mask from the third check
     residuals: np.ndarray        # third-check residual per candidate
 
@@ -78,32 +77,14 @@ class ComponentSplit:
         return [(int(p.is_true.sum()), int((~p.is_true).sum())) for p in self.planes]
 
 
-def _epipolar_line(cam: Camera, plane: np.ndarray) -> np.ndarray:
-    # unique image line whose back-projected plane is the given one
-    l = np.linalg.lstsq(cam.M.T, plane, rcond=None)[0]
-    if np.linalg.norm(_map_rows(cam.M.T, l) - plane) > 1e-9 * np.linalg.norm(plane):
-        raise GeometryError("plane does not pass through the camera center")
-    return l / np.linalg.norm(l)
-
-
-def _image_line_span(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # two orthonormal points spanning {x : l.x = 0} in the image plane
-    _, _, Vt = np.linalg.svd(l[None, :])
-    return Vt[1], Vt[2]
-
-
-def _line_curve_roots(f: HomogeneousPolynomial, line: np.ndarray) -> tuple[np.ndarray, float]:
-    """Intersection points of an image line with the curve, over the complexes.
-
-    Returns ``(points, min_separation)``, the unit points at the roots of
-    the curve form restricted to the line and their smallest separation
-    from :func:`polycore._binary_roots`; a collision means the line is
-    tangent.
-    """
-    A, B = _image_line_span(line)
-    roots, sep = pc._binary_roots(pc.restrict_to_line(f, A, B).coeffs)
-    pts = roots[:, :1] * A + roots[:, 1:] * B
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True), sep
+def _epipolar_lines(cam: Camera, planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the unit image lines whose back-projected planes are the given ones, from
+    # one lstsq with every plane a right-hand side, and which planes pass
+    # through the camera center (residual within 1e-9)
+    l = np.linalg.lstsq(cam.M.T, planes.T, rcond=None)[0].T
+    through = (np.linalg.norm(_map_rows(cam.M.T, l) - planes, axis=1)
+               <= 1e-9 * np.linalg.norm(planes, axis=1))
+    return l / np.linalg.norm(l, axis=1, keepdims=True), through
 
 
 def epipolar_sweep(f1: ImageCurve, f2: ImageCurve, cam1: Camera, cam2: Camera,
@@ -121,41 +102,52 @@ def epipolar_sweep(f1: ImageCurve, f2: ImageCurve, cam1: Camera, cam2: Camera,
     those points too.  Two check views leave no room for accidental
     extraneous hits; one is enough when the candidate set stays clear of the
     third cone.  Planes where roots collide (tangency) are skipped.
+
+    Only the curves' restrictions to the epipolar lines and their roots are
+    taken plane by plane; every kept plane's d*d ray pairs are met in one
+    :func:`triangulate` call, and each check view is evaluated once.
     """
     if f1.degree != f2.degree:
         raise ReconstructionError("image curves must share their degree")
     if not check_views:
         raise ReconstructionError("need at least one check view to split components")
     d = f1.degree
-    O1, O2 = cam1.center, cam2.center
-    P0, Q0 = line_span_points(join_points(O1, O2))
+    P0, Q0 = line_span_points(join_points(cam1.center, cam2.center))
     _, _, Vt = np.linalg.svd(np.stack([P0, Q0]))
     pencil = Vt[2:]              # two planes spanning the pencil through the baseline
-
-    planes: list[PlaneCandidates] = []
-    skipped = 0
     alphas = (np.arange(n_planes) + 0.17) * (np.pi / n_planes)
-    for alpha in alphas:
-        plane = np.cos(alpha) * pencil[0] + np.sin(alpha) * pencil[1]
+    planes = np.cos(alphas)[:, None] * pencil[0] + np.sin(alphas)[:, None] * pencil[1]
+
+    (l1, through1), (l2, through2) = (_epipolar_lines(cam, planes) for cam in (cam1, cam2))
+    through = np.flatnonzero(through1 & through2)
+    # two orthonormal points spanning each image line: (view, plane, 2, 3)
+    spans = np.linalg.svd(np.stack([l1[through], l2[through]])[..., None, :])[2][..., 1:, :]
+    kept, points = [], []
+    for k, i in enumerate(through.tolist()):
         try:
-            l1 = _epipolar_line(cam1, plane)
-            l2 = _epipolar_line(cam2, plane)
-            pts1, sep1 = _line_curve_roots(f1.f, l1)
-            pts2, sep2 = _line_curve_roots(f2.f, l2)
-        except (GeometryError, pc.PolynomialError):
-            skipped += 1
+            roots = [pc._binary_roots(pc.restrict_to_line(f.f, *span[k]).coeffs)
+                     for f, span in zip((f1, f2), spans)]
+        except pc.PolynomialError:
             continue
-        if min(sep1, sep2) < 1e-7:
-            skipped += 1
-            continue
-        cands = np.stack([triangulate(cam1, p1, cam2, p2)
-                          for p1 in pts1 for p2 in pts2])
-        res = np.zeros(len(cands))
-        for g, cam in check_views:
-            q = cam.project(cands)
-            res = np.maximum(res, np.abs(g(q / np.linalg.norm(q, axis=1, keepdims=True))))
-        planes.append(PlaneCandidates(plane, cands, res <= 1e-8, res))
-    return ComponentSplit(d, planes, skipped)
+        if min(sep for _, sep in roots) >= 1e-7:
+            kept.append(i)
+            points.append([r[:, :1] * A + r[:, 1:] * B
+                           for (r, _), (A, B) in zip(roots, spans[:, k])])
+    points = np.array(points).reshape(len(kept), 2, d, 3)
+    r1, r2 = cam1.rays(points[:, 0]), cam2.rays(points[:, 1])
+    # pairing (i, j) of the view roots is candidate i*d + j of its plane
+    pairs = np.stack(np.broadcast_arrays(r1[:, :, None], r2[:, None]), axis=-2)
+    cands = pc.sign_normalize_rows(triangulate(pairs).reshape(-1, 4))
+    res = np.zeros(len(cands))
+    for g, cam in check_views:
+        q = cam.project(cands)
+        # g at every row alone: a matrix product over the whole batch would let
+        # the BLAS thread count move the last bits of some rows
+        mono = pc.monomial_rows(g.basis, q / np.linalg.norm(q, axis=1, keepdims=True))
+        res = np.maximum(res, np.abs(np.vecdot(g.coeffs, mono)))
+    split = [PlaneCandidates(planes[i], P, r <= 1e-8, r) for i, P, r in
+             zip(kept, cands.reshape(-1, d * d, 4), res.reshape(-1, d * d))]
+    return ComponentSplit(d, split, n_planes - len(kept))
 
 
 def _unit_lifts(views, lift, what: str) -> list[np.ndarray]:

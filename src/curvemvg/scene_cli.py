@@ -228,6 +228,11 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def _digest(body: dict) -> str:
+    # sha256 of the canonical body, the report's reproducible fingerprint
+    return hashlib.sha256(_canonical(body).encode()).hexdigest()
+
+
 def _clean(x):
     """JSON-safe scalar: finite floats, plain ints/bools/strings."""
     if isinstance(x, (bool, str, int)):
@@ -264,11 +269,12 @@ class Report:
 
     @property
     def digest(self) -> str:
-        return hashlib.sha256(_canonical(self.body()).encode()).hexdigest()
+        return _digest(self.body())
 
     def to_json(self) -> str:
+        """The body and its digest as indented JSON, the body built once."""
         out = self.body()
-        out["digest"] = self.digest
+        out["digest"] = _digest(out)
         return json.dumps(out, sort_keys=True, indent=2, allow_nan=False)
 
     def failed_keys(self) -> list[str]:
@@ -373,8 +379,8 @@ def _cmd_kruppa_check(cfg: SceneConfig, rng: np.random.Generator, rep: Report, a
     cam1, cam2 = cfg.cameras[0], cfg.cameras[1]
     eg = fundamental(cam1, cam2)
     worst = 0.0
-    for ki, curve in enumerate(cfg.curves):
-        inst = kp.build_instance(curve, cam1, cam2)
+    instances = [kp.build_instance(curve, cam1, cam2) for curve in cfg.curves]
+    for ki, (curve, inst) in enumerate(zip(cfg.curves, instances)):
         resid = kp.detection_response(inst, rng=rng)
         rep.metrics[f"curve{ki}_constraint_norm"] = resid
         worst = max(worst, resid)
@@ -389,8 +395,7 @@ def _cmd_kruppa_check(cfg: SceneConfig, rng: np.random.Generator, rep: Report, a
     if cfg.noise_sigma > 0:
         # the constraints must react to a wrong geometry of the same scale
         lows = []
-        for ki, curve in enumerate(cfg.curves):
-            inst = kp.build_instance(curve, cam1, cam2)
+        for ki, inst in enumerate(instances):
             low = np.inf
             for _ in range(3):
                 Fp = eg.F + cfg.noise_sigma * rng.standard_normal((3, 3))
@@ -447,26 +452,19 @@ def _cmd_reconstruct_points(cfg: SceneConfig, rng: np.random.Generator,
     rep.metrics["planes_skipped"] = split.skipped
     good = sum(1 for t, e in counts if t == d and e == d * (d - 1))
     rep.metrics["planes_exact_split"] = good
-    true_max = max((float(p.residuals[p.is_true].max())
-                    for p in split.planes if p.is_true.any()), default=0.0)
-    ext_min = min((float(p.residuals[~p.is_true].min())
-                   for p in split.planes if (~p.is_true).any()), default=np.inf)
-    rep.metrics["true_residual_max"] = true_max
-    rep.metrics["extraneous_residual_min"] = min(ext_min, 1e6)
+    # every kept plane's d*d candidates, phase-normalized by the sweep, as columns
+    cands = np.array([p.points for p in split.planes]).reshape(-1, 4)
+    res = np.array([p.residuals for p in split.planes]).reshape(-1)
+    true = np.array([p.is_true for p in split.planes], dtype=bool).reshape(-1)
+    rep.metrics["true_residual_max"] = float(res[true].max(initial=0.0))
+    rep.metrics["extraneous_residual_min"] = float(min(res[~true].min(initial=np.inf), 1e6))
     rep.verdicts["per_plane_counts_correct"] = good == len(counts) > 0
     rep.verdicts["true_component_size_correct"] = all(t == d for t, _ in counts)
-    rows = []
-    for pi, plane in enumerate(split.planes):
-        for ci, P in enumerate(plane.points):
-            u = P / np.linalg.norm(P)
-            k = int(np.argmax(np.abs(u)))
-            u = u * np.exp(-1j * np.angle(u[k]))
-            label = "true" if plane.is_true[ci] else "extraneous"
-            rows.append([pi, ci,
-                         float(u[0].real), float(u[1].real),
-                         float(u[2].real), float(u[3].real),
-                         float(np.linalg.norm(u.imag)),
-                         float(plane.residuals[ci]), label])
+    plane_index, candidate_index = np.divmod(np.arange(len(cands)), d * d)
+    columns = [plane_index, candidate_index, *cands.real.T,
+               np.linalg.norm(cands.imag, axis=1), res,
+               np.where(true, "true", "extraneous")]
+    rows = np.array([c.tolist() for c in columns], dtype=object).T.tolist()
     rep.artifacts["epipolar_candidates"] = {
         "columns": ["plane_index", "candidate_index", "x", "y", "z", "w",
                     "imag_norm", "residual", "component_label"],
@@ -711,7 +709,8 @@ def main(argv=None) -> int:
         for note in rep.notes:
             print(f"note: {note}", file=sys.stderr)
         return 1
-    print(f"ok: {rep.command} digest {rep.digest[:16]}", file=sys.stderr)
+    # the digest to_json wrote, read back instead of building the body again
+    print(f"ok: {rep.command} digest {json.loads(text)['digest'][:16]}", file=sys.stderr)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Every batched curve quantity and camera product gives a row the same bits alone.
+"""Every batched curve quantity, camera product and triangulation gives each row its one-row bits.
 
 The batch a parameter or a point is evaluated in is an incidental choice, so
 no row may depend on it: each row of a batched call must equal the one-row
@@ -121,3 +121,24 @@ def test_lifted_detections_equal_one_row_rays(cams, blocks, seed, data):
     assert np.array_equal(rays.time_ids, ids[order, 2])
     for line, ci, p in zip(rays.lines, ids[order, 0], pts[order]):
         _assert_bit_equal(line, pc.sign_normalize_rows(cams[ci].rays(p[None]))[0])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), k=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_triangulated_stacks_equal_one_stack_calls(cams, dtype, n, k, seed, data):
+    # reconstruct.epipolar_sweep meets every plane's ray pairs in one call,
+    # real and complex; dynamics.recover_static_point meets one stack
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 4)).astype(dtype)
+    if dtype is complex:
+        X += 1j * rng.standard_normal((n, 4))
+    ci = rng.integers(0, len(cams), size=k)
+    rays = np.stack([[cams[c].rays(cams[c].project(x)) for c in ci] for x in X])
+    batch = pcam.triangulate(rays)
+    assert batch.shape == (n, 4) and batch.dtype == rays.dtype
+    for stack, point in zip(rays, batch):
+        _assert_bit_equal(pcam.triangulate(stack), point)
+    perm = data.draw(st.permutations(range(n)))
+    _assert_bit_equal(pcam.triangulate(rays[perm]), batch[perm])

@@ -68,6 +68,25 @@ def test_meet_line_plane():
     X = pcam.meet_line_plane(L, A)
     assert abs(X @ A) < 1e-10
     assert np.linalg.norm(pcam.point_line_matrix(L) @ X) < 1e-10
+    # a stack gives one meet per line
+    L2 = pcam.join_points(r.standard_normal(4), r.standard_normal(4))
+    X2 = pcam.meet_line_plane(np.stack([L, L2]), A)
+    assert_bit_equal(X2[0], X)
+    assert abs(X2[1] @ A) < 1e-10
+
+
+def test_meet_line_plane_refuses_a_line_inside_the_plane_in_a_stack():
+    # the degeneracy check is row by row: one line of a stack inside the
+    # plane raises, as the single-line call does, instead of meeting at zero
+    r = rng()
+    A = r.standard_normal(4)
+    on_plane = np.linalg.svd(A[None])[2][1:3]       # two points of the plane
+    inside = pcam.join_points(*on_plane)
+    outside = pcam.join_points(r.standard_normal(4), r.standard_normal(4))
+    with pytest.raises(pcam.GeometryError, match="plane contains the line"):
+        pcam.meet_line_plane(inside, A)
+    with pytest.raises(pcam.GeometryError, match="plane contains the line"):
+        pcam.meet_line_plane(np.stack([outside, inside]), A)
 
 
 def test_camera_center_and_ray():
@@ -160,17 +179,18 @@ def test_triangulate_round_trip(cams):
     r = rng()
     from curvemvg.polycore import proportionality_residual
     X = r.standard_normal(4)
-    p1, p2 = cams[0].M @ X, cams[1].M @ X
-    Y = pcam.triangulate(cams[0], p1, cams[1], p2)
+    rays = np.stack([cam.rays(cam.project(X)) for cam in cams[:2]])
+    Y = pcam.triangulate(rays)
+    assert Y.shape == (4,)
     assert proportionality_residual(X, Y) < 1e-8
 
 
 def test_triangulate_complex_conjugate_points(cams):
-    # the epipolar sweep triangulates complex candidates; the rows take the
-    # conjugate-free cross matrix, so a complex point comes back up to phase
+    # the epipolar sweep meets the rays of complex image points; the point-line
+    # rows of complex rays are complex, so the point comes back up to phase
     r = rng()
     X = r.standard_normal(4) + 1j * r.standard_normal(4)
-    Y = pcam.triangulate(cams[0], cams[0].M @ X, cams[1], cams[1].M @ X)
+    Y = pcam.triangulate(np.stack([cam.rays(cam.project(X)) for cam in cams[:2]]))
     assert np.iscomplexobj(Y)
     assert pcam.cosine_similarity(X, Y) == pytest.approx(1.0, abs=1e-12)
 

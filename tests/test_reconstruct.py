@@ -10,7 +10,8 @@ from curvemvg import polycore as pc
 from curvemvg import reconstruct as rc
 from curvemvg import scenes
 from curvemvg.curve_models import implicit_image_curve, image_tangent, preset_curve, _sample_thetas
-from curvemvg.projective_cameras import incidence, join_points, line_span_planes
+from curvemvg.projective_cameras import (cross_matrix, incidence, join_points,
+                                         line_span_planes, line_span_points)
 from curvemvg.scenes import lines_missing_points
 
 
@@ -66,12 +67,82 @@ def test_epipolar_sweep_splits_components(cams, name, seed):
     assert ext_res > 1e3 * true_res
 
 
+def _cross_matrix_sweep(f1, f2, cam1, cam2, n_planes, check_views):
+    # the sweep one plane, one pair and one candidate at a time, each pair met
+    # by the two-view cross-matrix triangulation [p]_x M (Hartley & Zisserman,
+    # sec. 12.2), on the sweep's image lines: the roots on a line amplify any
+    # last-bit change of it far beyond what the triangulation adds.  Per kept
+    # plane: (plane, candidates, labels), and the skip count
+    pencil = np.linalg.svd(np.stack(line_span_points(join_points(cam1.center, cam2.center))))[2][2:]
+    alphas = (np.arange(n_planes) + 0.17) * (np.pi / n_planes)
+    planes = np.cos(alphas)[:, None] * pencil[0] + np.sin(alphas)[:, None] * pencil[1]
+    lines = [np.linalg.lstsq(cam.M.T, planes.T, rcond=None)[0].T for cam in (cam1, cam2)]
+    lines = [l / np.linalg.norm(l, axis=1, keepdims=True) for l in lines]
+    kept, skipped = [], 0
+    for plane, l1, l2 in zip(planes, *lines):
+        pts, seps = [], []
+        for f, line in ((f1, l1), (f2, l2)):
+            A, B = np.linalg.svd(line[None, :])[2][1:]
+            roots, sep = pc._binary_roots(pc.restrict_to_line(f.f, A, B).coeffs)
+            pts.append(roots[:, :1] * A + roots[:, 1:] * B)
+            seps.append(sep)
+        if min(seps) < 1e-7:
+            skipped += 1
+            continue
+        cands = []
+        for p1 in pts[0]:
+            for p2 in pts[1]:
+                rows = np.vstack([cross_matrix(p1) @ cam1.M, cross_matrix(p2) @ cam2.M])
+                cands.append(np.linalg.svd(rows)[2][-1].conj())
+        cands = np.array(cands)
+        res = np.zeros(len(cands))
+        for g, cam in check_views:
+            q = cands @ cam.M.T
+            res = np.maximum(res, np.abs(g(q / np.linalg.norm(q, axis=1, keepdims=True))))
+        kept.append((plane, cands, res <= 1e-8))
+    return kept, skipped
+
+
+@pytest.mark.parametrize("name", ["conic", "cubic", "quartic", "quintic"])
+def test_epipolar_sweep_matches_the_cross_matrix_triangulation(cams, name, request):
+    # one batched ray-meet call gives the points of the pair-by-pair
+    # cross-matrix route up to phase, with the same labels on the same planes
+    curve = request.getfixturevalue(name)
+    f = [implicit_image_curve(curve, c) for c in cams[:4]]
+    checks = [(g.f, c) for g, c in zip(f[2:], cams[2:4])]
+    split = rc.epipolar_sweep(f[0], f[1], cams[0], cams[1], n_planes=60, check_views=checks)
+    want, skipped = _cross_matrix_sweep(f[0], f[1], cams[0], cams[1], 60, checks)
+    assert split.skipped == skipped
+    assert len(split.planes) == len(want)
+    assert split.per_plane_counts == [(int(t.sum()), int((~t).sum())) for _, _, t in want]
+    for got, (plane, cands, is_true) in zip(split.planes, want):
+        assert np.array_equal(got.plane, plane)
+        assert np.array_equal(got.is_true, is_true)
+        # both sides unit; rotate each reference point onto its candidate
+        inner = np.sum(cands.conj() * got.points, axis=1)
+        assert np.abs(cands * (inner / np.abs(inner))[:, None] - got.points).max() <= 1e-12
+
+
 def test_epipolar_sweep_rejects_degree_mismatch(cams, conic, cubic):
     f1 = implicit_image_curve(conic, cams[0])
     f2 = implicit_image_curve(cubic, cams[1])
     with pytest.raises(rc.ReconstructionError):
         rc.epipolar_sweep(f1, f2, cams[0], cams[1],
                           check_views=[(f1.f, cams[0])])
+
+
+def test_epipolar_sweep_skipping_every_plane_meets_no_rays(cams, cubic, monkeypatch):
+    # a binary form with no roots to take skips its plane; with every plane
+    # skipped the one triangulation call gets an empty batch
+    f = [implicit_image_curve(cubic, c) for c in cams[:3]]
+
+    def no_roots(coeffs):
+        raise pc.PolynomialError("binary form is zero or not finite")
+
+    monkeypatch.setattr(pc, "_binary_roots", no_roots)
+    split = rc.epipolar_sweep(f[0], f[1], cams[0], cams[1], n_planes=7,
+                              check_views=[(f[2].f, cams[2])])
+    assert split.planes == [] and split.skipped == 7
 
 
 def test_dual_counts():

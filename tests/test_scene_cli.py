@@ -1,6 +1,7 @@
 """Scene workbench commands: configs, reports, determinism, exit codes."""
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +174,28 @@ def test_main_exit_zero(tmp_path, capsys):
         "kruppa-dim", sc.load_config(str(CONFIGS / "conic_pair.json"))).digest
 
 
+def test_main_builds_the_report_body_once(monkeypatch, capsys):
+    # the printed report and the "ok" line's digest come from one body
+    calls = []
+    body = sc.Report.body
+    monkeypatch.setattr(sc.Report, "body", lambda rep: calls.append(1) or body(rep))
+    assert sc.main(["kruppa-dim", "--config", str(CONFIGS / "conic_pair.json")]) == 0
+    out, err = capsys.readouterr()
+    assert len(calls) == 1
+    assert err == f"ok: kruppa-dim digest {json.loads(out)['digest'][:16]}\n"
+
+
+def test_kruppa_check_builds_each_instance_once(monkeypatch):
+    # the perturbed-F probes reuse the instances the residuals were read from
+    built = []
+    build = sc.kp.build_instance
+    monkeypatch.setattr(sc.kp, "build_instance", lambda *a: built.append(1) or build(*a))
+    cfg = sc.load_config(str(CONFIGS / "kruppa_trio.json"), noise_override=1e-3)
+    rep = sc.run("kruppa-check", cfg)
+    assert len(built) == len(cfg.curves) == 3
+    assert "perturbation_detected" in rep.verdicts
+
+
 def test_main_exit_two_on_config_errors(tmp_path, capsys):
     assert sc.main(["simulate"]) == 2
     bad = tmp_path / "bad.json"
@@ -301,7 +324,7 @@ README_DIGESTS = {
     "kruppa-dim --config conic_pair.json":
         "0afff9257d2fd2247c2d81be07e125069ca3530050c3403586b53d5549b14f66",
     "reconstruct-points --config cubic_pair.json --planes 60":
-        "a62b1fb7c1f1ee539cfc7ffe7c98e3403be610e37f0a338b173172fc55c76629",
+        "b3e54ae22445f14117f738e966d9aa0e4772936620c960342dddaa35e90df83f",
     "reconstruct-dual --config dual_quartic.json":
         "9bacb58bdb4a083b3e4cd39154f8782d4e4edbfab5f53c48be8a120f6d5e972a",
     "reconstruct-chow --config chow_cubic.json":
@@ -327,3 +350,17 @@ def test_readme_command_digests_are_pinned(line):
     rep = sc.run(args.command, cfg, args)
     assert rep.failed_keys() == []
     assert rep.digest == README_DIGESTS[line]
+
+
+def test_reconstruct_points_digest_ignores_the_blas_thread_count():
+    # the sweep meets and checks every candidate in one batch, so no row may
+    # take its bits from how BLAS splits that batch between threads
+    line = "reconstruct-points --config cubic_pair.json --planes 60"
+    argv = line.replace("cubic_pair.json", str(CONFIGS / "cubic_pair.json")).split()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "curvemvg.scene_cli", *argv,
+                               "--out", os.devnull],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == f"ok: reconstruct-points digest {README_DIGESTS[line][:16]}\n"
