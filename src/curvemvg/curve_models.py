@@ -217,9 +217,6 @@ class ImageCurve:
     node_total: int
     gap: float
 
-    def __call__(self, p):
-        return pc.evaluate(self.f, p)
-
 
 def _projected_points(curve: RationalCurve3D, cam: Camera, thetas) -> np.ndarray:
     pts = cam.project(curve.points(thetas))
@@ -244,7 +241,7 @@ def implicit_image_curve(curve: RationalCurve3D, cam: Camera) -> ImageCurve:
     if gap >= 1e-3:
         raise CurveModelError(f"implicit fit is ambiguous (gap {gap:.2e})")
     held = _projected_points(curve, cam, _sample_thetas(37, offset=0.41))
-    resid = np.abs(pc.monomial_rows(basis, held) @ f.coeffs).max()
+    resid = np.abs(f(held)).max()
     if resid > 1e-7:
         raise CurveModelError(f"implicit fit fails held-out samples ({resid:.2e})")
     return ImageCurve(f, d, class_of(d, 0), node_count(d, 0), gap)
@@ -291,7 +288,7 @@ def fit_dual_image_curve(curve: RationalCurve3D,
     if gap >= 1e-3:
         raise CurveModelError(f"dual fit is ambiguous (gap {gap:.2e})")
     held = image_tangents(curve, cam, _sample_thetas(41, offset=0.27))
-    resid = np.abs(pc.monomial_rows(basis, held) @ phi.coeffs).max()
+    resid = np.abs(phi(held)).max()
     if resid > 1e-6:
         raise CurveModelError(f"dual fit fails held-out tangents ({resid:.2e})")
     return phi, gap

@@ -120,14 +120,16 @@ def _ray_rows(rays) -> np.ndarray:
     return rays / np.linalg.norm(rays, axis=1, keepdims=True)
 
 
-def _incidence_residual(A: np.ndarray, P: np.ndarray) -> float:
-    # largest |W P| over a stack of point-line matrices W
-    return float(np.sqrt(((A @ P) ** 2).sum(axis=1)).max())
-
-
-def _pairing_residual(mat: np.ndarray, line: PluckerLine) -> float:
-    # largest incidence pairing of the rays with the line
-    return float(np.abs(mat @ swap_blocks(line.v)).max())
+def _static_point(mat: np.ndarray, fit: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    # the common point of the rows fit, and the largest |W P| over the rays mat
+    if mat.shape[0] < 2:
+        raise DynamicsError("need at least two rays to intersect")
+    P = pc.sign_normalize(triangulate(fit))
+    worst = float(np.sqrt(((point_line_matrix(mat) @ P) ** 2).sum(axis=1)).max())
+    if worst > tol:
+        raise DynamicsError(
+            f"rays do not meet at one point (worst incidence {worst:.2e} > {tol:.1e})")
+    return P, worst
 
 
 def recover_static_point(rays, tol: float = 1e-7) -> np.ndarray:
@@ -136,14 +138,7 @@ def recover_static_point(rays, tol: float = 1e-7) -> np.ndarray:
     Raises when any ray passes farther than tol from it.
     """
     mat = _ray_rows(rays)
-    if mat.shape[0] < 2:
-        raise DynamicsError("need at least two rays to intersect")
-    P = pc.sign_normalize(triangulate(mat))
-    worst = _incidence_residual(point_line_matrix(mat), P)
-    if worst > tol:
-        raise DynamicsError(
-            f"rays do not meet at one point (worst incidence {worst:.2e} > {tol:.1e})")
-    return P
+    return _static_point(mat, mat, tol)[0]
 
 
 def _project_to_klein(L: np.ndarray) -> np.ndarray:
@@ -160,18 +155,12 @@ def _project_to_klein(L: np.ndarray) -> np.ndarray:
     return np.concatenate([a - lam * b, b - lam * a]) / (1.0 - lam * lam)
 
 
-def recover_line_motion(rays, tol: float = 1e-8,
-                        quadric_gate: float = 1e-4) -> PluckerLine:
-    """The support line of rays that all meet one line.
-
-    The rays satisfy a single linear form; its normal, re-read through the
-    incidence pairing, is the Plucker vector of the support line, moved
-    onto the line quadric by the exact nearest-point projection.
-    """
-    mat = _ray_rows(rays)
+def _line_motion(mat: np.ndarray, fit: np.ndarray, tol: float,
+                 quadric_gate: float) -> tuple[PluckerLine, float]:
+    # the support line of the rows fit, and the largest pairing of the rays mat with it
     if mat.shape[0] < 6:
         raise DynamicsError("need at least six rays to pin a hyperplane")
-    _, s, Vt = np.linalg.svd(mat, full_matrices=False)
+    _, s, Vt = np.linalg.svd(fit, full_matrices=False)
     if s[4] / s[0] < 1e-8:
         raise DynamicsError(
             "hyperplane is not unique (ray span is degenerate); "
@@ -183,11 +172,23 @@ def recover_line_motion(rays, tol: float = 1e-8,
             f"hyperplane normal misses the line quadric ({qres:.2e} > "
             f"{quadric_gate:.1e}); not a line motion")
     line = PluckerLine(_project_to_klein(cand))
-    worst = _pairing_residual(mat, line)
+    worst = float(np.abs(mat @ swap_blocks(line.v)).max())
     if worst > tol:
         raise DynamicsError(
             f"recovered line misses some rays (worst pairing {worst:.2e} > {tol:.1e})")
-    return line
+    return line, worst
+
+
+def recover_line_motion(rays, tol: float = 1e-8,
+                        quadric_gate: float = 1e-4) -> PluckerLine:
+    """The support line of rays that all meet one line.
+
+    The rays satisfy a single linear form; its normal, re-read through the
+    incidence pairing, is the Plucker vector of the support line, moved
+    onto the line quadric by the exact nearest-point projection.
+    """
+    mat = _ray_rows(rays)
+    return _line_motion(mat, mat, tol, quadric_gate)[0]
 
 
 def recover_trajectory_chow(rays, d: int) -> ChowForm:
@@ -225,18 +226,18 @@ def classify_motion(rays, noise_sigma: float = 0.0) -> MotionClass:
     rank_gate = max(1e-8, 20.0 * noise_sigma)
     trace: dict = {"n_rays": n, "tol": eff_tol}
 
+    fit = _ray_rows(mat)  # what recover_static_point and recover_line_motion fit for an array
+
     # static: the ray vectors span only a 2-plane of lines
     s = np.linalg.svd(mat, compute_uv=False)
     span_gap = s[3] / s[2]
     trace["static_span_gap"] = span_gap
     if span_gap <= rank_gate:
-        point_tol = max(eff_tol, 30.0 * noise_sigma)
         try:
-            P = recover_static_point(mat, tol=point_tol)
+            P, worst = _static_point(mat, fit, max(eff_tol, 30.0 * noise_sigma))
         except DynamicsError as err:
             trace["static_reject"] = str(err)
         else:
-            worst = _incidence_residual(point_line_matrix(mat), P)
             trace["static_residual"] = worst
             return MotionClass("static", P, residual=worst, trace=trace)
 
@@ -245,13 +246,11 @@ def classify_motion(rays, noise_sigma: float = 0.0) -> MotionClass:
     trace["line_null_gap"] = null_gap
     if null_gap <= rank_gate:
         try:
-            line = recover_line_motion(
-                mat, tol=max(eff_tol, 30.0 * noise_sigma),
-                quadric_gate=max(1e-4, 50.0 * noise_sigma))
+            line, worst = _line_motion(mat, fit, max(eff_tol, 30.0 * noise_sigma),
+                                       max(1e-4, 50.0 * noise_sigma))
         except DynamicsError as err:
             trace["line_reject"] = str(err)
         else:
-            worst = _pairing_residual(mat, line)
             trace["line_residual"] = worst
             return MotionClass("line", line, degree=1, residual=worst, trace=trace)
 
@@ -307,7 +306,7 @@ def localize_on_ray(G: ChowForm, ray: PluckerLine, tol: float = 1e-6,
     # near-real conjugate pair lands on one angle
     theta = np.sort(np.arctan2(roots[:, 1].real, roots[:, 0].real) % np.pi)
     P = np.cos(theta)[:, None] * A + np.sin(theta)[:, None] * B
-    scores = np.abs([[G(L) for L in join_points(p, probes)] for p in P]).max(axis=1)
+    scores = np.abs(G(join_points(P[:, None], probes))).max(axis=-1)
     ok = np.flatnonzero(scores <= tol)
     if not ok.size:
         raise DynamicsError(

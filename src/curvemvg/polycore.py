@@ -128,11 +128,20 @@ class HomogeneousPolynomial:
 
 
 def evaluate(p: HomogeneousPolynomial, x):
-    """Evaluate ``p`` at one point or a batch of points (rows)."""
+    """The one form evaluator: ``p`` at one point or at each point of an ``(..., n)`` stack.
+
+    Each value is its own row's dot product with the coefficients (not
+    conjugated), so neither the stack nor the BLAS thread count moves its bits.
+    """
     x = np.asarray(x)
-    single = x.ndim == 1
-    vals = monomial_rows(p.basis, x) @ p.coeffs
-    return vals[0] if single else vals
+    # monomial_rows is column-major; a strided row would sum in another order
+    rows = np.ascontiguousarray(monomial_rows(p.basis, x.reshape(-1, x.shape[-1])))
+    return np.vecdot(np.conj(p.coeffs), rows).reshape(x.shape[:-1])[()]
+
+
+def _norms(v) -> np.ndarray:
+    # np.linalg.norm of each vector along the last axis, as its own dot product
+    return np.sqrt(np.vecdot(v, v))[..., None]
 
 
 @lru_cache(maxsize=None)

@@ -119,15 +119,15 @@ def meet_line_plane(L, A) -> np.ndarray:
 
 
 def line_span_planes(L) -> tuple[np.ndarray, np.ndarray]:
-    """Two orthonormal planes whose intersection is the line."""
+    """Two orthonormal planes whose intersection is the line, for each line of a stack."""
     _, s, Vt = np.linalg.svd(plucker_matrix(L))
-    if s[1] <= 1e-10 * s[0]:
+    if np.any(s[..., 1] <= 1e-10 * s[..., 0]):
         raise GeometryError("degenerate line has no plane pencil")
-    return Vt[-1], Vt[-2]
+    return Vt[..., -1, :], Vt[..., -2, :]
 
 
 def line_span_points(L) -> tuple[np.ndarray, np.ndarray]:
-    """Two orthonormal points spanning a line."""
+    """Two orthonormal points spanning a line, for each line of a stack."""
     return line_span_planes(swap_blocks(L))
 
 

@@ -39,19 +39,9 @@ class InsufficientViews(ReconstructionError):
     """Raised when stacked view equations cannot determine the unknowns."""
 
 
-@dataclass(frozen=True)
-class Cone:
-    """Degree-d form on P3 vanishing on all back-projected curve points."""
-
-    Delta: HomogeneousPolynomial
-
-    def __call__(self, P) -> float:
-        return self.Delta(np.asarray(P))
-
-
-def cone(f: ImageCurve, cam: Camera) -> Cone:
-    """Back-projected cone of an image curve: the pullback through M."""
-    return Cone(pc.pullback(f.f, cam.M))
+def cone(f: ImageCurve, cam: Camera) -> HomogeneousPolynomial:
+    """Back-projected cone of an image curve: the degree-d form on P3 pulled back through M."""
+    return pc.pullback(f.f, cam.M)
 
 
 @dataclass
@@ -141,10 +131,7 @@ def epipolar_sweep(f1: ImageCurve, f2: ImageCurve, cam1: Camera, cam2: Camera,
     res = np.zeros(len(cands))
     for g, cam in check_views:
         q = cam.project(cands)
-        # g at every row alone: a matrix product over the whole batch would let
-        # the BLAS thread count move the last bits of some rows
-        mono = pc.monomial_rows(g.basis, q / np.linalg.norm(q, axis=1, keepdims=True))
-        res = np.maximum(res, np.abs(np.vecdot(g.coeffs, mono)))
+        res = np.maximum(res, np.abs(g(q / np.linalg.norm(q, axis=1, keepdims=True))))
     split = [PlaneCandidates(planes[i], P, r <= 1e-8, r) for i, P, r in
              zip(kept, cands.reshape(-1, d * d, 4), res.reshape(-1, d * d))]
     return ComponentSplit(d, split, n_planes - len(kept))
@@ -226,9 +213,9 @@ class DualSurface:
     gap: float
     per_view_ranks: list[int]
 
-    def __call__(self, plane) -> float:
-        A = np.asarray(plane)
-        return self.Upsilon(A / np.linalg.norm(A))
+    def __call__(self, plane):
+        """Value at one plane, or at each unit-normalized row of a stack."""
+        return self.Upsilon(plane / pc._norms(plane))
 
 
 def dual_ambiguity_dim(m: int, k: int) -> int:
@@ -362,9 +349,9 @@ class ChowForm:
     def degree(self) -> int:
         return self.Gamma.degree
 
-    def __call__(self, line) -> float:
-        L = np.asarray(line)
-        return self.Gamma(L / np.linalg.norm(L))
+    def __call__(self, line):
+        """Value at one line, or at each unit-normalized row of a stack."""
+        return self.Gamma(line / pc._norms(line))
 
 
 def _chow_form(fit: pc.NullspaceFit, d: int, ranks: list[int]) -> ChowForm:
@@ -423,12 +410,8 @@ def chow_membership(G: ChowForm, P: np.ndarray,
                     rng: np.random.Generator | None = None) -> bool:
     """Whether the Chow form is within 1e-7 on five random lines through P."""
     rng = np.random.default_rng(2024) if rng is None else rng
-    P = np.asarray(P, dtype=float)
-    for _ in range(5):
-        L = join_points(P, rng.standard_normal(4))
-        if abs(G(L)) > 1e-7:
-            return False
-    return True
+    L = join_points(np.asarray(P, dtype=float), rng.standard_normal((5, 4)))
+    return not (np.abs(G(L)) > 1e-7).any()
 
 
 def consistency_report(d: int, m: int) -> dict:

@@ -23,11 +23,6 @@ def _cross3(u, v) -> np.ndarray:
                      u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]], axis=-1)
 
 
-def _norms(v: np.ndarray) -> np.ndarray:
-    # np.linalg.norm of each vector along the last axis, with its dot product
-    return np.sqrt(np.vecdot(v, v))[..., None]
-
-
 def look_at_rotation(position, target, up) -> np.ndarray:
     """World-to-camera rotation with the optical axis through the target.
 
@@ -36,9 +31,9 @@ def look_at_rotation(position, target, up) -> np.ndarray:
     """
     position = np.asarray(position, dtype=float)
     z = np.asarray(target, dtype=float) - position
-    z = z / _norms(z)
+    z = z / pc._norms(z)
     x = _cross3(np.asarray(up, dtype=float), z)
-    xn = _norms(x)
+    xn = pc._norms(x)
     if np.any(xn < 1e-8):
         raise ValueError("up direction is parallel to the viewing axis")
     x = x / xn
@@ -102,13 +97,17 @@ def camera_ring(rng: np.random.Generator, count: int) -> list[Camera]:
 
 
 def add_image_noise(p, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Isotropic Gaussian perturbation of a unit-normalized image point."""
+    """Isotropic Gaussian perturbation of unit-normalized image points.
+
+    Takes one point or a stack; the noise of a stack is drawn in one call,
+    the stream of drawing it point by point.
+    """
     p = np.asarray(p, dtype=float)
-    p = p / np.linalg.norm(p)
+    p = p / pc._norms(p)
     if sigma == 0.0:
         return p
-    q = p + sigma * rng.standard_normal(3)
-    return q / np.linalg.norm(q)
+    q = p + sigma * rng.standard_normal(p.shape)
+    return q / pc._norms(q)
 
 
 @dataclass

@@ -142,3 +142,31 @@ def test_triangulated_stacks_equal_one_stack_calls(cams, dtype, n, k, seed, data
         _assert_bit_equal(pcam.triangulate(stack), point)
     perm = data.draw(st.permutations(range(n)))
     _assert_bit_equal(pcam.triangulate(rays[perm]), batch[perm])
+
+
+@pytest.mark.parametrize("coeff_dtype", [float, complex])
+@pytest.mark.parametrize("point_dtype", [float, complex])
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(n=st.integers(1, 6), d=st.integers(0, 4),
+       lead=st.lists(st.integers(0, 5), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_evaluated_rows_equal_one_row_calls(coeff_dtype, point_dtype, n, d, lead, seed, data):
+    # every form evaluation of the package goes through polycore.evaluate,
+    # on one point or on a stack of any leading shape
+    rng = np.random.default_rng(seed)
+    basis = pc.enumerate_monomials(n, d)
+
+    def draw(dtype, shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+    f = pc.HomogeneousPolynomial(basis, draw(coeff_dtype, basis.size))
+    X = draw(point_dtype, tuple(lead) + (n,))
+    batch = pc.evaluate(f, X)
+    assert batch.shape == tuple(lead)
+    flat = X.reshape(-1, n)
+    for x, value in zip(flat, batch.reshape(-1)):
+        _assert_bit_equal(np.asarray(pc.evaluate(f, x)), value)
+        _assert_bit_equal(pc.evaluate(f, x[None])[0], value)
+    perm = data.draw(st.permutations(range(len(flat))))
+    _assert_bit_equal(pc.evaluate(f, flat[perm]), batch.reshape(-1)[perm])

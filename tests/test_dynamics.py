@@ -150,6 +150,38 @@ def test_lift_of_no_detections_is_empty():
     assert rays.lines.shape == (0, 6) and len(rays.camera_ids) == 0
 
 
+def test_a_static_verdict_reads_its_residual_from_the_point_stage(monkeypatch):
+    # one stack of point-line matrices inside triangulate, one for the incidence
+    _, rays = _rays_for("static", 3)
+    # the point is fitted to the rows normalized once more (an array, not a
+    # RaySet) and scored on the rows themselves
+    P = dy.recover_static_point(rays.lines)
+    worst = float(np.sqrt(((point_line_matrix(rays.lines) @ P) ** 2).sum(axis=1)).max())
+    calls = []
+    plm = pcam.point_line_matrix
+
+    def counting(L):
+        calls.append(np.shape(L))
+        return plm(L)
+
+    monkeypatch.setattr(pcam, "point_line_matrix", counting)
+    monkeypatch.setattr(dy, "point_line_matrix", counting)
+    got = dy.classify_motion(rays)
+    assert calls == [(len(rays), 6)] * 2
+    assert got.kind == "static" and got.residual == worst == got.trace["static_residual"]
+    assert np.array_equal(got.model, P) and np.array_equal(np.signbit(got.model), np.signbit(P))
+
+
+def test_a_line_verdict_keeps_the_bits_of_its_line_and_residual():
+    # the line is fitted to the rows normalized once more and scored on the rows
+    _, rays = _rays_for("line", 3)
+    line = dy.recover_line_motion(rays.lines)
+    worst = float(np.abs(rays.lines @ swap_blocks(line.v)).max())
+    got = dy.classify_motion(rays)
+    assert got.kind == "line" and got.residual == worst == got.trace["line_residual"]
+    assert np.array_equal(got.model.v, line.v)
+
+
 def test_trajectory_rays_take_one_ray_matrix_kernel_call(monkeypatch):
     # the ring's ray matrices come from one stacked call, none from the lift
     calls = []

@@ -32,6 +32,15 @@ def test_evaluate_known_polynomial():
     assert f(np.array([1.0, 2.0, 3.0])) == pytest.approx(13.0)
     batch = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
     assert pc.evaluate(f, batch) == pytest.approx([1.0, 2.0])
+    assert pc.evaluate(f, np.stack([batch, batch])).shape == (2, 2)
+
+
+def test_evaluate_does_not_conjugate_complex_coefficients():
+    # f(x, y) = i x + (1 - 2i) y
+    f = pc.HomogeneousPolynomial(pc.enumerate_monomials(2, 1), np.array([1j, 1 - 2j]))
+    assert pc.evaluate(f, np.array([1.0, 0.0])) == 1j
+    assert pc.evaluate(f, np.array([[1.0, 0.0], [0.0, 1.0], [1j, 1.0]])).tolist() == [
+        1j, 1 - 2j, -1 + (1 - 2j)]
 
 
 def test_homogeneity_degree():

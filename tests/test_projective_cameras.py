@@ -267,6 +267,22 @@ def test_point_line_matrix_rows_match_one_row_calls():
     assert not np.signbit(np.diagonal(got, axis1=1, axis2=2)).any()
 
 
+@pytest.mark.parametrize("span", ["line_span_planes", "line_span_points"])
+def test_line_spans_of_a_stack_equal_one_line_calls(span):
+    r = rng()
+    lines = pcam.join_points(r.standard_normal((3, 4)), r.standard_normal((3, 4)))
+    fn = getattr(pcam, span)
+    A, B = fn(lines)
+    assert A.shape == B.shape == (3, 4)
+    for k, L in enumerate(lines):
+        a, b = fn(L)
+        assert_bit_equal(A[k], a)
+        assert_bit_equal(B[k], b)
+    lines[1] = np.zeros(6)
+    with pytest.raises(pcam.GeometryError):
+        fn(lines)
+
+
 @pytest.mark.parametrize("name", ["join_points", "meet_planes", "swap_blocks",
                                   "grassmann_residual", "incidence", "plucker_matrix"])
 def test_line_function_rows_match_one_row_calls(name):

@@ -244,6 +244,22 @@ def test_dual_reconstruct_conic(cams, conic):
     assert max(res) < 1e-9
 
 
+def test_dual_and_chow_forms_normalize_each_row_of_a_stack(cams, conic):
+    # a stack of planes or lines is a stack of one-row calls, not one vector
+    # divided by its Frobenius norm
+    ds = rc.dual_reconstruct(_tangent_views(conic, cams[:3], 14), 2)
+    cf = rc.chow_reconstruct(_point_views(conic, cams[:5], 16), 2)
+    rng = np.random.default_rng(7)
+    scale = np.array([1.0, 10.0, 0.1])[:, None]
+    planes = rng.standard_normal((3, 4)) * scale
+    lines = join_points(rng.standard_normal((3, 4)), rng.standard_normal((3, 4))) * scale
+    for form, X in ((ds, planes), (cf, lines)):
+        got = form(X)
+        assert got.shape == (3,)
+        assert got.tolist() == [form(x) for x in X]
+        assert form(X[None]).tolist() == [got.tolist()]
+
+
 def test_chow_counts():
     assert rc.chow_unknowns(2) == 20
     assert rc.chow_unknowns(3) == 50

@@ -324,13 +324,13 @@ README_DIGESTS = {
     "kruppa-dim --config conic_pair.json":
         "0afff9257d2fd2247c2d81be07e125069ca3530050c3403586b53d5549b14f66",
     "reconstruct-points --config cubic_pair.json --planes 60":
-        "b3e54ae22445f14117f738e966d9aa0e4772936620c960342dddaa35e90df83f",
+        "f927127625e8d648e56df72d03f437be66052bbd8b3b830c161477275d7ee815",
     "reconstruct-dual --config dual_quartic.json":
         "9bacb58bdb4a083b3e4cd39154f8782d4e4edbfab5f53c48be8a120f6d5e972a",
     "reconstruct-chow --config chow_cubic.json":
         "3ca2549834a6e7ca8ccaeb8aa7306389e1dc6862a4976e2f24d7bba7132563d1",
     "classify-motion --config dynamics_mixed.json":
-        "1aa3197dc233f6836dea5703f7fd7412170c0136730332f030ae101663e77ffc",
+        "11a8049c81751464422dd548f93efd6995f2ebcd008bb210cf4dd5b0e60dfed6",
     "consistency-tables --d 2..4 --m 2..8":
         "af110aec9b690a41b1bba7e358a172c5b1a46b6728106237b607e3b6a72474b3",
 }
@@ -352,15 +352,25 @@ def test_readme_command_digests_are_pinned(line):
     assert rep.digest == README_DIGESTS[line]
 
 
-def test_reconstruct_points_digest_ignores_the_blas_thread_count():
-    # the sweep meets and checks every candidate in one batch, so no row may
-    # take its bits from how BLAS splits that batch between threads
-    line = "reconstruct-points --config cubic_pair.json --planes 60"
-    argv = line.replace("cubic_pair.json", str(CONFIGS / "cubic_pair.json")).split()
+def _assert_digest_ignores_the_blas_thread_count(line, config):
+    argv = line.replace(config, str(CONFIGS / config)).split()
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, "-m", "curvemvg.scene_cli", *argv,
                                "--out", os.devnull],
                               capture_output=True, text=True, timeout=120, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == f"ok: reconstruct-points digest {README_DIGESTS[line][:16]}\n"
+        assert proc.stderr == f"ok: {argv[0]} digest {README_DIGESTS[line][:16]}\n"
+
+
+def test_reconstruct_points_digest_ignores_the_blas_thread_count():
+    # the sweep meets and checks every candidate in one batch, so no row may
+    # take its bits from how BLAS splits that batch between threads
+    _assert_digest_ignores_the_blas_thread_count(
+        "reconstruct-points --config cubic_pair.json --planes 60", "cubic_pair.json")
+
+
+def test_classify_motion_digest_ignores_the_blas_thread_count():
+    # the fitted forms are scored on all held-out rays in one evaluation
+    _assert_digest_ignores_the_blas_thread_count(
+        "classify-motion --config dynamics_mixed.json", "dynamics_mixed.json")

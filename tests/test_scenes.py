@@ -76,6 +76,16 @@ def test_observe_trajectory_matches_per_frame_reference(kind, sigma):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+def test_image_noise_of_a_stack_equals_point_by_point_calls(sigma):
+    # simulate perturbs each view's samples in one call
+    p = np.random.default_rng(5).standard_normal((24, 3))
+    got = scenes.add_image_noise(p, sigma, np.random.default_rng(6))
+    rng = np.random.default_rng(6)
+    want = np.array([scenes.add_image_noise(q, sigma, rng) for q in p])
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_look_at_rotation_is_a_rotation_through_the_target():
     rng = np.random.default_rng(4)
     for _ in range(20):
