@@ -84,6 +84,8 @@ class RationalCurve3D:
         C = np.asarray(self.C, dtype=float)
         if C.ndim != 2 or C.shape[0] != 4 or C.shape[1] < 2:
             raise CurveModelError("coordinate matrix must be 4 x (degree+1)")
+        if not np.isfinite(C).all():
+            raise CurveModelError("coordinate matrix has non-finite entries")
         if np.linalg.matrix_rank(C) < min(4, C.shape[1]):
             raise CurveModelError("coordinate matrix is rank deficient")
         self.C = C
@@ -212,10 +214,10 @@ class ImageCurve:
     """Implicit plane model of one projection of a space curve."""
 
     f: HomogeneousPolynomial
-    degree: int
-    class_m: int
-    node_total: int
-    gap: float
+
+    @property
+    def degree(self) -> int:
+        return self.f.degree
 
 
 def _projected_points(curve: RationalCurve3D, cam: Camera, thetas) -> np.ndarray:
@@ -234,8 +236,7 @@ def implicit_image_curve(curve: RationalCurve3D, cam: Camera) -> ImageCurve:
     held-out set.  An ambiguous nullspace or a bad held-out residual raises,
     since either means the projection is not a generic degree-d plane curve.
     """
-    d = curve.degree
-    basis = enumerate_monomials(3, d)
+    basis = enumerate_monomials(3, curve.degree)
     n = max(2 * basis.size, basis.size + 6)
     f, gap = pc.fit_vanishing_form(basis, _projected_points(curve, cam, _sample_thetas(n)))
     if gap >= 1e-3:
@@ -244,7 +245,7 @@ def implicit_image_curve(curve: RationalCurve3D, cam: Camera) -> ImageCurve:
     resid = np.abs(f(held)).max()
     if resid > 1e-7:
         raise CurveModelError(f"implicit fit fails held-out samples ({resid:.2e})")
-    return ImageCurve(f, d, class_of(d, 0), node_count(d, 0), gap)
+    return ImageCurve(f)
 
 
 def image_tangents(curve: RationalCurve3D, cam: Camera, thetas) -> np.ndarray:
@@ -273,9 +274,8 @@ def image_tangent(curve: RationalCurve3D, cam: Camera, theta: float) -> np.ndarr
     return image_tangents(curve, cam, theta)[0]
 
 
-def fit_dual_image_curve(curve: RationalCurve3D,
-                         cam: Camera) -> tuple[HomogeneousPolynomial, float]:
-    """Form of degree 2d+2g-2 vanishing on every tangent of the image, and its gap.
+def fit_dual_image_curve(curve: RationalCurve3D, cam: Camera) -> HomogeneousPolynomial:
+    """Form of degree 2d+2g-2 vanishing on every tangent of the image.
 
     Fits twice as many sampled tangents as the form has coefficients (at
     least 8 more) and validates the form on held-out tangents.
@@ -291,7 +291,7 @@ def fit_dual_image_curve(curve: RationalCurve3D,
     resid = np.abs(phi(held)).max()
     if resid > 1e-6:
         raise CurveModelError(f"dual fit fails held-out tangents ({resid:.2e})")
-    return phi, gap
+    return phi
 
 
 # fixed generic weights of the three pulled-back partials in find_nodes

@@ -113,18 +113,21 @@ def lift_observations(cams, detections) -> RaySet:
 
 
 def _ray_rows(rays) -> np.ndarray:
-    """Unit ray vectors of a RaySet or of the rows of an (n, 6) array."""
+    """Unit ray vectors of a RaySet or of the rows, nonzero and finite, of an (n, 6) array."""
     if isinstance(rays, RaySet):
         return rays.lines
-    rays = np.asarray(rays)
+    rays = np.asarray(rays, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(rays).all(axis=1) | ~rays.any(axis=1))
+    if len(bad):
+        raise DynamicsError(f"ray row {bad[0]} is zero or not finite")
     return rays / np.linalg.norm(rays, axis=1, keepdims=True)
 
 
-def _static_point(mat: np.ndarray, fit: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    # the common point of the rows fit, and the largest |W P| over the rays mat
+def _static_point(mat: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    # the common point of the rays, and the largest |W P| over them
     if mat.shape[0] < 2:
         raise DynamicsError("need at least two rays to intersect")
-    P = pc.sign_normalize(triangulate(fit))
+    P = pc.sign_normalize(triangulate(mat))
     worst = float(np.sqrt(((point_line_matrix(mat) @ P) ** 2).sum(axis=1)).max())
     if worst > tol:
         raise DynamicsError(
@@ -137,8 +140,7 @@ def recover_static_point(rays, tol: float = 1e-7) -> np.ndarray:
 
     Raises when any ray passes farther than tol from it.
     """
-    mat = _ray_rows(rays)
-    return _static_point(mat, mat, tol)[0]
+    return _static_point(_ray_rows(rays), tol)[0]
 
 
 def _project_to_klein(L: np.ndarray) -> np.ndarray:
@@ -155,12 +157,11 @@ def _project_to_klein(L: np.ndarray) -> np.ndarray:
     return np.concatenate([a - lam * b, b - lam * a]) / (1.0 - lam * lam)
 
 
-def _line_motion(mat: np.ndarray, fit: np.ndarray, tol: float,
-                 quadric_gate: float) -> tuple[PluckerLine, float]:
-    # the support line of the rows fit, and the largest pairing of the rays mat with it
+def _line_motion(mat: np.ndarray, tol: float, quadric_gate: float) -> tuple[PluckerLine, float]:
+    # the support line of the rays, and the largest pairing of a ray with it
     if mat.shape[0] < 6:
         raise DynamicsError("need at least six rays to pin a hyperplane")
-    _, s, Vt = np.linalg.svd(fit, full_matrices=False)
+    _, s, Vt = np.linalg.svd(mat, full_matrices=False)
     if s[4] / s[0] < 1e-8:
         raise DynamicsError(
             "hyperplane is not unique (ray span is degenerate); "
@@ -187,8 +188,7 @@ def recover_line_motion(rays, tol: float = 1e-8,
     incidence pairing, is the Plucker vector of the support line, moved
     onto the line quadric by the exact nearest-point projection.
     """
-    mat = _ray_rows(rays)
-    return _line_motion(mat, mat, tol, quadric_gate)[0]
+    return _line_motion(_ray_rows(rays), tol, quadric_gate)[0]
 
 
 def recover_trajectory_chow(rays, d: int) -> ChowForm:
@@ -226,15 +226,13 @@ def classify_motion(rays, noise_sigma: float = 0.0) -> MotionClass:
     rank_gate = max(1e-8, 20.0 * noise_sigma)
     trace: dict = {"n_rays": n, "tol": eff_tol}
 
-    fit = _ray_rows(mat)  # what recover_static_point and recover_line_motion fit for an array
-
     # static: the ray vectors span only a 2-plane of lines
     s = np.linalg.svd(mat, compute_uv=False)
     span_gap = s[3] / s[2]
     trace["static_span_gap"] = span_gap
     if span_gap <= rank_gate:
         try:
-            P, worst = _static_point(mat, fit, max(eff_tol, 30.0 * noise_sigma))
+            P, worst = _static_point(mat, max(eff_tol, 30.0 * noise_sigma))
         except DynamicsError as err:
             trace["static_reject"] = str(err)
         else:
@@ -246,7 +244,7 @@ def classify_motion(rays, noise_sigma: float = 0.0) -> MotionClass:
     trace["line_null_gap"] = null_gap
     if null_gap <= rank_gate:
         try:
-            line, worst = _line_motion(mat, fit, max(eff_tol, 30.0 * noise_sigma),
+            line, worst = _line_motion(mat, max(eff_tol, 30.0 * noise_sigma),
                                        max(1e-4, 50.0 * noise_sigma))
         except DynamicsError as err:
             trace["line_reject"] = str(err)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polycore as pc
-from .curve_models import (RationalCurve3D, _binary_monomials, _derivative_shifts,
-                           fit_dual_image_curve)
+from .curve_models import RationalCurve3D, fit_dual_image_curve
 from .polycore import HomogeneousPolynomial
 from .projective_cameras import (
     Camera,
@@ -59,9 +58,8 @@ class KruppaInstance:
 
 def build_instance(curve: RationalCurve3D, cam1: Camera, cam2: Camera) -> KruppaInstance:
     """Synthetic route: fit both duals and pair them with the true geometry."""
-    phi1, _ = fit_dual_image_curve(curve, cam1)
-    phi2, _ = fit_dual_image_curve(curve, cam2)
-    return KruppaInstance(phi1, phi2, fundamental(cam1, cam2))
+    return KruppaInstance(fit_dual_image_curve(curve, cam1), fit_dual_image_curve(curve, cam2),
+                          fundamental(cam1, cam2))
 
 
 def constraint_vector(phi1: HomogeneousPolynomial, phi2: HomogeneousPolynomial,
@@ -154,14 +152,7 @@ class TangencyData:
     baseline: np.ndarray          # Plucker vector of the join of centers
     params: np.ndarray            # real tangency parameters (angle chart)
     Q: np.ndarray                 # (k, 4) space points
-    q1: np.ndarray                # (k, 3) images in view 1
-    q2: np.ndarray                # (k, 3) images in view 2
     expected: int                 # class m of the curve
-    n_complex: int                # tangencies lost to complex parameters
-
-    @property
-    def deficit(self) -> bool:
-        return self.n_complex > 0
 
 
 def tangency_points(curve: RationalCurve3D, cam1: Camera, cam2: Camera) -> TangencyData:
@@ -169,44 +160,22 @@ def tangency_points(curve: RationalCurve3D, cam1: Camera, cam2: Camera) -> Tange
 
     The tangency condition is the vanishing of det[O1, O2, X_t, X_s], the
     incidence of the baseline with the curve's tangent form: a binary form
-    of degree 2d-2 whose roots come from :func:`polycore._binary_roots` and
-    are polished on the angle chart.  A repeated root means the pair sits on
-    a non-generic tangency and is rejected; a form that vanishes
-    identically (both centers in the plane of a conic) raises
-    :class:`polycore.PolynomialError`.
+    of degree 2d-2.  The parameters are the angles of its real roots as
+    :func:`polycore._binary_roots` gives them, with no polish.  A repeated
+    root means the pair sits on a non-generic tangency and is rejected; a
+    form that vanishes identically (both centers in the plane of a conic)
+    raises :class:`polycore.PolynomialError`.
     """
-    O1, O2 = cam1.center, cam2.center
-    baseline = join_points(O1, O2)
+    baseline = join_points(cam1.center, cam2.center)
     coeff = swap_blocks(baseline) @ curve.tangent_form
     roots, sep = pc._binary_roots(coeff)
     if sep < 1e-7:
         raise GeometryError("repeated tangency parameters: non-generic camera pair")
-    m = 2 * curve.degree - 2
     # s is real, so a root is real when t is
     real = roots[np.abs(roots[:, 0].imag) <= 1e-8].real
-    params = sorted(_polish_tangency(coeff, th) for th in np.arctan2(real[:, 1], real[:, 0]))
-    n_complex = len(roots) - len(real)
+    params = np.sort(np.arctan2(real[:, 1], real[:, 0]) % np.pi)
     Q = pc.sign_normalize_rows(curve.points(params))
-    q1, q2 = (q / np.linalg.norm(q, axis=1, keepdims=True) for q in (cam1.project(Q), cam2.project(Q)))
-    return TangencyData(baseline, np.asarray(params), Q, q1, q2, m, n_complex)
-
-
-def _polish_tangency(coeff: np.ndarray, theta: float) -> float:
-    # Newton steps on the angle chart; the derivative is -s g_t + t g_s, as
-    # RationalCurve3D.velocity reads it
-    n = coeff.shape[0] - 1
-    partials = coeff @ _derivative_shifts(n)
-    for _ in range(40):
-        g = float(coeff @ _binary_monomials(theta, n))
-        gt, gs = partials @ _binary_monomials(theta, n - 1)
-        dg = float(np.cos(theta) * gs - np.sin(theta) * gt)
-        if dg == 0.0:
-            break
-        step = g / dg
-        theta -= step
-        if abs(step) < 1e-14:
-            break
-    return theta % np.pi
+    return TangencyData(baseline, params, Q, 2 * curve.degree - 2)
 
 
 def quadric_degeneracy(td: TangencyData) -> bool:
@@ -329,7 +298,6 @@ def solution_dimension(instances, eg_truth: EpipolarGeometry,
 class RefineResult:
     eg: EpipolarGeometry
     residual: float
-    iterations: int
 
 
 def refine_epipolar(eg_init: EpipolarGeometry, instances,
@@ -349,7 +317,6 @@ def refine_epipolar(eg_init: EpipolarGeometry, instances,
     r = func(theta)
     cost = float(r @ r)
     lam = 1e-6
-    iterations = 0
     for _ in range(60):
         if np.sqrt(cost) < 1e-9:
             break
@@ -369,7 +336,6 @@ def refine_epipolar(eg_init: EpipolarGeometry, instances,
                 r, cost = r_new, cost_new
                 lam = max(lam / 5, 1e-12)
                 improved = True
-                iterations += 1
                 break
             lam *= 10
         if not improved:
@@ -378,4 +344,4 @@ def refine_epipolar(eg_init: EpipolarGeometry, instances,
     if residual > 1e-6:
         raise KruppaError(f"refinement stalled at residual {residual:.2e}")
     e1, F = chart(theta)
-    return RefineResult(EpipolarGeometry.from_F(F), residual, iterations)
+    return RefineResult(EpipolarGeometry.from_F(F), residual)

@@ -138,15 +138,6 @@ def cross_matrix(v) -> np.ndarray:
     return np.array([[zero, -z, y], [z, zero, -x], [-y, x, zero]])
 
 
-def line_map(V) -> np.ndarray:
-    """6x6 action on Plucker coordinates induced by a 4x4 point transform."""
-    V = np.asarray(V)
-    if V.shape != (4, 4):
-        raise GeometryError("point transforms are 4x4")
-    # column k is the join of the images of the pair PLUCKER_PAIRS[k]
-    return join_points(V.T[_PAIR_I], V.T[_PAIR_J]).T
-
-
 @dataclass(frozen=True)
 class PluckerLine:
     """A line of P^3 held as a unit-norm Plucker vector."""
@@ -157,6 +148,8 @@ class PluckerLine:
         v = np.asarray(self.v, dtype=float)
         if v.shape != (6,):
             raise GeometryError("Plucker vectors have six coordinates")
+        if not np.isfinite(v).all():
+            raise GeometryError("Plucker vector has non-finite entries")
         _check_on_quadric(v)
         object.__setattr__(self, "v", sign_normalize(v))
 
@@ -167,6 +160,8 @@ def _checked_matrices(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # matrix stays zero and fails the check, at np.linalg.matrix_rank's
     # tolerance.  Scaling by a power of two is exact and keeps the norm
     # finite and nonzero at any scale.
+    if not np.isfinite(M).all():
+        raise GeometryError("camera matrix has non-finite entries")
     M = np.ldexp(M, -np.frexp(np.abs(M).max(axis=(1, 2)))[1][:, None, None])
     flat = M.reshape(len(M), 12)
     M = M / np.maximum(np.sqrt(np.vecdot(flat, flat)), np.finfo(float).tiny)[:, None, None]

@@ -58,7 +58,6 @@ class PlaneCandidates:
 class ComponentSplit:
     """Per-plane classification of cone-intersection candidates."""
 
-    degree: int
     planes: list[PlaneCandidates]
     skipped: int                 # planes dropped for root collisions
 
@@ -134,7 +133,7 @@ def epipolar_sweep(f1: ImageCurve, f2: ImageCurve, cam1: Camera, cam2: Camera,
         res = np.maximum(res, np.abs(g(q / np.linalg.norm(q, axis=1, keepdims=True))))
     split = [PlaneCandidates(planes[i], P, r <= 1e-8, r) for i, P, r in
              zip(kept, cands.reshape(-1, d * d, 4), res.reshape(-1, d * d))]
-    return ComponentSplit(d, split, n_planes - len(kept))
+    return ComponentSplit(split, n_planes - len(kept))
 
 
 def _unit_lifts(views, lift, what: str) -> list[np.ndarray]:
@@ -377,21 +376,17 @@ def fit_chow_from_lines(lines: np.ndarray, d: int) -> ChowForm:
     is the checked route) and ``per_view_ranks`` is empty, so callers must
     validate the fit on held-out lines: a wrong-degree fit evaluates large.
     """
-    lines = np.asarray(lines, dtype=float)
-    lines = lines / np.linalg.norm(lines, axis=1, keepdims=True)
     return _chow_form(pc.whitened_nullspace(enumerate_monomials(6, d), lines), d, [])
 
 
 def _fit_chow(blocks: list[np.ndarray], d: int) -> ChowForm:
-    # the rank-checked route, one block of rays per center; each row is
-    # normalized once more, as fit_chow_from_lines does, so both fit the same bits
+    # the rank-checked route, one block of rays per center
     def blind_hint(k):
         blind = chow_ambiguity_dim(d, k)
         return (f"{k} centers leave a {blind}-dim family of forms through their "
                 f"alpha-planes; degree {d} needs rays from at least {views_for_chow(d)} "
                 "distinct centers") if blind else ""
 
-    blocks = [b / np.linalg.norm(b, axis=1, keepdims=True) for b in blocks]
     fit, ranks = _checked_fit(enumerate_monomials(6, d), blocks, chow_ideal_dim(d) + 1,
                               "ray", chow_view_cap(d), blind_hint)
     return _chow_form(fit, d, ranks)

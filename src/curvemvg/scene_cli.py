@@ -313,16 +313,12 @@ def _thetas(n: int, offset: float) -> np.ndarray:
     return offset + np.pi * (np.arange(n) + 0.37) / n
 
 
-def _need_cameras(cfg: SceneConfig, n: int, command: str):
-    if len(cfg.cameras) < n:
-        raise ConfigError(f"{command} needs at least {n} cameras, "
-                          f"config supplies {len(cfg.cameras)}")
-
-
-def _need_curves(cfg: SceneConfig, n: int, command: str):
-    if len(cfg.curves) < n:
-        raise ConfigError(f"{command} needs at least {n} curves, "
-                          f"config supplies {len(cfg.curves)}")
+def _need(cfg: SceneConfig, command: str, cameras: int, curves: int):
+    # the one count check, cameras first
+    for what, n in (("cameras", cameras), ("curves", curves)):
+        have = len(getattr(cfg, what))
+        if have < n:
+            raise ConfigError(f"{command} needs at least {n} {what}, config supplies {have}")
 
 
 def _poly_rows(poly) -> list[list]:
@@ -349,9 +345,7 @@ def _cmd_simulate(cfg: SceneConfig, rng: np.random.Generator, rep: Report, args)
         pts = curve.points(ths)
         for ci, cam in enumerate(cfg.cameras):
             img = cam.project(pts)
-            norms = np.linalg.norm(img, axis=1)
-            finite = finite and bool(np.all(norms > 1e-12))
-            img = img / np.maximum(norms, 1e-300)[:, None]
+            finite = finite and bool(np.all(np.linalg.norm(img, axis=1) > 1e-12))
             img = scenes.add_image_noise(img, cfg.noise_sigma, rng)
             sample_rows.extend([ki, ci, th, *q] for th, q in zip(ths.tolist(), img.tolist()))
     rep.artifacts["curve_samples"] = {
@@ -372,8 +366,7 @@ def _cmd_simulate(cfg: SceneConfig, rng: np.random.Generator, rep: Report, args)
 
 
 def _cmd_kruppa_check(cfg: SceneConfig, rng: np.random.Generator, rep: Report, args):
-    _need_cameras(cfg, 2, "kruppa-check")
-    _need_curves(cfg, 1, "kruppa-check")
+    _need(cfg, "kruppa-check", 2, 1)
     cam1, cam2 = cfg.cameras[0], cfg.cameras[1]
     eg = fundamental(cam1, cam2)
     worst = 0.0
@@ -410,8 +403,7 @@ def _cmd_kruppa_check(cfg: SceneConfig, rng: np.random.Generator, rep: Report, a
 
 
 def _cmd_kruppa_dim(cfg: SceneConfig, rng: np.random.Generator, rep: Report, args):
-    _need_cameras(cfg, 2, "kruppa-dim")
-    _need_curves(cfg, 1, "kruppa-dim")
+    _need(cfg, "kruppa-dim", 2, 1)
     cam1, cam2 = cfg.cameras[0], cfg.cameras[1]
     eg = fundamental(cam1, cam2)
     instances = [kp.build_instance(c, cam1, cam2) for c in cfg.curves]
@@ -436,8 +428,7 @@ def _cmd_reconstruct_points(cfg: SceneConfig, rng: np.random.Generator,
                             rep: Report, args):
     if args.planes < 1:
         raise ConfigError(f"--planes must be at least 1, got {args.planes}")
-    _need_cameras(cfg, 3, "reconstruct-points")
-    _need_curves(cfg, 1, "reconstruct-points")
+    _need(cfg, "reconstruct-points", 3, 1)
     curve = cfg.curves[0]
     d = curve.degree
     images = [implicit_image_curve(curve, cam) for cam in cfg.cameras]
@@ -471,8 +462,7 @@ def _cmd_reconstruct_points(cfg: SceneConfig, rng: np.random.Generator,
 
 def _cmd_reconstruct_dual(cfg: SceneConfig, rng: np.random.Generator,
                           rep: Report, args):
-    _need_cameras(cfg, 2, "reconstruct-dual")
-    _need_curves(cfg, 1, "reconstruct-dual")
+    _need(cfg, "reconstruct-dual", 2, 1)
     curve = cfg.curves[0]
     m = class_of(curve.degree, curve.genus)
     rep.metrics["curve_class"] = m
@@ -504,8 +494,7 @@ def _cmd_reconstruct_dual(cfg: SceneConfig, rng: np.random.Generator,
 
 def _cmd_reconstruct_chow(cfg: SceneConfig, rng: np.random.Generator,
                           rep: Report, args):
-    _need_cameras(cfg, 2, "reconstruct-chow")
-    _need_curves(cfg, 1, "reconstruct-chow")
+    _need(cfg, "reconstruct-chow", 2, 1)
     curve = cfg.curves[0]
     d = curve.degree
     rep.metrics["degree"] = d

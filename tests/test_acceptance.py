@@ -123,8 +123,7 @@ def test_solution_dimension_ladder_and_quadric_degeneracy(ring, curve_set):
     grng = np.random.default_rng(77)
     pts = grng.standard_normal((7, 4))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    td7 = kp.TangencyData(td6.baseline, np.zeros(7), pts,
-                          np.zeros((7, 3)), np.zeros((7, 3)), 7, 0)
+    td7 = kp.TangencyData(td6.baseline, np.zeros(7), pts, 7)
     assert kp.quadric_degeneracy(td7) is False
 
 

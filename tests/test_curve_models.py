@@ -39,6 +39,15 @@ def test_rank_deficient_coefficients_rejected():
         cm.RationalCurve3D(C)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coefficients_rejected(cubic, bad):
+    # an inf used to read as "rank deficient", a NaN as numpy's LinAlgError
+    C = cubic.C.copy()
+    C[2, 1] = bad
+    with pytest.raises(cm.CurveModelError, match="non-finite"):
+        cm.RationalCurve3D(C)
+
+
 def test_point_matches_batch(cubic):
     ths = np.linspace(0.2, 2.8, 7)
     batch = cubic.points(ths)
@@ -295,7 +304,7 @@ def test_a_nodal_quartic_is_not_generic():
 def test_dual_image_curve_degree_and_vanishing(cams, conic, cubic):
     for curve in (conic, cubic):
         m = cm.class_of(curve.degree, 0)
-        phi = cm.fit_dual_image_curve(curve, cams[2])[0]
+        phi = cm.fit_dual_image_curve(curve, cams[2])
         assert phi.degree == m
         for th in np.linspace(0.1, 2.9, 12):
             l = cm.image_tangent(curve, cams[2], th)
@@ -307,7 +316,7 @@ def test_dual_conic_is_adjugate(cams, conic):
     from curvemvg.projective_cameras import adjugate3
     ic = cm.implicit_image_curve(conic, cams[3])
     C = pc.quadratic_matrix(ic.f)
-    phi = cm.fit_dual_image_curve(conic, cams[3])[0]
+    phi = cm.fit_dual_image_curve(conic, cams[3])
     D = pc.quadratic_matrix(phi)
     assert pc.proportionality_residual(D.ravel(), adjugate3(C).ravel()) < 1e-8
 

@@ -153,9 +153,8 @@ def test_lift_of_no_detections_is_empty():
 def test_a_static_verdict_reads_its_residual_from_the_point_stage(monkeypatch):
     # one stack of point-line matrices inside triangulate, one for the incidence
     _, rays = _rays_for("static", 3)
-    # the point is fitted to the rows normalized once more (an array, not a
-    # RaySet) and scored on the rows themselves
-    P = dy.recover_static_point(rays.lines)
+    # the point is fitted to the rows themselves and scored on them
+    P = dy.recover_static_point(rays)
     worst = float(np.sqrt(((point_line_matrix(rays.lines) @ P) ** 2).sum(axis=1)).max())
     calls = []
     plm = pcam.point_line_matrix
@@ -173,9 +172,9 @@ def test_a_static_verdict_reads_its_residual_from_the_point_stage(monkeypatch):
 
 
 def test_a_line_verdict_keeps_the_bits_of_its_line_and_residual():
-    # the line is fitted to the rows normalized once more and scored on the rows
+    # the line is fitted to the rows themselves and scored on them
     _, rays = _rays_for("line", 3)
-    line = dy.recover_line_motion(rays.lines)
+    line = dy.recover_line_motion(rays)
     worst = float(np.abs(rays.lines @ swap_blocks(line.v)).max())
     got = dy.classify_motion(rays)
     assert got.kind == "line" and got.residual == worst == got.trace["line_residual"]
@@ -232,6 +231,17 @@ def test_recover_static_rejects_moving_point():
     _, rays = _rays_for("conic", 21)
     with pytest.raises(dy.DynamicsError):
         dy.recover_static_point(rays)
+
+
+def test_ray_recoveries_name_a_zero_or_non_finite_row():
+    # numpy's SVD used to raise LinAlgError on the NaN of a zero row's division
+    _, rays = _rays_for("static", 12)
+    for bad in (0.0, np.nan, np.inf):
+        mat = rays.lines.copy()
+        mat[3] = bad
+        for recover in (dy.recover_static_point, dy.recover_line_motion):
+            with pytest.raises(dy.DynamicsError, match="^ray row 3 is zero or not finite$"):
+                recover(mat)
 
 
 def test_recover_line_motion():

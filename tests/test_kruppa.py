@@ -99,8 +99,7 @@ def test_quadric_degeneracy_at_six_and_seven(cams, quartic):
     base = join_points(O1, O2)
     Q = rng.standard_normal((7, 4))
     Q /= np.linalg.norm(Q, axis=1, keepdims=True)
-    td7 = kp.TangencyData(base, np.zeros(7), Q, np.zeros((7, 3)),
-                          np.zeros((7, 3)), 7, 0)
+    td7 = kp.TangencyData(base, np.zeros(7), Q, 7)
     assert not kp.quadric_degeneracy(td7)
 
 

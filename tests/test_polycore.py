@@ -472,3 +472,35 @@ def test_whitened_nullspace_refuses_degenerate_samples(samples, message):
         warnings.simplefilter("error")
         with pytest.raises(pc.PolynomialError, match=message):
             pc.whitened_nullspace(pc.enumerate_monomials(4, 2), samples)
+
+
+def _scale_samples():
+    # ray rows meeting a conic (degree 2 over P^5) and image points of a
+    # twisted cubic (degree 3 over P^2), each at the degree it is fitted at
+    from curvemvg.curve_models import preset_curve
+    from curvemvg.projective_cameras import Camera, join_points
+    rng = np.random.default_rng(31)
+    th = (np.arange(60) + 0.3) * (np.pi / 60)
+    rays = join_points(preset_curve("conic", 11).points(th), rng.standard_normal((60, 4)))
+    cam = Camera(rng.standard_normal((3, 4)))
+    points = cam.project(preset_curve("twisted_cubic", 3).points(th[:40]))
+    return [(pc.enumerate_monomials(6, 2), rays), (pc.enumerate_monomials(3, 3), points)]
+
+
+def test_whitened_nullspace_ignores_the_scale_of_a_row():
+    # the fit owns row scale, so callers hand it their rows as they are: a
+    # power-of-two scale of each row leaves the spectrum and the basis
+    # bit-identical, and any scale leaves the rank and the null space
+    rng = np.random.default_rng(32)
+    for basis, X in _scale_samples():
+        ref = pc.whitened_nullspace(basis, X)
+        k = basis.size - ref.rank()
+        assert k >= 1
+        for _ in range(5):
+            two = pc.whitened_nullspace(basis, np.ldexp(X, rng.integers(-8, 9, len(X))[:, None]))
+            assert np.array_equal(two.s, ref.s) and np.array_equal(two.Vt, ref.Vt)
+            any_ = pc.whitened_nullspace(basis, X * 10.0 ** rng.uniform(-3, 3, (len(X), 1)))
+            assert any_.rank() == ref.rank()
+            # cosines of the principal angles between the two null spaces
+            cos = np.linalg.svd(any_.null(k) @ ref.null(k).T, compute_uv=False)
+            assert 1.0 - cos.min() <= 1e-14

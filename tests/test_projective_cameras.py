@@ -240,14 +240,30 @@ def test_camera_rank_check_matches_matrix_rank():
             Camera(bad)
 
 
-def test_line_map_acts_on_plucker():
-    r = rng()
-    V = r.standard_normal((4, 4))
-    P, Q = r.standard_normal(4), r.standard_normal(4)
-    L = pcam.join_points(P, Q)
-    from curvemvg.polycore import proportionality_residual
-    assert proportionality_residual(pcam.line_map(V) @ L,
-                                    pcam.join_points(V @ P, V @ Q)) < 1e-10
+def _camera_with(bad):
+    M = rng().standard_normal((3, 4))
+    M[1, 2] = bad
+    return Camera(M)
+
+
+def _stack_with(bad):
+    M = rng().standard_normal((2, 3, 4))
+    M[1, 1, 2] = bad
+    return Camera.stack(M)
+
+
+def _line_with(bad):
+    L = pcam.join_points(*rng().standard_normal((2, 4)))
+    L[4] = bad
+    return PluckerLine(L)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make", [_camera_with, _stack_with, _line_with])
+def test_constructors_reject_non_finite_entries(make, bad):
+    # numpy's SVD used to raise LinAlgError on a camera, and PluckerLine took a NaN
+    with pytest.raises(pcam.GeometryError, match="non-finite"):
+        make(bad)
 
 
 def test_adjugate3():

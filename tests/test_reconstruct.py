@@ -340,6 +340,14 @@ def test_chow_raises_below_enough_views(cams, conic):
         assert "alpha-plane" in str(err.value)
 
 
+def test_fit_chow_from_lines_refuses_a_zero_row():
+    # the fit kernel owns row scale, so a zero row reaches its own check
+    lines = join_points(*np.random.default_rng(6).standard_normal((2, 30, 4)))
+    lines[7] = 0.0
+    with pytest.raises(pc.PolynomialError, match="^samples include a zero row$"):
+        rc.fit_chow_from_lines(lines, 2)
+
+
 def test_chow_rejects_incoherent_rays():
     rng = np.random.default_rng(88)
     rays = np.stack([join_points(rng.standard_normal(4), rng.standard_normal(4))

@@ -318,7 +318,7 @@ def test_import_loads_no_scipy():
 # moves any of them must say which and why.
 README_DIGESTS = {
     "simulate --config simulate_demo.json":
-        "7697a6ef227e450fff8d1d1a948ca4c2edee793b2c0b0de878a2b2fa1d8a83fe",
+        "2df262a682b769ffecc99483042f516307574d3539bae548ce0aefed3484db9d",
     "kruppa-check --config kruppa_trio.json --noise 1e-3":
         "8b8f336a43d89eef8cc5aef315d688a77c77f287e8eca083666cc1d33b552d6f",
     "kruppa-dim --config conic_pair.json":
@@ -328,9 +328,9 @@ README_DIGESTS = {
     "reconstruct-dual --config dual_quartic.json":
         "9bacb58bdb4a083b3e4cd39154f8782d4e4edbfab5f53c48be8a120f6d5e972a",
     "reconstruct-chow --config chow_cubic.json":
-        "3ca2549834a6e7ca8ccaeb8aa7306389e1dc6862a4976e2f24d7bba7132563d1",
+        "5bd041a6360552f577e2f38e2c0f2ea490a039ff39ab40894624ef0791a0c8f7",
     "classify-motion --config dynamics_mixed.json":
-        "11a8049c81751464422dd548f93efd6995f2ebcd008bb210cf4dd5b0e60dfed6",
+        "8734a290ce5fa567e96e84cf0913b08581647df3131f210e296e35f9b272a605",
     "consistency-tables --d 2..4 --m 2..8":
         "af110aec9b690a41b1bba7e358a172c5b1a46b6728106237b607e3b6a72474b3",
 }
@@ -374,3 +374,15 @@ def test_classify_motion_digest_ignores_the_blas_thread_count():
     # the fitted forms are scored on all held-out rays in one evaluation
     _assert_digest_ignores_the_blas_thread_count(
         "classify-motion --config dynamics_mixed.json", "dynamics_mixed.json")
+
+
+def test_reconstruct_chow_digest_ignores_the_blas_thread_count():
+    # the stacked Chow fit reads one whitened SVD of all the views' rays
+    _assert_digest_ignores_the_blas_thread_count(
+        "reconstruct-chow --config chow_cubic.json", "chow_cubic.json")
+
+
+def test_simulate_digest_ignores_the_blas_thread_count():
+    # each view's samples are projected and normalized row by row
+    _assert_digest_ignores_the_blas_thread_count(
+        "simulate --config simulate_demo.json", "simulate_demo.json")
