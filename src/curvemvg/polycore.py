@@ -201,19 +201,20 @@ def sym_power(A, degree: int) -> np.ndarray:
     ``r`` of ``basis(n, degree)`` composed with the map, so that
     ``pullback(p, A).coeffs == p.coeffs @ sym_power(A, p.degree)`` and a
     stack of coefficient vectors is pulled back by one product.  Each
-    degree-e row is its degree-(e-1) parent row times one linear form.
+    degree-e row is its degree-(e-1) parent row times one linear form.  A
+    stack of maps gets their matrices, each with its own call's bits.
     """
     A = np.asarray(A)
-    if A.ndim != 2:
-        raise PolynomialError(f"substitution matrix has shape {A.shape}, expected (n, k)")
+    if A.ndim < 2:
+        raise PolynomialError(f"substitution matrix has shape {A.shape}, expected (..., n, k)")
     if degree < 0:
         raise PolynomialError("degree must be nonnegative")
-    n, k = A.shape
-    S = np.ones((1, 1), dtype=np.result_type(A, float))
+    *batch, n, k = A.shape
+    S = np.ones((*batch, 1, 1), dtype=np.result_type(A, float))
     for e in range(1, degree + 1):
         parents, peeled = _peel_table(n, e)
-        terms = S[parents][:, :, None] * A[peeled][:, None, :]
-        S = terms.reshape(len(parents), -1) @ _scatter(k, e)
+        terms = S.take(parents, axis=-2)[..., None] * A.take(peeled, axis=-2)[..., None, :]
+        S = terms.reshape(*batch, len(parents), -1) @ _scatter(k, e)
     return S
 
 
@@ -267,6 +268,14 @@ def quadratic_matrix(p: HomogeneousPolynomial) -> np.ndarray:
     return p.coeffs[_product_index_map(p.num_vars, 1, 1)] / (2.0 - np.eye(p.num_vars))
 
 
+def restrict_to_lines(p: HomogeneousPolynomial, spans) -> np.ndarray:
+    """:func:`restrict_to_line`'s coefficients, with its bits, for each ``(..., n, 2)`` span."""
+    spans = np.asarray(spans)
+    if spans.shape[-2:] != (p.num_vars, 2):
+        raise PolynomialError(f"spans have shape {spans.shape}, expected (..., {p.num_vars}, 2)")
+    return p.coeffs @ sym_power(spans, p.degree)
+
+
 def restrict_to_line(p: HomogeneousPolynomial, a, b) -> HomogeneousPolynomial:
     """Binary form ``q(x, y) = p(x*a + y*b)`` on the line spanned by a and b."""
     a = np.asarray(a)
@@ -277,7 +286,8 @@ def restrict_to_line(p: HomogeneousPolynomial, a, b) -> HomogeneousPolynomial:
     denom = np.linalg.norm(a) * np.linalg.norm(b)
     if denom == 0.0 or np.abs(cross).max() <= 1e-12 * denom:
         raise PolynomialError("span points are parallel, no line is determined")
-    return pullback(p, np.stack([a, b], axis=1))
+    coeffs = restrict_to_lines(p, np.stack([a, b], axis=1))
+    return HomogeneousPolynomial(enumerate_monomials(2, p.degree), coeffs)
 
 
 def proportionality_residual(p, q) -> float:
@@ -349,16 +359,19 @@ class NullspaceFit:
 def fit_nullspace(rows) -> NullspaceFit | list[NullspaceFit]:
     """SVD of a stack of linear conditions, rows normalized to unit norm.
 
-    Zero rows are dropped.  A tall stack takes the thin SVD, whose ``Vt`` is
-    already square; one with fewer rows than columns takes the full SVD, so
-    it still has every right singular vector and reads rank deficient.  A
-    3-d array holds k such stacks; one batched SVD gives their k fits.
+    Zero rows are dropped; a row with a NaN or an inf raises.  A tall stack
+    takes the thin SVD, whose ``Vt`` is already square; one with fewer rows
+    than columns takes the full SVD, so it still has every right singular
+    vector and reads rank deficient.  A 3-d array holds k such stacks; one
+    batched SVD gives their k fits.
     """
     A = np.asarray(rows, dtype=float)
     if A.ndim not in (2, 3):
         raise PolynomialError("need a 2-d stack of rows")
     B = A if A.ndim == 3 else A[None]
     norms = np.linalg.norm(B, axis=2)
+    if not math.isfinite(norms.sum()):     # as it is for a NaN or an inf
+        _refuse_non_finite(B, "row")
     keep = norms > 0.0
     if not keep.any(axis=1).all():
         raise PolynomialError("all rows are zero")
@@ -373,6 +386,12 @@ def fit_nullspace(rows) -> NullspaceFit | list[NullspaceFit]:
         floor = np.finfo(float).eps * max(B.shape[1:]) * s_pad[:, 0]
         fits = [NullspaceFit(*fit) for fit in zip(s_pad, Vt, floor)]
     return fits if A.ndim == 3 else fits[0]
+
+
+def _refuse_non_finite(B: np.ndarray, what: str) -> None:
+    # name the first row of a (k, rows, n) stack holding a NaN or an inf
+    for k, i in np.argwhere(~np.isfinite(B).all(axis=2))[:1]:
+        raise PolynomialError(f"{what} {i}{f' of block {k}' if len(B) > 1 else ''} is not finite")
 
 
 def _moments(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -415,7 +434,8 @@ def whitened_nullspace(basis: MonomialBasis, samples) -> NullspaceFit | list[Nul
     A 3-d array holds k blocks of samples (the views of a reconstruction)
     and gets a list of their k fits: the blocks that whiten, and those of
     each span dimension, share one expansion and one batched SVD.  Blocks
-    without rows, or with a zero row, raise :class:`PolynomialError`.
+    without rows or with a zero row raise :class:`PolynomialError`, as does
+    a row with a NaN or an inf, which the error names.
     """
     X = np.asarray(samples, dtype=float)
     if X.ndim not in (2, 3) or X.shape[-1] != basis.num_vars:
@@ -424,6 +444,8 @@ def whitened_nullspace(basis: MonomialBasis, samples) -> NullspaceFit | list[Nul
     B = X if X.ndim == 3 else X[None]
     if B.shape[1] == 0:
         raise PolynomialError("no samples to fit")
+    if not math.isfinite(B.sum()):         # as it is for a NaN or an inf
+        _refuse_non_finite(B, "sample")
     if not B.any(axis=2).all():
         raise PolynomialError("samples include a zero row")
     whitens = np.full(len(B), B.shape[1] >= B.shape[2])
@@ -548,7 +570,16 @@ def cosine_similarity(u, v) -> float:
     return float(abs(np.vdot(u, v)) / (nu * nv))
 
 
-def _binary_roots(coeffs) -> tuple[np.ndarray, float]:
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # the index pairs i < j of n roots, built once: np.triu_indices is slow
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
+def _binary_roots(coeffs) -> tuple[np.ndarray, np.ndarray | float]:
     """The n roots of a binary form over ``t^n, ..., s^n`` as unit (t : s) rows.
 
     The one root finder of the package.  A finite root r is the row
@@ -558,19 +589,50 @@ def _binary_roots(coeffs) -> tuple[np.ndarray, float]:
     rows are real when every root is.  Also returns the smallest pairwise
     separation ``|t_i s_j - t_j s_i|`` (inf for fewer than two roots), which
     is zero at a repeated root.  A zero or non-finite form raises.
+
+    An ``(..., n + 1)`` stack gives ``(..., n, 2)`` rows and a separation per
+    form, each with its one-form bits; a zero or non-finite form reads NaN.
+    Forms of one companion size (Edelman & Murakami 1995) share one eigvals call.
     """
     g = np.asarray(coeffs)
-    scale = np.abs(g).max(initial=0.0)
-    if not 0.0 < scale < np.inf:
-        raise PolynomialError("binary form is zero or not finite")
-    first = int(np.argmax(np.abs(g) > BINARY_LEAD_CUT * scale))
-    finite = np.roots(g[first:])
-    rows = np.ones((g.size - 1, 2), dtype=finite.dtype)
-    rows[: finite.size, 0] = finite
-    rows[finite.size:, 1] = 0.0
+    if g.ndim == 1:
+        rows, sep = _binary_roots(g[None])
+        if np.isnan(sep[0]):
+            raise PolynomialError("binary form is zero or not finite")
+        return rows[0], float(sep[0])
+    shape, n = g.shape[:-1], g.shape[-1] - 1
+    g = g.reshape(-1, n + 1).astype(np.result_type(g, float), copy=False)
+    mag = np.abs(g)
+    scale = mag.max(axis=1, initial=0.0)
+    ok = (0.0 < scale) & (scale < np.inf)
+    first = np.argmax(mag > BINARY_LEAD_CUT * scale[:, None], axis=1)
+    last = n - np.argmax(g[:, ::-1] != 0.0, axis=1)
+    rows = np.ones((len(g), n, 2), dtype=complex)
+    real = np.ones(len(g), dtype=bool)      # forms whose roots are all real
+    # numpy's companion matrices: trailing zeros are roots t = 0 listed last
+    for lo, hi in set(zip(first[ok].tolist(), last[ok].tolist())):
+        sel, m = np.flatnonzero(ok & (first == lo) & (last == hi)), hi - lo
+        if m:
+            C = np.zeros((len(sel), m, m), dtype=g.dtype)
+            C[:, 0] = -g[sel, lo + 1:hi + 1] / g[sel, lo:lo + 1]
+            C[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+            w = np.linalg.eigvals(C)
+            real[sel] = (w.imag == 0.0).all(axis=1) if np.isrealobj(g) else False
+            rows[sel, :m, 0] = w
+        rows[sel, m:n - lo, 0] = 0.0
+        rows[sel, n - lo:, 1] = 0.0
     # real and imaginary squares summed apart, as numpy's vector norm sums
     # them: the sweep's points, and so its pinned digest, keep their bits
-    rows /= np.sqrt((rows.real ** 2).sum(axis=1) + (rows.imag ** 2).sum(axis=1))[:, None]
-    i, j = np.triu_indices(len(rows), 1)
-    cross = np.abs(rows[i, 0] * rows[j, 1] - rows[i, 1] * rows[j, 0])
-    return rows, float(cross.min(initial=np.inf))
+    norm = np.sqrt((rows.real ** 2).sum(axis=2) + (rows.imag ** 2).sum(axis=2))[..., None]
+    if real.all():
+        rows = rows.real / norm
+    else:       # a real division, not a complex one, keeps a real form's bits
+        unit = rows / norm
+        unit[real] = rows[real].real / norm[real]
+        rows = unit
+    i, j = _pairs(n)
+    cross = np.abs(rows[:, i, 0] * rows[:, j, 1] - rows[:, i, 1] * rows[:, j, 0])
+    sep = cross.min(axis=1, initial=np.inf)
+    if not ok.all():
+        rows[~ok], sep[~ok] = np.nan, np.nan
+    return rows.reshape(*shape, n, 2), sep.reshape(shape)

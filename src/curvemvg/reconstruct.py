@@ -92,9 +92,10 @@ def epipolar_sweep(f1: ImageCurve, f2: ImageCurve, cam1: Camera, cam2: Camera,
     extraneous hits; one is enough when the candidate set stays clear of the
     third cone.  Planes where roots collide (tangency) are skipped.
 
-    Only the curves' restrictions to the epipolar lines and their roots are
-    taken plane by plane; every kept plane's d*d ray pairs are met in one
-    :func:`triangulate` call, and each check view is evaluated once.
+    Nothing is taken plane by plane: each view's curve is restricted to all
+    its epipolar lines in one call, every plane's roots come from one call
+    of the stacked root kernel, every kept plane's d*d ray pairs are met in
+    one :func:`triangulate` call, and each check view is evaluated once.
     """
     if f1.degree != f2.degree:
         raise ReconstructionError("image curves must share their degree")
@@ -111,19 +112,14 @@ def epipolar_sweep(f1: ImageCurve, f2: ImageCurve, cam1: Camera, cam2: Camera,
     through = np.flatnonzero(through1 & through2)
     # two orthonormal points spanning each image line: (view, plane, 2, 3)
     spans = np.linalg.svd(np.stack([l1[through], l2[through]])[..., None, :])[2][..., 1:, :]
-    kept, points = [], []
-    for k, i in enumerate(through.tolist()):
-        try:
-            roots = [pc._binary_roots(pc.restrict_to_line(f.f, *span[k]).coeffs)
-                     for f, span in zip((f1, f2), spans)]
-        except pc.PolynomialError:
-            continue
-        if min(sep for _, sep in roots) >= 1e-7:
-            kept.append(i)
-            points.append([r[:, :1] * A + r[:, 1:] * B
-                           for (r, _), (A, B) in zip(roots, spans[:, k])])
-    points = np.array(points).reshape(len(kept), 2, d, 3)
-    r1, r2 = cam1.rays(points[:, 0]), cam2.rays(points[:, 1])
+    # each view's curve on all its lines in one restriction, every root in one call
+    forms = np.stack([pc.restrict_to_lines(f.f, span.swapaxes(1, 2))
+                      for f, span in zip((f1, f2), spans)])
+    roots, sep = pc._binary_roots(forms)
+    keep = (sep >= 1e-7).all(axis=0)
+    kept, roots, spans = through[keep], roots[:, keep], spans[:, keep, None]
+    points = roots[..., :1] * spans[..., 0, :] + roots[..., 1:] * spans[..., 1, :]
+    r1, r2 = cam1.rays(points[0]), cam2.rays(points[1])
     # pairing (i, j) of the view roots is candidate i*d + j of its plane
     pairs = np.stack(np.broadcast_arrays(r1[:, :, None], r2[:, None]), axis=-2)
     cands = pc.sign_normalize_rows(triangulate(pairs).reshape(-1, 4))

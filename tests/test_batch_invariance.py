@@ -170,3 +170,93 @@ def test_evaluated_rows_equal_one_row_calls(coeff_dtype, point_dtype, n, d, lead
         _assert_bit_equal(pc.evaluate(f, x[None])[0], value)
     perm = data.draw(st.permutations(range(len(flat))))
     _assert_bit_equal(pc.evaluate(f, flat[perm]), batch.reshape(-1)[perm])
+
+
+def _np_roots_reference(coeffs):
+    # the root kernel as one np.roots call per form, as it stood before the
+    # stacked kernel: the stacked kernel must keep these bits
+    g = np.asarray(coeffs)
+    scale = np.abs(g).max()
+    finite = np.roots(g[int(np.argmax(np.abs(g) > pc.BINARY_LEAD_CUT * scale)):])
+    rows = np.ones((g.size - 1, 2), dtype=finite.dtype)
+    rows[: finite.size, 0] = finite
+    rows[finite.size:, 1] = 0.0
+    rows /= np.sqrt((rows.real ** 2).sum(axis=1) + (rows.imag ** 2).sum(axis=1))[:, None]
+    i, j = np.triu_indices(len(rows), 1)
+    return rows, np.abs(rows[i, 0] * rows[j, 1] - rows[i, 1] * rows[j, 0]).min(initial=np.inf)
+
+
+def _binary_form(kind: str, n: int, rng) -> np.ndarray:
+    # one degree-n form over t^n, ..., s^n of the given kind
+    g = rng.standard_normal(n + 1)
+    if kind == "conjugate pairs":
+        r = rng.standard_normal(n // 2) + 1j * rng.uniform(0.1, 2.0, n // 2)
+        g = np.poly(np.concatenate([r, r.conj(), rng.standard_normal(n % 2)])).real
+    elif kind == "double root" and n >= 2:
+        r = rng.standard_normal(n - 1)
+        g = np.poly(np.concatenate([r, r[:1]])) * rng.uniform(0.5, 2.0)
+    elif kind == "lead under the cut":
+        k = rng.integers(1, n + 1)
+        g[:k] = 1e-14 * rng.standard_normal(k)
+    elif kind == "trailing zero":
+        g[n + 1 - rng.integers(1, n + 1):] = 0.0
+    elif kind in ("zero", "nan", "inf"):
+        g = np.zeros(n + 1) if kind == "zero" else g
+        g[rng.integers(0, n + 1)] = {"zero": 0.0, "nan": np.nan, "inf": -np.inf}[kind]
+    return g
+
+
+_FORM_KINDS = ("random", "conjugate pairs", "double root", "lead under the cut",
+               "trailing zero", "zero", "nan", "inf")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), kinds=st.lists(st.sampled_from(_FORM_KINDS), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_stacked_binary_roots_equal_one_form_calls(n, kinds, seed, data):
+    # reconstruct.epipolar_sweep takes every plane's roots in one call; each
+    # form's rows and separation must be its one-form call's, which keeps the
+    # bits of np.roots, and a zero or non-finite form is flagged, not raised
+    rng = np.random.default_rng(seed)
+    forms = np.array([_binary_form(kind, n, rng) for kind in kinds])
+    rows, sep = pc._binary_roots(forms)
+    assert rows.shape == (len(forms), n, 2) and sep.shape == (len(forms),)
+    for g, r, s in zip(forms, rows, sep):
+        if not np.isfinite(g).all() or not g.any():
+            assert np.isnan(r).all() and np.isnan(s)
+            with pytest.raises(pc.PolynomialError):
+                pc._binary_roots(g)
+            continue
+        one, one_sep = pc._binary_roots(g)
+        want, want_sep = _np_roots_reference(g)
+        _assert_bit_equal(one, want)
+        assert one_sep == want_sep
+        _assert_bit_equal(r, one.astype(rows.dtype))
+        assert s == one_sep
+    perm = data.draw(st.permutations(range(len(forms))))
+    rows_p, sep_p = pc._binary_roots(forms[perm])
+    assert np.array_equal(rows_p, rows[perm], equal_nan=True)
+    assert np.array_equal(sep_p, sep[perm], equal_nan=True)
+    # a stack of one leading shape gives the rows of the flat stack
+    if len(forms) % 2 == 0:
+        rows2, sep2 = pc._binary_roots(forms.reshape(2, -1, n + 1))
+        assert np.array_equal(rows2.reshape(rows.shape), rows, equal_nan=True)
+        assert np.array_equal(sep2.reshape(-1), sep, equal_nan=True)
+
+
+@pytest.mark.parametrize("d,n", [(3, 3), (5, 3), (4, 6), (8, 3)])
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(lead=st.lists(st.integers(1, 5), min_size=1, max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_restrictions_equal_one_line_calls(d, n, lead, seed):
+    # reconstruct.epipolar_sweep restricts a curve to all its epipolar lines
+    # in one call; each line's binary form keeps its restrict_to_line bits
+    rng = np.random.default_rng(seed)
+    f = pc.HomogeneousPolynomial(pc.enumerate_monomials(n, d),
+                                 rng.standard_normal(pc.enumerate_monomials(n, d).size))
+    spans = rng.standard_normal(tuple(lead) + (n, 2))
+    batch = pc.restrict_to_lines(f, spans)
+    assert batch.shape == tuple(lead) + (d + 1,)
+    for span, coeffs in zip(spans.reshape(-1, n, 2), batch.reshape(-1, d + 1)):
+        _assert_bit_equal(pc.restrict_to_line(f, span[:, 0], span[:, 1]).coeffs, coeffs)
+        _assert_bit_equal(pc.pullback(f, span).coeffs, coeffs)

@@ -474,6 +474,28 @@ def test_whitened_nullspace_refuses_degenerate_samples(samples, message):
             pc.whitened_nullspace(pc.enumerate_monomials(4, 2), samples)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fits_name_a_non_finite_sample(bad):
+    # a NaN or an inf reached LAPACK as "Eigenvalues did not converge"; now
+    # each fit raises the package's own error naming the row
+    rng = np.random.default_rng(5)
+    basis = pc.enumerate_monomials(3, 2)
+    X = rng.standard_normal((20, 3))
+    X[7, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pc.PolynomialError, match="sample 7 is not finite"):
+            pc.whitened_nullspace(basis, X)
+        with pytest.raises(pc.PolynomialError, match="sample 7 of block 1 is not finite"):
+            pc.whitened_nullspace(basis, np.stack([rng.standard_normal((20, 3)), X]))
+        with pytest.raises(pc.PolynomialError, match="sample 7 is not finite"):
+            pc.fit_vanishing_form(basis, X)
+        rows = pc.monomial_rows(basis, rng.standard_normal((20, 3)))
+        rows[4, 2] = bad
+        with pytest.raises(pc.PolynomialError, match="row 4 is not finite"):
+            pc.fit_nullspace(rows)
+
+
 def _scale_samples():
     # ray rows meeting a conic (degree 2 over P^5) and image points of a
     # twisted cubic (degree 3 over P^2), each at the degree it is fitted at

@@ -132,17 +132,37 @@ def test_epipolar_sweep_rejects_degree_mismatch(cams, conic, cubic):
 
 
 def test_epipolar_sweep_skipping_every_plane_meets_no_rays(cams, cubic, monkeypatch):
-    # a binary form with no roots to take skips its plane; with every plane
-    # skipped the one triangulation call gets an empty batch
+    # a zero binary form has no roots to take, and the stacked kernel flags
+    # it instead of raising; with every plane flagged and skipped, the one
+    # triangulation call gets an empty batch
     f = [implicit_image_curve(cubic, c) for c in cams[:3]]
-
-    def no_roots(coeffs):
-        raise pc.PolynomialError("binary form is zero or not finite")
-
-    monkeypatch.setattr(pc, "_binary_roots", no_roots)
+    roots, batches = pc._binary_roots, []
+    monkeypatch.setattr(pc, "_binary_roots", lambda coeffs: roots(np.zeros_like(coeffs)))
+    meet = rc.triangulate
+    monkeypatch.setattr(rc, "triangulate", lambda rays: batches.append(rays.shape) or meet(rays))
     split = rc.epipolar_sweep(f[0], f[1], cams[0], cams[1], n_planes=7,
                               check_views=[(f[2].f, cams[2])])
     assert split.planes == [] and split.skipped == 7
+    assert batches == [(0, 3, 3, 2, 6)]
+
+
+@pytest.mark.parametrize("n_planes", [1, 7, 60])
+def test_epipolar_sweep_calls_each_kernel_a_fixed_number_of_times(cams, cubic, monkeypatch,
+                                                                  n_planes):
+    # no per-plane loop: one restriction per view, one root call for both
+    # views and one triangulation, however many planes are swept
+    f = [implicit_image_curve(cubic, c) for c in cams[:3]]
+    calls = []
+    for module, name in ((pc, "restrict_to_lines"), (pc, "_binary_roots"),
+                         (rc, "triangulate")):
+        kernel = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _k=kernel, _n=name: calls.append(_n) or _k(*a))
+    split = rc.epipolar_sweep(f[0], f[1], cams[0], cams[1], n_planes=n_planes,
+                              check_views=[(f[2].f, cams[2])])
+    assert len(split.planes) + split.skipped == n_planes
+    assert sorted(calls) == ["_binary_roots", "restrict_to_lines", "restrict_to_lines",
+                             "triangulate"]
 
 
 def test_dual_counts():

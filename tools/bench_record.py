@@ -24,6 +24,13 @@ count as failed), its wall time and its summary line under ``tier1``, and
 ``src_lines``, the ``wc -l`` total of ``src/curvemvg/*.py`` in that
 checkout.  A record that is appended to keeps the figures of its first run.
 
+Next to every run, the script times one fixed calibration kernel in a fresh
+interpreter at one BLAS thread: 200 SVDs of one seeded 64 x 64 matrix, as
+CPU milliseconds, stored with the run as ``calibration_ms``.  The host's
+speed moves every figure of a record, so dividing a metric by the
+calibration of its runs lets records of different sessions be scaled to one
+another; the summary prints both sides' calibration medians and their ratio.
+
 A checkout whose tracked files differ from its commit is recorded as
 ``BENCH_<commit>-worktree.json``: such a record is keyed by its base commit
 plus ``src_tree``, which equals ``git rev-parse <c>:src`` of the commit
@@ -135,6 +142,35 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int) -> str:
     return proc.stdout.strip().splitlines()[-1]
 
 
+# the calibration kernel, timed in a fresh interpreter so its BLAS thread count holds
+CALIBRATION = """
+import time
+import numpy as np
+a = np.random.default_rng(0).standard_normal((64, 64))
+start = time.process_time()
+for _ in range(200):
+    np.linalg.svd(a)
+print(1e3 * (time.process_time() - start))
+"""
+
+
+def calibrate() -> float:
+    """CPU milliseconds of the calibration kernel at one BLAS thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", CALIBRATION], env=env, capture_output=True,
+                          text=True, check=True, timeout=600)
+    return round(float(proc.stdout), 3)
+
+
+def calibration_line(records: dict) -> str:
+    """Both sides' median calibration over the runs that carry one, and their ratio."""
+    med = {name: np.median([run["calibration_ms"] for run in rec["runs"]
+                            if "calibration_ms" in run] or [np.nan])
+           for name, rec in records.items()}
+    return (f"calibration: parent {med['parent']:.1f} ms, change {med['change']:.1f} ms, "
+            f"change/parent {med['change'] / med['parent']:.3f}")
+
+
 def summarize(records: dict, workload: str, trace: int, bench: dict) -> list[str]:
     """Per-metric verdict lines over the pairs (same seed) both records hold."""
     results = {name: {run["seed"]: json.loads(run["line"]) for run in rec["runs"]
@@ -193,7 +229,8 @@ def main(argv=None) -> int:
             checkout, _, rec = sides[name]
             line = run_once(checkout, args.workload, seed, args.trace)
             rec["runs"].append({"workload": args.workload, "seed": seed, "trace": args.trace,
-                                "side": name, "first_in_pair": place == 0, "line": line})
+                                "side": name, "first_in_pair": place == 0, "line": line,
+                                "calibration_ms": calibrate()})
             print(f"{args.workload} seed {seed} {name}: {line}", file=sys.stderr)
         for _, path, rec in sides.values():
             path.write_text(json.dumps(rec, indent=1) + "\n")
@@ -201,6 +238,7 @@ def main(argv=None) -> int:
     records = {name: rec for name, (_, _, rec) in sides.items()}
     for line in summarize(records, args.workload, args.trace, bench):
         print(line)
+    print(calibration_line(records))
     return 0
 
 
