@@ -14,6 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import CurvemvgError
 from . import polycore as pc
 from .polycore import HomogeneousPolynomial, enumerate_monomials
 from .projective_cameras import PLUCKER_PAIRS, Camera, GeometryError, _map_rows
@@ -21,7 +22,7 @@ from .projective_cameras import PLUCKER_PAIRS, Camera, GeometryError, _map_rows
 PRESET_NAMES = ("conic", "twisted_cubic", "rational_quartic", "rational_quintic")
 
 
-class CurveModelError(ValueError):
+class CurveModelError(CurvemvgError):
     """Raised when a curve instance or fit violates its contract."""
 
 

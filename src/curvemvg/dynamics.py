@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import CurvemvgError
 from . import polycore as pc
 from .projective_cameras import (
     PluckerLine,
@@ -34,7 +35,7 @@ from .projective_cameras import (
 from .reconstruct import ChowForm, _fit_chow, fit_chow_from_lines
 
 
-class DynamicsError(ValueError):
+class DynamicsError(CurvemvgError):
     """A recovery routine was run on data that does not support its model."""
 
 
@@ -94,7 +95,7 @@ def lift_observations(cams, detections) -> RaySet:
     ids, pts = detections
     order = np.argsort(ids[:, 0], kind="stable")
     ids, pts = ids[order], pts[order]
-    seen, which = np.unique(ids[:, 0], return_inverse=True)
+    seen, which = _groups(ids[:, 0])
     R = np.array([cams[c].ray_matrix for c in seen.tolist()]).reshape(-1, 6, 3)
     L = _map_rows(R[which], pts)
     pnorm = np.sqrt((pts * pts).sum(axis=1))
@@ -110,6 +111,17 @@ def lift_observations(cams, detections) -> RaySet:
     L, ids = L[~skip], ids[~skip]
     _check_on_quadric(L)
     return RaySet(pc.sign_normalize_rows(L), *ids.T)
+
+
+def _groups(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a sorted id array and each entry's group index.
+
+    The arrays ``np.unique(ids, return_inverse=True)`` returns, read off the
+    runs; ``np.unique`` imports ``numpy.ma`` on its first call.
+    """
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    return ids[first], np.cumsum(first) - 1
 
 
 def _ray_rows(rays) -> np.ndarray:
@@ -198,15 +210,14 @@ def recover_trajectory_chow(rays, d: int) -> ChowForm:
     rows of a plain (n, 6) array count as one view.
     """
     if isinstance(rays, RaySet):
-        return _fit_chow([rays.lines[rays.camera_ids == c] for c in np.unique(rays.camera_ids)], d)
+        seen, _ = _groups(np.sort(rays.camera_ids))
+        return _fit_chow([rays.lines[rays.camera_ids == c] for c in seen], d)
     return _fit_chow([_ray_rows(rays)], d)
 
 
 def _holdout_split(n: int) -> tuple[np.ndarray, np.ndarray]:
     idx = np.arange(n)
-    held = idx[::5]
-    train = np.setdiff1d(idx, held)
-    return train, held
+    return idx[idx % 5 != 0], idx[::5]
 
 
 def classify_motion(rays, noise_sigma: float = 0.0) -> MotionClass:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import CurvemvgError
 from . import polycore as pc
 from .curve_models import RationalCurve3D, fit_dual_image_curve
 from .polycore import HomogeneousPolynomial
@@ -31,7 +32,7 @@ from .projective_cameras import (
 )
 
 
-class KruppaError(ValueError):
+class KruppaError(CurvemvgError):
     """Raised for invalid constraint instances or indeterminate diagnostics."""
 
 

@@ -14,8 +14,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import CurvemvgError
 
-class PolynomialError(ValueError):
+
+class PolynomialError(CurvemvgError):
     """Raised for degenerate polynomial-level inputs (zero forms, bad shapes)."""
 
 

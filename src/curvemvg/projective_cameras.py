@@ -21,10 +21,11 @@ from functools import cached_property
 
 import numpy as np
 
+from . import CurvemvgError
 from .polycore import cosine_similarity, sign_normalize
 
 
-class GeometryError(ValueError):
+class GeometryError(CurvemvgError):
     """Raised for degenerate geometric configurations."""
 
 

@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import CurvemvgError
 from . import polycore as pc
 from .curve_models import ImageCurve
 from .polycore import HomogeneousPolynomial, enumerate_monomials
@@ -31,7 +32,7 @@ from .projective_cameras import (
 )
 
 
-class ReconstructionError(ValueError):
+class ReconstructionError(CurvemvgError):
     """Raised when a reconstruction is degenerate or underdetermined."""
 
 

@@ -10,7 +10,6 @@ generator seeded once per run.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -20,15 +19,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dynamics as dy
-from . import kruppa as kp
+from . import CurvemvgError
 from . import polycore as pc
-from . import reconstruct as rc
 from . import scenes
-from .curve_models import (CurveModelError, RationalCurve3D, class_of, image_tangents,
-                           implicit_image_curve, preset_curve, PRESET_NAMES)
-from .projective_cameras import (Camera, EpipolarGeometry, GeometryError, fundamental,
-                                 join_points, line_span_planes)
+from .curve_models import (RationalCurve3D, class_of, image_tangents, implicit_image_curve,
+                           preset_curve, PRESET_NAMES)
+from .projective_cameras import (Camera, EpipolarGeometry, fundamental, join_points,
+                                 line_span_planes)
+
+# kruppa, reconstruct and dynamics are imported by the handlers that call
+# them, so a cold run loads only what its command uses
 
 
 class ConfigError(ValueError):
@@ -44,9 +44,8 @@ COMMANDS = ("simulate", "kruppa-check", "kruppa-dim", "reconstruct-points",
 EXPECTED_KIND = {"static": "static", "line": "line", "conic": "conic",
                  "cubic": "curve"}
 
-# the library's documented error types: a geometry the command cannot reach
-LIBRARY_ERRORS = (GeometryError, CurveModelError, pc.PolynomialError, kp.KruppaError,
-                  rc.ReconstructionError, dy.DynamicsError)
+# the root of the library's documented errors: a geometry the command cannot reach
+LIBRARY_ERRORS = (CurvemvgError,)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +289,7 @@ def inputs_digest(command: str, cfg: SceneConfig) -> str:
 
 def export_samples(report: Report, out_dir: str) -> list[str]:
     """One RFC-4180 CSV per artifact; header row always present."""
+    import csv
     root = Path(out_dir)
     written = []
     try:
@@ -367,6 +367,7 @@ def _cmd_simulate(cfg: SceneConfig, rng: np.random.Generator, rep: Report, args)
 
 
 def _cmd_kruppa_check(cfg: SceneConfig, rng: np.random.Generator, rep: Report, args):
+    from . import kruppa as kp
     _need(cfg, "kruppa-check", 2, 1)
     cam1, cam2 = cfg.cameras[0], cfg.cameras[1]
     eg = fundamental(cam1, cam2)
@@ -404,6 +405,7 @@ def _cmd_kruppa_check(cfg: SceneConfig, rng: np.random.Generator, rep: Report, a
 
 
 def _cmd_kruppa_dim(cfg: SceneConfig, rng: np.random.Generator, rep: Report, args):
+    from . import kruppa as kp
     _need(cfg, "kruppa-dim", 2, 1)
     cam1, cam2 = cfg.cameras[0], cfg.cameras[1]
     eg = fundamental(cam1, cam2)
@@ -427,6 +429,7 @@ def _cmd_kruppa_dim(cfg: SceneConfig, rng: np.random.Generator, rep: Report, arg
 
 def _cmd_reconstruct_points(cfg: SceneConfig, rng: np.random.Generator,
                             rep: Report, args):
+    from . import reconstruct as rc
     if args.planes < 1:
         raise ConfigError(f"--planes must be at least 1, got {args.planes}")
     _need(cfg, "reconstruct-points", 3, 1)
@@ -463,6 +466,7 @@ def _cmd_reconstruct_points(cfg: SceneConfig, rng: np.random.Generator,
 
 def _cmd_reconstruct_dual(cfg: SceneConfig, rng: np.random.Generator,
                           rep: Report, args):
+    from . import reconstruct as rc
     _need(cfg, "reconstruct-dual", 2, 1)
     curve = cfg.curves[0]
     m = class_of(curve.degree, curve.genus)
@@ -495,6 +499,7 @@ def _cmd_reconstruct_dual(cfg: SceneConfig, rng: np.random.Generator,
 
 def _cmd_reconstruct_chow(cfg: SceneConfig, rng: np.random.Generator,
                           rep: Report, args):
+    from . import reconstruct as rc
     _need(cfg, "reconstruct-chow", 2, 1)
     curve = cfg.curves[0]
     d = curve.degree
@@ -530,6 +535,7 @@ def _cmd_reconstruct_chow(cfg: SceneConfig, rng: np.random.Generator,
 
 def _cmd_classify_motion(cfg: SceneConfig, rng: np.random.Generator,
                          rep: Report, args):
+    from . import dynamics as dy
     if not cfg.dynamic_points:
         raise ConfigError("classify-motion needs at least one dynamic point")
     rows = []
@@ -572,6 +578,7 @@ def _parse_range(text: str, what: str) -> range:
 
 def _cmd_consistency_tables(cfg: SceneConfig, rng: np.random.Generator,
                             rep: Report, args):
+    from . import reconstruct as rc
     d_range = _parse_range(args.d, "--d")
     m_range = _parse_range(args.m, "--m")
     rows = []
@@ -694,8 +701,12 @@ def main(argv=None) -> int:
         for note in rep.notes:
             print(f"note: {note}", file=sys.stderr)
         return 1
-    # the digest to_json wrote, read back instead of building the body again
-    print(f"ok: {rep.command} digest {json.loads(text)['digest'][:16]}", file=sys.stderr)
+    # the digest to_json wrote, read off its line instead of parsing the text:
+    # only a top-level key sits at an indent of two (a string's own newlines
+    # are escaped), and the keys after it are the short ones
+    key = '\n  "digest": "'
+    start = text.rindex(key) + len(key)
+    print(f"ok: {rep.command} digest {text[start:start + 16]}", file=sys.stderr)
     return 0
 
 

@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from curvemvg import dynamics as dy
 from curvemvg import polycore as pc
@@ -148,6 +151,60 @@ def test_lift_is_bit_equal_to_the_per_camera_grouping():
 def test_lift_of_no_detections_is_empty():
     rays = dy.lift_observations([], (np.zeros((0, 3), dtype=int), np.zeros((0, 3))))
     assert rays.lines.shape == (0, 6) and len(rays.camera_ids) == 0
+
+
+RING = scenes.camera_ring(np.random.default_rng(19), 5)
+# random camera-id stacks: one camera, gaps in the ids, any order
+CAMERA_IDS = st.integers(1, 200).flatmap(
+    lambda n: hnp.arrays(np.int64, n, elements=st.integers(0, 4)))
+
+
+def _unique_groups(ids):
+    # the np.unique call that the run grouping replaced
+    return np.unique(ids, return_inverse=True)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(cam_ids=CAMERA_IDS, n_cams=st.integers(1, 5))
+def test_run_grouping_returns_what_np_unique_did(cam_ids, n_cams):
+    cam_ids = cam_ids % n_cams
+    ordered = np.sort(cam_ids)
+    for got, want in zip(dy._groups(ordered), _unique_groups(ordered)):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+    r = np.random.default_rng(len(cam_ids))
+    ids = np.column_stack([cam_ids, r.integers(0, 3, len(cam_ids)),
+                           np.arange(len(cam_ids))])
+    dets = (ids, r.standard_normal((len(ids), 3)))
+    rays = dy.lift_observations(RING, dets)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dy, "_groups", _unique_groups)
+        want = dy.lift_observations(RING, dets)
+    for name in ("lines", "camera_ids", "point_ids", "time_ids"):
+        assert np.array_equal(getattr(rays, name), getattr(want, name))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(cam_ids=CAMERA_IDS)
+def test_chow_views_are_the_np_unique_camera_blocks(cam_ids):
+    # a RaySet whose camera ids are not sorted gives one block per camera, in id order
+    n = len(cam_ids)
+    lines = np.random.default_rng(n).standard_normal((n, 6))
+    rays = dy.RaySet(lines, cam_ids, np.zeros(n, dtype=int), np.arange(n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dy, "_fit_chow", lambda blocks, d: blocks)
+        blocks = dy.recover_trajectory_chow(rays, 2)
+    want = [lines[cam_ids == c] for c in np.unique(cam_ids)]
+    assert len(blocks) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(blocks, want))
+
+
+def test_holdout_split_is_the_setdiff_split():
+    for n in range(8, 201):
+        train, held = dy._holdout_split(n)
+        idx = np.arange(n)
+        want = np.setdiff1d(idx, idx[::5])
+        assert np.array_equal(held, idx[::5])
+        assert np.array_equal(train, want) and train.dtype == want.dtype
 
 
 def test_a_static_verdict_reads_its_residual_from_the_point_stage(monkeypatch):

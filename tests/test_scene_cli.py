@@ -9,7 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from curvemvg import CurvemvgError
+from curvemvg import kruppa as kp
 from curvemvg import scene_cli as sc
+from curvemvg.curve_models import CurveModelError
+from curvemvg.dynamics import DynamicsError
+from curvemvg.polycore import PolynomialError
+from curvemvg.projective_cameras import GeometryError
+from curvemvg.reconstruct import InsufficientViews, ReconstructionError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -188,8 +195,8 @@ def test_main_builds_the_report_body_once(monkeypatch, capsys):
 def test_kruppa_check_builds_each_instance_once(monkeypatch):
     # the perturbed-F probes reuse the instances the residuals were read from
     built = []
-    build = sc.kp.build_instance
-    monkeypatch.setattr(sc.kp, "build_instance", lambda *a: built.append(1) or build(*a))
+    build = kp.build_instance
+    monkeypatch.setattr(kp, "build_instance", lambda *a: built.append(1) or build(*a))
     cfg = sc.load_config(str(CONFIGS / "kruppa_trio.json"), noise_override=1e-3)
     rep = sc.run("kruppa-check", cfg)
     assert len(built) == len(cfg.curves) == 3
@@ -216,14 +223,19 @@ def test_main_exit_one_on_failed_verdict(tmp_path, capsys):
     assert "verdict failed: point0_classified_correctly" in captured.err
 
 
-def test_main_exit_one_on_shared_camera_center(tmp_path, capsys):
+def _shared_center_config(tmp_path) -> Path:
+    # two cameras with one center: no epipolar geometry
     R = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     cfgp = tmp_path / "shared.json"
     cfgp.write_text(json.dumps({
         "cameras": [{"matrix": np.eye(3, 4).tolist()},
                     {"matrix": np.hstack([R, np.zeros((3, 1))]).tolist()}],
         "curves": ["conic"]}), encoding="utf-8")
-    rc = sc.main(["kruppa-dim", "--config", str(cfgp)])
+    return cfgp
+
+
+def test_main_exit_one_on_shared_camera_center(tmp_path, capsys):
+    rc = sc.main(["kruppa-dim", "--config", str(_shared_center_config(tmp_path))])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
@@ -242,6 +254,48 @@ def test_main_exit_one_on_too_few_rays(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: classify-motion: need at least eight rays "
                             "to classify\n")
+
+
+# the library's documented errors, all under the package's one root
+LIBRARY_ERRORS = [PolynomialError, GeometryError, CurveModelError, kp.KruppaError,
+                  ReconstructionError, InsufficientViews, DynamicsError]
+
+
+def test_every_library_error_has_the_one_root():
+    assert all(issubclass(err, CurvemvgError) for err in LIBRARY_ERRORS)
+    assert not issubclass(sc.ConfigError, CurvemvgError)
+
+
+@pytest.mark.parametrize("error", [*LIBRARY_ERRORS, sc.ConfigError])
+def test_main_maps_the_error_root_to_one_and_a_config_error_to_two(error, monkeypatch,
+                                                                   capsys):
+    def unreachable(cfg, rng, rep, args):
+        raise error("no such geometry")
+
+    monkeypatch.setitem(sc._HANDLERS, "simulate", unreachable)
+    code = sc.main(["simulate", "--config", str(CONFIGS / "simulate_demo.json")])
+    out, err = capsys.readouterr()
+    assert out == ""
+    if error is sc.ConfigError:
+        assert (code, err) == (2, "config error: no such geometry\n")
+    else:
+        assert (code, err) == (1, "error: simulate: no such geometry\n")
+
+
+def test_cold_runs_exit_one_or_two_with_one_line(tmp_path):
+    # a GeometryError and a ConfigError, each in a fresh interpreter: one
+    # stderr line, no traceback
+    shared = _shared_center_config(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"bogus": 1}', encoding="utf-8")
+    for config, code, line in [
+            (shared, 1, "error: kruppa-dim: coincident camera centers admit no epipolar "
+                        "geometry\n"),
+            (bad, 2, "config error: unknown config keys: ['bogus']\n")]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvemvg.scene_cli", "kruppa-dim", "--config", str(config)],
+            capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", line)
 
 
 def test_single_camera_dynamic_point_names_the_minimum():
@@ -312,6 +366,50 @@ def test_import_loads_no_scipy():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Run in a fresh interpreter: argv[1] is the command and argv[2] its config.
+# Prints which library modules are loaded after the import and after the
+# run, and whether numpy.ma and csv are loaded.
+_LOADED = """
+import json, os, sys
+import numpy, numpy.random
+ma_at_start = "numpy.ma" in sys.modules
+from curvemvg import scene_cli
+
+def lib():
+    return sorted(m for m in sys.modules if m.startswith("curvemvg."))
+
+after_import = lib()
+code = scene_cli.main([sys.argv[1], "--config", sys.argv[2], "--out", os.devnull])
+print(json.dumps({"code": code, "after_import": after_import, "after_run": lib(),
+                  "ma_at_start": ma_at_start, "ma": "numpy.ma" in sys.modules,
+                  "csv": "csv" in sys.modules}))
+"""
+
+
+def _loaded(command: str, config: str) -> dict:
+    proc = subprocess.run([sys.executable, "-c", _LOADED, command, str(CONFIGS / config)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_a_cold_command_loads_only_the_modules_it_uses():
+    got = _loaded("kruppa-dim", "conic_pair.json")
+    assert got["code"] == 0
+    assert not {"curvemvg.kruppa", "curvemvg.reconstruct",
+                "curvemvg.dynamics"} & set(got["after_import"])
+    assert set(got["after_run"]) - set(got["after_import"]) == {"curvemvg.kruppa"}
+    assert not got["csv"]
+
+
+def test_classify_motion_leaves_numpy_ma_unloaded():
+    got = _loaded("classify-motion", "dynamics_mixed.json")
+    assert got["code"] == 0
+    if got["ma_at_start"]:
+        pytest.skip("importing numpy and numpy.random already loads numpy.ma here")
+    assert not got["ma"]
 
 
 # The eight README command lines and their report digests; a change that
