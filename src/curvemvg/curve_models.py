@@ -236,13 +236,17 @@ def implicit_image_curve(curve: RationalCurve3D, cam: Camera) -> ImageCurve:
     coefficients (at least 6 more), then validates the fitted form on a
     held-out set.  An ambiguous nullspace or a bad held-out residual raises,
     since either means the projection is not a generic degree-d plane curve.
+    One projection serves both sets, so a held-out point at the camera
+    center raises :class:`GeometryError` before the ambiguity check; both
+    refusals are :class:`CurvemvgError`.
     """
     basis = enumerate_monomials(3, curve.degree)
     n = max(2 * basis.size, basis.size + 6)
-    f, gap = pc.fit_vanishing_form(basis, _projected_points(curve, cam, _sample_thetas(n)))
+    thetas = np.concatenate([_sample_thetas(n), _sample_thetas(37, offset=0.41)])
+    pts, held = np.split(_projected_points(curve, cam, thetas), [n])
+    f, gap = pc.fit_vanishing_form(basis, pts)
     if gap >= 1e-3:
         raise CurveModelError(f"implicit fit is ambiguous (gap {gap:.2e})")
-    held = _projected_points(curve, cam, _sample_thetas(37, offset=0.41))
     resid = np.abs(f(held)).max()
     if resid > 1e-7:
         raise CurveModelError(f"implicit fit fails held-out samples ({resid:.2e})")
@@ -279,16 +283,19 @@ def fit_dual_image_curve(curve: RationalCurve3D, cam: Camera) -> HomogeneousPoly
     """Form of degree 2d+2g-2 vanishing on every tangent of the image.
 
     Fits twice as many sampled tangents as the form has coefficients (at
-    least 8 more) and validates the form on held-out tangents.
+    least 8 more) and validates the form on held-out tangents.  One call
+    samples both sets, so a held-out tangent through the camera center
+    raises :class:`GeometryError` before the ambiguity check; both
+    refusals are :class:`CurvemvgError`.
     """
     m = class_of(curve.degree, 0)
     basis = enumerate_monomials(3, m)
     n = max(2 * basis.size, basis.size + 8)
-    lines = image_tangents(curve, cam, _sample_thetas(n))
+    thetas = np.concatenate([_sample_thetas(n), _sample_thetas(41, offset=0.27)])
+    lines, held = np.split(image_tangents(curve, cam, thetas), [n])
     phi, gap = pc.fit_vanishing_form(basis, lines)
     if gap >= 1e-3:
         raise CurveModelError(f"dual fit is ambiguous (gap {gap:.2e})")
-    held = image_tangents(curve, cam, _sample_thetas(41, offset=0.27))
     resid = np.abs(phi(held)).max()
     if resid > 1e-6:
         raise CurveModelError(f"dual fit fails held-out tangents ({resid:.2e})")

@@ -125,14 +125,16 @@ def _groups(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ray_rows(rays) -> np.ndarray:
-    """Unit ray vectors of a RaySet or of the rows, nonzero and finite, of an (n, 6) array."""
-    if isinstance(rays, RaySet):
-        return rays.lines
-    rays = np.asarray(rays, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(rays).all(axis=1) | ~rays.any(axis=1))
-    if len(bad):
-        raise DynamicsError(f"ray row {bad[0]} is zero or not finite")
-    return rays / np.linalg.norm(rays, axis=1, keepdims=True)
+    """Unit ray vectors of a RaySet or of an (n, 6) array; a zero or non-finite row raises."""
+    ray_set = isinstance(rays, RaySet)
+    rows = rays.lines if ray_set else np.asarray(rays, dtype=float)
+    # a sum test, as in the fits: a RaySet's rows are unit, so the sum of their
+    # squares is their count unless a NaN, an inf or a zero row moves it
+    if not (ray_set and abs(np.vdot(rows, rows) - len(rows)) <= 0.5):
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1) | ~rows.any(axis=1))
+        if len(bad):
+            raise DynamicsError(f"ray row {bad[0]} is zero or not finite")
+    return rows if ray_set else rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 def _static_point(mat: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
@@ -209,10 +211,11 @@ def recover_trajectory_chow(rays, d: int) -> ChowForm:
     A RaySet gives one view per camera to the per-view rank checks; the
     rows of a plain (n, 6) array count as one view.
     """
+    lines = _ray_rows(rays)
     if isinstance(rays, RaySet):
         seen, _ = _groups(np.sort(rays.camera_ids))
-        return _fit_chow([rays.lines[rays.camera_ids == c] for c in seen], d)
-    return _fit_chow([_ray_rows(rays)], d)
+        return _fit_chow([lines[rays.camera_ids == c] for c in seen], d)
+    return _fit_chow([lines], d)
 
 
 def _holdout_split(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -302,9 +302,9 @@ def proportionality_residual(p, q) -> float:
     return float(np.abs(np.outer(p, q) - np.outer(q, p)).max() / (np_ * nq))
 
 
-def _rank_at(s: np.ndarray, rel_tol: float) -> int:
-    # the one rank cut: singular values above rel_tol times the largest
-    return int(np.sum(s > rel_tol * s[0])) if s.size and s[0] > 0.0 else 0
+def _rank_at(s: np.ndarray, rel_tol: float) -> np.ndarray:
+    # the one rank cut: singular values above rel_tol times the largest, per spectrum
+    return np.sum((s > rel_tol * s[..., :1]) & (s[..., :1] > 0.0), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -327,7 +327,7 @@ class NullspaceFit:
 
     def rank(self) -> int:
         """Number of singular values above :data:`RANK_TOL` times the largest."""
-        return _rank_at(self.s, RANK_TOL)
+        return int(_rank_at(self.s, RANK_TOL))
 
     def gap(self, nullity: int = 1) -> float:
         """First dropped over last kept singular value, ``nullity`` dropped.
@@ -396,12 +396,6 @@ def _refuse_non_finite(B: np.ndarray, what: str) -> None:
         raise PolynomialError(f"{what} {i}{f' of block {k}' if len(B) > 1 else ''} is not finite")
 
 
-def _moments(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # eigenpairs of each block's second moment of unit-normalized rows
-    X = X / np.linalg.norm(X, axis=-1, keepdims=True)
-    return np.linalg.eigh(X.swapaxes(-1, -2) @ X / X.shape[-2])
-
-
 def whitening_map(samples) -> np.ndarray:
     """Symmetric map sending unit-normalized samples to isotropic position.
 
@@ -414,7 +408,8 @@ def whitening_map(samples) -> np.ndarray:
     X = np.asarray(samples, dtype=float)
     if X.ndim not in (2, 3) or X.shape[-2] < X.shape[-1]:
         raise PolynomialError("need at least as many samples as coordinates")
-    w, V = _moments(X)
+    X = X / np.linalg.norm(X, axis=-1, keepdims=True)
+    w, V = np.linalg.eigh(X.swapaxes(-1, -2) @ X / X.shape[-2])
     if (w[..., 0] <= WHITENING_FLOOR * w[..., -1]).any():
         raise PolynomialError("samples span a degenerate subspace")
     return V @ (np.eye(X.shape[-1]) * (w ** -0.5)[..., None, :]) @ V.swapaxes(-1, -2)
@@ -440,6 +435,37 @@ def whitened_nullspace(basis: MonomialBasis, samples) -> NullspaceFit | list[Nul
     a row with a NaN or an inf, which the error names.
     """
     X = np.asarray(samples, dtype=float)
+    fits = {}
+    for blocks, frame_basis, frame, T in _frames(basis, X):
+        fits.update(zip(blocks.tolist(), _frame_fits(frame_basis, frame, T)))
+    return [fits[i] for i in range(len(fits))] if X.ndim == 3 else fits[0]
+
+
+def whitened_ranks(basis: MonomialBasis, samples) -> list[int] | int:
+    """Each block's :func:`whitened_nullspace` ``rank()``, from singular values only.
+
+    The same frames, with rows normalized as :func:`fit_nullspace` does (a
+    frame row is never zero), go to one ``compute_uv=False`` SVD per frame
+    group, cut once for all blocks.
+    """
+    X = np.asarray(samples, dtype=float)
+    ranks = {}
+    for blocks, frame_basis, frame, _ in _frames(basis, X):
+        rows = monomial_rows(frame_basis, frame.reshape(-1, frame.shape[2]))
+        rows = rows.reshape(frame.shape[:2] + rows.shape[1:])
+        s = np.linalg.svd(rows / np.linalg.norm(rows, axis=2, keepdims=True), compute_uv=False)
+        ranks.update(zip(blocks.tolist(), _rank_at(s, RANK_TOL).tolist()))
+    return [ranks[i] for i in range(len(ranks))] if X.ndim == 3 else ranks[0]
+
+
+def _frames(basis: MonomialBasis, X: np.ndarray):
+    """Check the samples and yield ``(blocks, frame basis, frame samples, map)`` groups.
+
+    A lone block that whitens needs no SVD.  Otherwise one SVD of the unit
+    rows gives each block's span: the directions above the square root of
+    :data:`WHITENING_FLOOR` times the largest singular value.  A full span
+    whitens as it is; the others are fitted in an orthonormal basis of it.
+    """
     if X.ndim not in (2, 3) or X.shape[-1] != basis.num_vars:
         raise PolynomialError(
             f"samples have shape {X.shape}, basis expects {basis.num_vars} coordinates")
@@ -450,33 +476,27 @@ def whitened_nullspace(basis: MonomialBasis, samples) -> NullspaceFit | list[Nul
         _refuse_non_finite(B, "sample")
     if not B.any(axis=2).all():
         raise PolynomialError("samples include a zero row")
-    whitens = np.full(len(B), B.shape[1] >= B.shape[2])
-    if len(B) > 1 and whitens.all():
-        # find the blocks too flat to whiten, then whiten the others together
-        w = _moments(B)[0]
-        whitens = w[:, 0] > WHITENING_FLOOR * w[:, -1]
-    fits = np.empty(len(B), dtype=object)
-    if whitens.any():
+    if len(B) == 1 and B.shape[1] >= B.shape[2]:
         try:
-            T = whitening_map(B[whitens])
+            T = whitening_map(B)
         except PolynomialError:
-            whitens[:] = False  # a lone block too flat to whiten
+            pass                # a lone block too flat to whiten
         else:
-            fits[whitens] = _frame_fits(basis, B[whitens] @ T, T)
-    if not whitens.all():
-        # keep the span directions whitening_map can scale to unit variance,
-        # in an orthonormal basis; blocks of one span dimension go together
-        rest = np.flatnonzero(~whitens)
-        unit = B[rest] / np.linalg.norm(B[rest], axis=2, keepdims=True)
-        _, sv, Vt = np.linalg.svd(unit, full_matrices=False)
-        dims = np.sum(sv > math.sqrt(WHITENING_FLOOR) * sv.T[0][:, None], axis=1)
-        for r in sorted(set(dims.tolist())):
-            same = dims == r
-            span = Vt[same, :r].swapaxes(1, 2)
-            Y = unit[same] @ span
-            T = whitening_map(Y)
-            fits[rest[same]] = _frame_fits(enumerate_monomials(r, basis.degree), Y @ T, span @ T)
-    return list(fits) if X.ndim == 3 else fits[0]
+            yield np.arange(1), basis, B @ T, T
+            return
+    unit = B / np.linalg.norm(B, axis=2, keepdims=True)
+    _, sv, Vt = np.linalg.svd(unit, full_matrices=False)
+    dims = np.sum(sv > math.sqrt(WHITENING_FLOOR) * sv[:, :1], axis=1)
+    whitens = dims == B.shape[2]
+    if whitens.any():
+        T = whitening_map(B[whitens])
+        yield np.flatnonzero(whitens), basis, B[whitens] @ T, T
+    for r in sorted(set(dims[~whitens].tolist())):
+        same = np.flatnonzero(dims == r)
+        span = Vt[same, :r].swapaxes(1, 2)
+        Y = unit[same] @ span
+        T = whitening_map(Y)
+        yield same, enumerate_monomials(r, basis.degree), Y @ T, span @ T
 
 
 def _frame_fits(basis: MonomialBasis, frame: np.ndarray, T: np.ndarray) -> list[NullspaceFit]:
@@ -508,7 +528,7 @@ def numerical_rank(matrix, rel_tol: float = RANK_TOL) -> tuple[int, float]:
     floor.
     """
     s = np.linalg.svd(np.asarray(matrix), compute_uv=False)
-    rank = _rank_at(s, rel_tol)
+    rank = int(_rank_at(s, rel_tol))
     if rank == 0:
         return 0, np.inf
     if rank == s.size:

@@ -149,12 +149,11 @@ def _unit_lifts(views, lift, what: str) -> list[np.ndarray]:
 
 
 def _view_ranks(basis, blocks) -> list[int]:
-    """Whitened rank of each view's block, from one stacked fit per block shape."""
+    """Whitened rank of each view's block, from one spectra-only call per block shape."""
     ranks = {}
     for shape in dict.fromkeys(b.shape for b in blocks):
         views = [i for i, b in enumerate(blocks) if b.shape == shape]
-        fits = pc.whitened_nullspace(basis, np.stack([blocks[i] for i in views]))
-        ranks.update((i, fit.rank()) for i, fit in zip(views, fits))
+        ranks.update(zip(views, pc.whitened_ranks(basis, np.stack([blocks[i] for i in views]))))
     return [ranks[i] for i in range(len(blocks))]
 
 

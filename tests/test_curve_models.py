@@ -311,6 +311,25 @@ def test_dual_image_curve_degree_and_vanishing(cams, conic, cubic):
             assert abs(phi(l / np.linalg.norm(l))) < 1e-8
 
 
+@pytest.mark.parametrize("name", ["conic", "cubic", "quartic", "quintic"])
+def test_image_fitters_sample_once_per_fit(monkeypatch, request, cams, name):
+    # the fit and held-out samples come from one sampling call, and the fit
+    # reads the same bits as a call on the fit samples alone
+    curve = request.getfixturevalue(name)
+    calls = []
+    project, tangents = cm._projected_points, cm.image_tangents
+    monkeypatch.setattr(cm, "_projected_points", lambda *a: calls.append("points") or project(*a))
+    monkeypatch.setattr(cm, "image_tangents", lambda *a: calls.append("tangents") or tangents(*a))
+    f = cm.implicit_image_curve(curve, cams[1]).f
+    assert calls == ["points"]
+    phi = cm.fit_dual_image_curve(curve, cams[1])
+    assert calls == ["points", "tangents"]
+    for form, sample, pad in ((f, project, 6), (phi, tangents, 8)):
+        n = max(2 * form.basis.size, form.basis.size + pad)
+        ref, _ = pc.fit_vanishing_form(form.basis, sample(curve, cams[1], cm._sample_thetas(n)))
+        assert np.array_equal(form.coeffs, ref.coeffs)
+
+
 def test_dual_conic_is_adjugate(cams, conic):
     # for a conic the dual curve is the adjugate matrix form
     from curvemvg.projective_cameras import adjugate3

@@ -301,6 +301,27 @@ def test_ray_recoveries_name_a_zero_or_non_finite_row():
                 recover(mat)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+@pytest.mark.parametrize("entry", [dy.classify_motion, dy.recover_static_point,
+                                   dy.recover_line_motion,
+                                   lambda rays: dy.recover_trajectory_chow(rays, 3)],
+                         ids=["classify_motion", "recover_static_point",
+                              "recover_line_motion", "recover_trajectory_chow"])
+def test_every_rayset_entry_names_a_zero_or_non_finite_row(entry, bad):
+    # a RaySet's rows went on unchecked: a NaN raised numpy's LinAlgError,
+    # an inf warned "invalid value encountered in vecdot"
+    _, rays = _rays_for("cubic", 3)
+    lines = rays.lines.copy()
+    lines[5, 2] = bad
+    if bad == 0.0:
+        lines[5] = 0.0
+    broken = dy.RaySet(lines, rays.camera_ids, rays.point_ids, rays.time_ids)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(dy.DynamicsError, match="^ray row 5 is zero or not finite$"):
+            entry(broken)
+
+
 def test_recover_line_motion():
     sc, rays = _rays_for("line", 9, n_cameras=6, frames_per_camera=10)
     ell = dy.recover_line_motion(rays)

@@ -444,6 +444,41 @@ def test_stacked_samples_are_expanded_once(monkeypatch, cams, conic, cubic):
         assert [c for c in calls if c[0] < full] == [(3, total)] * per_view
 
 
+def test_checked_routes_fit_once_and_read_each_shape_from_one_spectrum(monkeypatch, cams,
+                                                                        cubic):
+    # the stacked fit is the only nullspace fit; the per-view ranks take one
+    # spectra-only reader call, and so one SVD without vectors, per block shape
+    calls = {"fit": 0, "ranks": 0, "spectra": 0}
+    fit, ranks, svd = pc.fit_nullspace, pc.whitened_ranks, np.linalg.svd
+
+    def counting(key, f):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    def spectra(a, *args, compute_uv=True, **kwargs):
+        calls["spectra"] += not compute_uv
+        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(pc, "fit_nullspace", counting("fit", fit))
+    monkeypatch.setattr(pc, "whitened_ranks", counting("ranks", ranks))
+    monkeypatch.setattr(np.linalg, "svd", spectra)
+    # two block shapes per route: the last views carry more rows
+    tangent_views = [(cam, np.concatenate([lines, lines[:4] * 2.0]) if i >= 3 else lines)
+                     for i, (cam, lines) in enumerate(_tangent_views(cubic, cams[:5], 20))]
+    point_views = _point_views(cubic, cams, 24)[:6] + _point_views(cubic, cams[6:], 30)
+    rays = [cam.rays(pts) for cam, pts in point_views]
+    ids = np.repeat(np.arange(len(rays)), [len(r) for r in rays])
+    rayset = dy.RaySet(pc.sign_normalize_rows(np.concatenate(rays)), ids, ids, ids)
+    for route in (lambda: rc.dual_reconstruct(tangent_views, 4),
+                  lambda: rc.chow_reconstruct(point_views, 3),
+                  lambda: dy.recover_trajectory_chow(rayset, 3)):
+        calls.update(fit=0, ranks=0, spectra=0)
+        route()
+        assert calls == {"fit": 1, "ranks": 2, "spectra": 2}
+
+
 def test_unchecked_chow_fit_reports_its_stacked_rank(cams, conic):
     # a plain array of rays is one view, whose rank is the stacked rank
     views = _point_views(conic, cams[:5], 16)

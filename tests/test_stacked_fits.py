@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 
 from curvemvg import polycore as pc
 from curvemvg import reconstruct as rc
+from curvemvg import scene_cli as sc
+from curvemvg import scenes
+from curvemvg.curve_models import class_of, image_tangents, preset_curve
+from curvemvg.projective_cameras import Camera, _map_rows
 
 
 def _reference_fit(basis, samples):
@@ -53,7 +57,8 @@ def _same_fit(a, b):
 def _views(draw):
     # blocks of one coordinate count; some confined to a random proper
     # subspace (a view's rows through its center), row counts from a small
-    # set so that equal shapes stack and the rest are ragged
+    # set so that equal shapes stack and the rest are ragged, and one stack
+    # can mix blocks that whiten with flat ones of several span dimensions
     v = draw(st.sampled_from([3, 4, 6]))
     k = draw(st.integers(1, 8))
     rows = draw(st.lists(st.sampled_from([v - 1, v + 1, 2 * v + 3]), min_size=k, max_size=k))
@@ -61,7 +66,7 @@ def _views(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     blocks = [rng.standard_normal((n, r)) @ rng.standard_normal((r, v))
               for n, r in zip(rows, spans)]
-    return pc.enumerate_monomials(v, draw(st.integers(1, 3))), blocks
+    return pc.enumerate_monomials(v, draw(st.integers(1, 4))), blocks
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -75,12 +80,48 @@ def test_stacked_fits_are_bit_equal_to_per_block_fits(case):
         assert isinstance(fit, pc.NullspaceFit) and fit.basis == frame_basis
         assert np.array_equal(fit.s, s) and np.array_equal(fit.Vt, Vt)
         assert np.array_equal(fit.T, T)
+        assert pc.whitened_ranks(basis, b) == fit.rank()
     for shape in {b.shape for b in blocks}:
         group = [i for i, b in enumerate(blocks) if b.shape == shape]
-        stacked = pc.whitened_nullspace(basis, np.stack([blocks[i] for i in group]))
+        stack = np.stack([blocks[i] for i in group])
+        stacked = pc.whitened_nullspace(basis, stack)
         assert len(stacked) == len(group)
         assert all(_same_fit(fit, singles[i]) for fit, i in zip(stacked, group))
+        # the spectra-only reader counts every block's rank as its vector fit does
+        assert pc.whitened_ranks(basis, stack) == [singles[i].rank() for i in group]
     assert rc._view_ranks(basis, blocks) == [fit.rank() for fit in singles]
+
+
+def _lift_tangents(cam, lines):
+    return _map_rows(cam.M.T, lines)
+
+
+@pytest.mark.parametrize("name", ["conic", "twisted_cubic", "rational_quartic",
+                                  "rational_quintic"])
+def test_spectra_ranks_read_the_preset_matrix_as_the_vector_fits_do(name):
+    # both routes at views_for_dual / views_for_chow with the CLI's per-view
+    # sample counts, seeds 0..2: every per-view rank equals the vector fit's,
+    # including the quartic's and quintic's dual readings below their cap
+    below_cap = []
+    for seed in range(3):
+        curve = preset_curve(name, seed)
+        d, m = curve.degree, class_of(curve.degree, 0)
+        cams = scenes.camera_ring(np.random.default_rng(19), rc.views_for_dual(m))
+        views = [(cam, image_tangents(curve, cam, sc._thetas(rc.dual_view_cap(m) + 6, 0.3 * i)))
+                 for i, cam in enumerate(cams)]
+        ranks = rc.dual_reconstruct(views, m).per_view_ranks
+        basis = pc.enumerate_monomials(4, m)
+        assert ranks == [pc.whitened_nullspace(basis, b).rank()
+                         for b in rc._unit_lifts(views, _lift_tangents, "tangent line")]
+        below_cap += [r for r in ranks if r < rc.dual_view_cap(m)]
+        cams = scenes.camera_ring(np.random.default_rng(19), rc.views_for_chow(d))
+        views = [(cam, cam.project(curve.points(sc._thetas(rc.chow_view_cap(d) + 8, 0.3 * i))))
+                 for i, cam in enumerate(cams)]
+        ranks = rc.chow_reconstruct(views, d).per_view_ranks
+        basis = pc.enumerate_monomials(6, d)
+        assert ranks == [pc.whitened_nullspace(basis, b).rank()
+                         for b in rc._unit_lifts(views, Camera.rays, "image point")]
+    assert bool(below_cap) == (d >= 4)
 
 
 def test_stacked_whitening_and_svd_match_per_block_calls():

@@ -47,8 +47,10 @@ sides' quartile distances and the metric's bound, the last three as
 percentages of the parent's median, as the bound is a fraction of it.  The
 verdict is ``worse`` when the change's median is worse by more than the
 bound, else ``unresolved`` when the quartile distance exceeds the bound (the
-runs spread too widely to tell), else ``within bound``.  A last line gives
-each side's failed and attempted operations.
+runs spread too widely to tell), else ``within bound``.  A traced run
+reports the per-layer metrics instead, so with ``--trace 1`` the lines give
+both medians of each per-layer metric of ``BENCHMARK.json``, with no
+verdict.  A last line gives each side's failed and attempted operations.
 """
 
 from __future__ import annotations
@@ -178,7 +180,14 @@ def summarize(records: dict, workload: str, trace: int, bench: dict) -> list[str
                for name, rec in records.items()}
     seeds = sorted(results["parent"].keys() & results["change"].keys())
     lines = []
-    for metric in bench["end_to_end"]:
+    if trace:
+        # a traced run reports the per-layer metrics, not the end-to-end ones
+        for metric in bench["per_layer"]:
+            parent, change = (np.median([results[side][s]["metrics"][metric["name"]]["value"]
+                                         for s in seeds]) for side in ("parent", "change"))
+            lines.append(f"{workload} {metric['name']}: median {parent:.4g} -> {change:.4g} "
+                         f"{metric['unit']}")
+    for metric in [] if trace else bench["end_to_end"]:
         name, bound = metric["name"], metric["bound"]
         parent, change = (np.array([results[side][s]["metrics"][name]["value"] for s in seeds])
                           for side in ("parent", "change"))
