@@ -288,8 +288,6 @@ class LocalizeResult:
     """Where a ray meets the trajectory; all tied candidates are reported."""
 
     point: np.ndarray
-    parameter: float
-    score: float
     candidates: list[tuple[float, np.ndarray, float]]
     ambiguous: bool
 
@@ -305,8 +303,8 @@ def localize_on_ray(G: ChowForm, ray: PluckerLine, tol: float = 1e-6,
     when its probe score, the largest |G| over the joins with all 4 probes,
     is at most tol.  A secant ray legitimately yields several candidates,
     so they are all reported, never resolved silently; a double root (a
-    tangent ray) counts once.  The parameter is the angle of the point in
-    the orthonormal span of the ray.
+    tangent ray) counts once.  Each candidate is (angle of the point in the
+    orthonormal span of the ray, point, score), best score first.
     """
     if rng is None:
         rng = np.random.default_rng(2024)
@@ -328,5 +326,4 @@ def localize_on_ray(G: ChowForm, ray: PluckerLine, tol: float = 1e-6,
     ok = ok[np.diff(theta[ok], append=theta[ok[0]] + np.pi) > 1e-6]
     order = ok[np.argsort(scores[ok], kind="stable")]
     candidates = [(float(theta[i]), P[i], float(scores[i])) for i in order]
-    best = candidates[0]
-    return LocalizeResult(best[1], best[0], best[2], candidates, len(candidates) > 1)
+    return LocalizeResult(candidates[0][1], candidates, len(candidates) > 1)

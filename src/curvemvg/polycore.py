@@ -125,9 +125,6 @@ class HomogeneousPolynomial:
     def __call__(self, x) -> np.ndarray | complex | float:
         return evaluate(self, x)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
 
 def evaluate(p: HomogeneousPolynomial, x):
     """The one form evaluator: ``p`` at one point or at each point of an ``(..., n)`` stack.

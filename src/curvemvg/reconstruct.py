@@ -19,13 +19,13 @@ import numpy as np
 
 from . import CurvemvgError
 from . import polycore as pc
-from .curve_models import ImageCurve
+from .curve_models import ImageCurve, _sample_thetas
 from .polycore import HomogeneousPolynomial, enumerate_monomials
 from .projective_cameras import (
     Camera,
     _map_rows,
+    fundamental,
     join_points,
-    line_span_points,
     sign_normalize,
     swap_blocks,
     triangulate,
@@ -67,16 +67,6 @@ class ComponentSplit:
         return [(int(p.is_true.sum()), int((~p.is_true).sum())) for p in self.planes]
 
 
-def _epipolar_lines(cam: Camera, planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the unit image lines whose back-projected planes are the given ones, from
-    # one lstsq with every plane a right-hand side, and which planes pass
-    # through the camera center (residual within 1e-9)
-    l = np.linalg.lstsq(cam.M.T, planes.T, rcond=None)[0].T
-    through = (np.linalg.norm(_map_rows(cam.M.T, l) - planes, axis=1)
-               <= 1e-9 * np.linalg.norm(planes, axis=1))
-    return l / np.linalg.norm(l, axis=1, keepdims=True), through
-
-
 def epipolar_sweep(f1: ImageCurve, f2: ImageCurve, cam1: Camera, cam2: Camera,
                    n_planes: int = 60, *,
                    check_views: list[tuple[HomogeneousPolynomial, Camera]]) -> ComponentSplit:
@@ -93,6 +83,13 @@ def epipolar_sweep(f1: ImageCurve, f2: ImageCurve, cam1: Camera, cam2: Camera,
     extraneous hits; one is enough when the candidate set stays clear of the
     third cone.  Planes where roots collide (tangency) are skipped.
 
+    The pencil comes from the epipolar geometry in closed form (Hartley &
+    Zisserman, ch. 9), with no decomposition choosing a basis: plane k holds
+    the view-1 line l1 = cos a x + sin a y through e1 (x a unit vector
+    orthogonal to e1, y = e1 x x, a from :func:`curve_models._sample_thetas`)
+    and the view-2 line F p1 through the point p1 = l1 x e1 on it.  Each line
+    is spanned by its epipole and one orthonormal point on it.
+
     Nothing is taken plane by plane: each view's curve is restricted to all
     its epipolar lines in one call, every plane's roots come from one call
     of the stacked root kernel, every kept plane's d*d ray pairs are met in
@@ -103,22 +100,26 @@ def epipolar_sweep(f1: ImageCurve, f2: ImageCurve, cam1: Camera, cam2: Camera,
     if not check_views:
         raise ReconstructionError("need at least one check view to split components")
     d = f1.degree
-    P0, Q0 = line_span_points(join_points(cam1.center, cam2.center))
-    _, _, Vt = np.linalg.svd(np.stack([P0, Q0]))
-    pencil = Vt[2:]              # two planes spanning the pencil through the baseline
-    alphas = (np.arange(n_planes) + 0.17) * (np.pi / n_planes)
-    planes = np.cos(alphas)[:, None] * pencil[0] + np.sin(alphas)[:, None] * pencil[1]
-
-    (l1, through1), (l2, through2) = (_epipolar_lines(cam, planes) for cam in (cam1, cam2))
-    through = np.flatnonzero(through1 & through2)
+    eg = fundamental(cam1, cam2)
+    x = np.cross(eg.e1, np.eye(3)[np.argmin(np.abs(eg.e1))])
+    x /= np.linalg.norm(x)
+    y = np.cross(eg.e1, x)
+    alphas = _sample_thetas(n_planes)[:, None]
+    l1 = np.cos(alphas) * x + np.sin(alphas) * y
+    p1 = np.sin(alphas) * x - np.cos(alphas) * y
+    p2 = np.cross(_map_rows(eg.F, p1), eg.e2)
+    p2 /= pc._norms(p2)
+    planes = _map_rows(cam1.M.T, l1)
+    planes /= pc._norms(planes)
     # two orthonormal points spanning each image line: (view, plane, 2, 3)
-    spans = np.linalg.svd(np.stack([l1[through], l2[through]])[..., None, :])[2][..., 1:, :]
+    spans = np.stack([np.stack(np.broadcast_arrays(e, p), axis=1)
+                      for e, p in ((eg.e1, p1), (eg.e2, p2))])
     # each view's curve on all its lines in one restriction, every root in one call
     forms = np.stack([pc.restrict_to_lines(f.f, span.swapaxes(1, 2))
                       for f, span in zip((f1, f2), spans)])
     roots, sep = pc._binary_roots(forms)
     keep = (sep >= 1e-7).all(axis=0)
-    kept, roots, spans = through[keep], roots[:, keep], spans[:, keep, None]
+    roots, spans = roots[:, keep], spans[:, keep, None]
     points = roots[..., :1] * spans[..., 0, :] + roots[..., 1:] * spans[..., 1, :]
     r1, r2 = cam1.rays(points[0]), cam2.rays(points[1])
     # pairing (i, j) of the view roots is candidate i*d + j of its plane
@@ -128,13 +129,13 @@ def epipolar_sweep(f1: ImageCurve, f2: ImageCurve, cam1: Camera, cam2: Camera,
     for g, cam in check_views:
         q = cam.project(cands)
         res = np.maximum(res, np.abs(g(q / np.linalg.norm(q, axis=1, keepdims=True))))
-    split = [PlaneCandidates(planes[i], P, r <= 1e-8, r) for i, P, r in
-             zip(kept, cands.reshape(-1, d * d, 4), res.reshape(-1, d * d))]
-    return ComponentSplit(split, n_planes - len(kept))
+    split = [PlaneCandidates(plane, P, r <= 1e-8, r) for plane, P, r in
+             zip(planes[keep], cands.reshape(-1, d * d, 4), res.reshape(-1, d * d))]
+    return ComponentSplit(split, n_planes - len(split))
 
 
-def _unit_lifts(views, lift, what: str) -> list[np.ndarray]:
-    # each view's rows lifted by lift(cam, rows) to unit rows; a zero or non-finite row raises
+def _lifts(views, lift, what: str) -> list[np.ndarray]:
+    # each view's rows lifted by lift(cam, rows) as they are; a zero or non-finite row raises
     blocks = []
     for vi, (cam, rows) in enumerate(views):
         rows = np.asarray(rows, dtype=float)
@@ -143,8 +144,7 @@ def _unit_lifts(views, lift, what: str) -> list[np.ndarray]:
         bad = np.flatnonzero(~np.isfinite(rows).all(axis=1) | ~rows.any(axis=1))
         if len(bad):
             raise ReconstructionError(f"{what} row {bad[0]} of view {vi} is zero or not finite")
-        lifted = lift(cam, rows)
-        blocks.append(lifted / np.linalg.norm(lifted, axis=1, keepdims=True))
+        blocks.append(lift(cam, rows))
     return blocks
 
 
@@ -253,7 +253,7 @@ def dual_reconstruct(views: list[tuple[Camera, np.ndarray]], m: int) -> DualSurf
         return (f"{k} views leave a {blind}-dim family of center-hyperplane products; "
                 f"class {m} needs at least {m + 1} views") if blind else ""
 
-    blocks = _unit_lifts(views, lambda cam, lines: _map_rows(cam.M.T, lines), "tangent line")
+    blocks = _lifts(views, lambda cam, lines: _map_rows(cam.M.T, lines), "tangent line")
     fit, ranks = _checked_fit(enumerate_monomials(4, m), blocks, 1, "tangent",
                               dual_view_cap(m), blind_hint)
     return DualSurface(fit.form(), fit.gap(), ranks)
@@ -394,7 +394,7 @@ def chow_reconstruct(views: list[tuple[Camera, np.ndarray]], d: int) -> ChowForm
     Each image point p of view i lifts to the optical ray, a line meeting the
     curve, hence one linear condition on the degree-d form.
     """
-    return _fit_chow(_unit_lifts(views, Camera.rays, "image point"), d)
+    return _fit_chow(_lifts(views, Camera.rays, "image point"), d)
 
 
 def chow_membership(G: ChowForm, P: np.ndarray,

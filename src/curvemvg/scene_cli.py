@@ -22,8 +22,8 @@ import numpy as np
 from . import CurvemvgError
 from . import polycore as pc
 from . import scenes
-from .curve_models import (RationalCurve3D, class_of, image_tangents, implicit_image_curve,
-                           preset_curve, PRESET_NAMES)
+from .curve_models import (RationalCurve3D, _sample_thetas, class_of, image_tangents,
+                           implicit_image_curve, preset_curve, PRESET_NAMES)
 from .projective_cameras import (Camera, EpipolarGeometry, fundamental, join_points,
                                  line_span_planes)
 
@@ -63,15 +63,14 @@ class SceneConfig:
     raw: dict = field(default_factory=dict)
 
 
-def _as_matrix(obj, shape, what: str) -> np.ndarray:
+def _as_matrix(obj, what: str, shape=None) -> np.ndarray:
+    # a numeric array of the shape, if given; Camera and RationalCurve3D check the rest
     try:
         M = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{what} is not numeric: {err}") from None
-    if M.shape != shape:
+    if shape is not None and M.shape != shape:
         raise ConfigError(f"{what} must have shape {shape}, got {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ConfigError(f"{what} contains non-finite entries")
     return M
 
 
@@ -90,10 +89,10 @@ def _parse_camera(entry, idx: int, rng: np.random.Generator) -> Camera:
         raise ConfigError(f"{what} must be a dict or the string 'random'")
     try:
         if "matrix" in entry:
-            return Camera(_as_matrix(entry["matrix"], (3, 4), what))
+            return Camera(_as_matrix(entry["matrix"], what))
         if "internal" in entry and "external" in entry:
-            K = _as_matrix(entry["internal"], (3, 3), f"{what}.internal")
-            E = _as_matrix(entry["external"], (3, 4), f"{what}.external")
+            K = _as_matrix(entry["internal"], f"{what}.internal", (3, 3))
+            E = _as_matrix(entry["external"], f"{what}.external", (3, 4))
             return Camera(K @ E)
     except ConfigError:
         raise
@@ -117,10 +116,7 @@ def _parse_curve(entry, idx: int, default_seed: int) -> RationalCurve3D:
             return preset_curve(name, _integer(entry.get("seed", default_seed),
                                                f"{what}.seed"))
         if "coefficients" in entry:
-            C = np.asarray(entry["coefficients"], dtype=float)
-            if C.ndim != 2 or C.shape[0] != 4 or C.shape[1] < 2:
-                raise ConfigError(f"{what}.coefficients must be 4 x (degree+1)")
-            return RationalCurve3D(C)
+            return RationalCurve3D(_as_matrix(entry["coefficients"], f"{what}.coefficients"))
     except ConfigError:
         raise
     except ValueError as err:
@@ -308,11 +304,7 @@ def export_samples(report: Report, out_dir: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# sampling helpers
-
-def _thetas(n: int, offset: float) -> np.ndarray:
-    return offset + np.pi * (np.arange(n) + 0.37) / n
-
+# command helpers
 
 def _need(cfg: SceneConfig, command: str, cameras: int, curves: int):
     # the one count check, cameras first
@@ -342,7 +334,7 @@ def _cmd_simulate(cfg: SceneConfig, rng: np.random.Generator, rep: Report, args)
     finite = True
     sample_rows = []
     for ki, curve in enumerate(cfg.curves):
-        ths = _thetas(24, rng.uniform(0, np.pi))
+        ths = _sample_thetas(24) + rng.uniform(0, np.pi)
         pts = curve.points(ths)
         for ci, cam in enumerate(cfg.cameras):
             img = cam.project(pts)
@@ -475,7 +467,7 @@ def _cmd_reconstruct_dual(cfg: SceneConfig, rng: np.random.Generator,
     n_tangents = rc.dual_view_cap(m) + 6
     views = []
     for cam in cfg.cameras:
-        ths = _thetas(n_tangents, rng.uniform(0, np.pi))
+        ths = _sample_thetas(n_tangents) + rng.uniform(0, np.pi)
         views.append((cam, image_tangents(curve, cam, ths)))
     try:
         ds = rc.dual_reconstruct(views, m)
@@ -487,7 +479,7 @@ def _cmd_reconstruct_dual(cfg: SceneConfig, rng: np.random.Generator,
     rep.metrics["rank_gap"] = ds.gap
     for vi, rk in enumerate(ds.per_view_ranks):
         rep.metrics[f"view{vi}_rank"] = rk
-    A, B = line_span_planes(curve.tangent_lines(_thetas(25, rng.uniform(0, np.pi))))
+    A, B = line_span_planes(curve.tangent_lines(_sample_thetas(25) + rng.uniform(0, np.pi)))
     w = np.array([0.2, 0.5, 0.8])[:, None, None]
     held = np.abs(ds(w * A + (1 - w) * B)).max()
     rep.metrics["held_out_max"] = float(held)
@@ -508,8 +500,8 @@ def _cmd_reconstruct_chow(cfg: SceneConfig, rng: np.random.Generator,
     n_pts = rc.chow_view_cap(d) + 8
     views = []
     for cam in cfg.cameras:
-        pts = cam.project(curve.points(_thetas(n_pts, rng.uniform(0, np.pi))))
-        views.append((cam, pts / np.linalg.norm(pts, axis=1, keepdims=True)))
+        ths = _sample_thetas(n_pts) + rng.uniform(0, np.pi)
+        views.append((cam, cam.project(curve.points(ths))))
     try:
         cf = rc.chow_reconstruct(views, d)
     except rc.ReconstructionError as err:
@@ -520,11 +512,11 @@ def _cmd_reconstruct_chow(cfg: SceneConfig, rng: np.random.Generator,
     rep.metrics["rank_gap"] = cf.gap
     for vi, rk in enumerate(cf.per_view_ranks):
         rep.metrics[f"view{vi}_rank"] = rk
-    P = curve.points(_thetas(40, rng.uniform(0, np.pi)))
+    P = curve.points(_sample_thetas(40) + rng.uniform(0, np.pi))
     meet = np.abs(cf(join_points(P, rng.standard_normal((40, 4))))).max()
     rep.metrics["held_out_max"] = float(meet)
     rep.verdicts["held_out_pass"] = meet <= 1e-8
-    ref = curve.points(_thetas(40 * d, 0.05))
+    ref = curve.points(_sample_thetas(40 * d) + 0.05)
     miss = np.abs(cf(scenes.lines_missing_points(ref, rng, 40, min_gap=0.35))).min()
     rep.metrics["separation_min"] = float(miss)
     rep.verdicts["random_lines_separate"] = miss >= 1e-3

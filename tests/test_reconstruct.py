@@ -10,8 +10,8 @@ from curvemvg import polycore as pc
 from curvemvg import reconstruct as rc
 from curvemvg import scenes
 from curvemvg.curve_models import implicit_image_curve, image_tangent, preset_curve, _sample_thetas
-from curvemvg.projective_cameras import (cross_matrix, incidence, join_points,
-                                         line_span_planes, line_span_points)
+from curvemvg.projective_cameras import (Camera, cross_matrix, fundamental, incidence,
+                                         join_points, line_span_planes)
 from curvemvg.scenes import lines_missing_points
 
 
@@ -71,18 +71,29 @@ def _cross_matrix_sweep(f1, f2, cam1, cam2, n_planes, check_views):
     # the sweep one plane, one pair and one candidate at a time, each pair met
     # by the two-view cross-matrix triangulation [p]_x M (Hartley & Zisserman,
     # sec. 12.2), on the sweep's image lines: the roots on a line amplify any
-    # last-bit change of it far beyond what the triangulation adds.  Per kept
-    # plane: (plane, candidates, labels), and the skip count
-    pencil = np.linalg.svd(np.stack(line_span_points(join_points(cam1.center, cam2.center))))[2][2:]
-    alphas = (np.arange(n_planes) + 0.17) * (np.pi / n_planes)
-    planes = np.cos(alphas)[:, None] * pencil[0] + np.sin(alphas)[:, None] * pencil[1]
-    lines = [np.linalg.lstsq(cam.M.T, planes.T, rcond=None)[0].T for cam in (cam1, cam2)]
-    lines = [l / np.linalg.norm(l, axis=1, keepdims=True) for l in lines]
+    # last-bit change of it far beyond what the triangulation adds.  The
+    # pencil is the closed-form one of the epipolar geometry (ch. 9): line k
+    # of view 1 turns about e1 from an axis orthogonal to it, view 2 takes
+    # F p1 for the point p1 = l1 x e1, and each line is spanned by its
+    # epipole and the unit point on it orthogonal to the epipole, with the
+    # sweep's bits.  Per kept plane: (plane, candidates, labels), and the
+    # skip count
+    eg = fundamental(cam1, cam2)
+    axis = np.zeros(3)
+    axis[np.argmin(np.abs(eg.e1))] = 1.0
+    x = np.cross(eg.e1, axis)
+    x = x / np.linalg.norm(x)
+    y = np.cross(eg.e1, x)
+    alphas = _sample_thetas(n_planes)
     kept, skipped = [], 0
-    for plane, l1, l2 in zip(planes, *lines):
+    for c, s in zip(np.cos(alphas), np.sin(alphas)):
+        l1 = c * x + s * y
+        p1 = s * x - c * y           # l1 x e1
+        p2 = np.cross(np.vecdot(eg.F, p1), eg.e2)
+        plane = np.vecdot(cam1.M.T, l1)
+        plane = plane / np.linalg.norm(plane)
         pts, seps = [], []
-        for f, line in ((f1, l1), (f2, l2)):
-            A, B = np.linalg.svd(line[None, :])[2][1:]
+        for f, A, B in ((f1, eg.e1, p1), (f2, eg.e2, p2 / np.linalg.norm(p2))):
             roots, sep = pc._binary_roots(pc.restrict_to_line(f.f, A, B).coeffs)
             pts.append(roots[:, :1] * A + roots[:, 1:] * B)
             seps.append(sep)
@@ -121,6 +132,42 @@ def test_epipolar_sweep_matches_the_cross_matrix_triangulation(cams, name, reque
         # both sides unit; rotate each reference point onto its candidate
         inner = np.sum(cands.conj() * got.points, axis=1)
         assert np.abs(cands * (inner / np.abs(inner))[:, None] - got.points).max() <= 1e-12
+
+
+def _epipole_at_infinity_pair(cams):
+    # cams[0] and a camera 4 units to its side on its principal plane,
+    # looking at the origin: the first view's epipole M1 O2 lies at infinity
+    cam1 = cams[0]
+    side = np.cross(cam1.M[2, :3], [0.0, 0.0, 1.0])
+    C = cam1.center[:3] / cam1.center[3] + 4.0 * side / np.linalg.norm(side)
+    R = scenes.look_at_rotation(C, np.zeros(3), [0.0, 0.0, 1.0])
+    return cam1, Camera.from_parameters(1.2, 1.0, 0.0, 0.0, 0.0, R, -R @ C)
+
+
+def _sweep(curve, cam1, cam2, checks):
+    f1, f2 = (implicit_image_curve(curve, c) for c in (cam1, cam2))
+    return rc.epipolar_sweep(f1, f2, cam1, cam2, n_planes=60,
+                             check_views=[(implicit_image_curve(curve, c).f, c) for c in checks])
+
+
+@pytest.mark.parametrize("name", ["conic", "cubic", "quartic", "quintic"])
+def test_every_swept_plane_passes_through_both_centers(cams, name, request):
+    # the pencil is built through the baseline, so no plane is checked at run
+    # time; both unit, so the incidence is relative
+    curve = request.getfixturevalue(name)
+    for cam1, cam2 in (cams[:2], _epipole_at_infinity_pair(cams)):
+        split = _sweep(curve, cam1, cam2, cams[2:4])
+        planes = np.array([p.plane for p in split.planes])
+        assert len(planes) >= 50
+        assert np.abs(planes @ np.stack([cam1.center, cam2.center]).T).max() <= 1e-12
+
+
+def test_a_sweep_with_its_epipole_at_infinity_splits_exactly(cams, cubic):
+    cam1, cam2 = _epipole_at_infinity_pair(cams)
+    assert abs(cam1.project(cam2.center)[2]) <= 1e-12 * np.linalg.norm(cam1.project(cam2.center))
+    split = _sweep(cubic, cam1, cam2, cams[2:4])
+    assert split.skipped == 0
+    assert split.per_plane_counts == [(3, 6)] * 60
 
 
 def test_epipolar_sweep_rejects_degree_mismatch(cams, conic, cubic):

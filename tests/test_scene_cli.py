@@ -40,6 +40,9 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
     ({"curves": [{"preset": "conic", "seed": [1]}]}, "curves[0].seed"),
     ({"curves": [{"preset": "conic", "seed": 2.7}]}, "curves[0].seed"),
     ({"cameras": {"ring": 2.0}}, "ring"),
+    ({"curves": [{"coefficients": {"a": 1}}]}, "curves[0].coefficients"),
+    ({"cameras": [{"matrix": [[float("nan")] * 4] * 3}]}, "non-finite"),
+    ({"curves": [{"coefficients": [[1.0, float("inf")]] * 4}]}, "non-finite"),
 ])
 def test_parse_config_rejects(payload, fragment):
     with pytest.raises(sc.ConfigError) as err:
@@ -416,17 +419,17 @@ def test_classify_motion_leaves_numpy_ma_unloaded():
 # moves any of them must say which and why.
 README_DIGESTS = {
     "simulate --config simulate_demo.json":
-        "2df262a682b769ffecc99483042f516307574d3539bae548ce0aefed3484db9d",
+        "40c76a2dc831b5d43c0b20744e6e3a730643b1261cf78a5eab30a2a375949ab0",
     "kruppa-check --config kruppa_trio.json --noise 1e-3":
         "8b8f336a43d89eef8cc5aef315d688a77c77f287e8eca083666cc1d33b552d6f",
     "kruppa-dim --config conic_pair.json":
         "0afff9257d2fd2247c2d81be07e125069ca3530050c3403586b53d5549b14f66",
     "reconstruct-points --config cubic_pair.json --planes 60":
-        "f927127625e8d648e56df72d03f437be66052bbd8b3b830c161477275d7ee815",
+        "4033ca1ba5edb4f89545f096644a5a89671fab3f9b8a4c0299089e596f62382e",
     "reconstruct-dual --config dual_quartic.json":
-        "9bacb58bdb4a083b3e4cd39154f8782d4e4edbfab5f53c48be8a120f6d5e972a",
+        "5fe7360c8cebbfd519f341901a3be46b391b4059f828a4e6d205289ee7c958c8",
     "reconstruct-chow --config chow_cubic.json":
-        "5bd041a6360552f577e2f38e2c0f2ea490a039ff39ab40894624ef0791a0c8f7",
+        "c84de0792e36918279d7df1029e9f1a1e34f481a7adab3f1bd6095375c32cd25",
     "classify-motion --config dynamics_mixed.json":
         "8734a290ce5fa567e96e84cf0913b08581647df3131f210e296e35f9b272a605",
     "consistency-tables --d 2..4 --m 2..8":

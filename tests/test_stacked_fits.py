@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from curvemvg import polycore as pc
 from curvemvg import reconstruct as rc
-from curvemvg import scene_cli as sc
 from curvemvg import scenes
-from curvemvg.curve_models import class_of, image_tangents, preset_curve
+from curvemvg.curve_models import _sample_thetas, class_of, image_tangents, preset_curve
 from curvemvg.projective_cameras import Camera, _map_rows
 
 
@@ -107,20 +106,20 @@ def test_spectra_ranks_read_the_preset_matrix_as_the_vector_fits_do(name):
         curve = preset_curve(name, seed)
         d, m = curve.degree, class_of(curve.degree, 0)
         cams = scenes.camera_ring(np.random.default_rng(19), rc.views_for_dual(m))
-        views = [(cam, image_tangents(curve, cam, sc._thetas(rc.dual_view_cap(m) + 6, 0.3 * i)))
+        views = [(cam, image_tangents(curve, cam, _sample_thetas(rc.dual_view_cap(m) + 6) + 0.3 * i))
                  for i, cam in enumerate(cams)]
         ranks = rc.dual_reconstruct(views, m).per_view_ranks
         basis = pc.enumerate_monomials(4, m)
         assert ranks == [pc.whitened_nullspace(basis, b).rank()
-                         for b in rc._unit_lifts(views, _lift_tangents, "tangent line")]
+                         for b in rc._lifts(views, _lift_tangents, "tangent line")]
         below_cap += [r for r in ranks if r < rc.dual_view_cap(m)]
         cams = scenes.camera_ring(np.random.default_rng(19), rc.views_for_chow(d))
-        views = [(cam, cam.project(curve.points(sc._thetas(rc.chow_view_cap(d) + 8, 0.3 * i))))
+        views = [(cam, cam.project(curve.points(_sample_thetas(rc.chow_view_cap(d) + 8) + 0.3 * i)))
                  for i, cam in enumerate(cams)]
         ranks = rc.chow_reconstruct(views, d).per_view_ranks
         basis = pc.enumerate_monomials(6, d)
         assert ranks == [pc.whitened_nullspace(basis, b).rank()
-                         for b in rc._unit_lifts(views, Camera.rays, "image point")]
+                         for b in rc._lifts(views, Camera.rays, "image point")]
     assert bool(below_cap) == (d >= 4)
 
 
