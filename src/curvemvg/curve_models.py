@@ -59,19 +59,24 @@ def _binary_monomials(theta: float | np.ndarray, degree: int) -> np.ndarray:
     return np.cos(theta)[..., None] ** down * np.sin(theta)[..., None] ** up
 
 
-def _form_rows(thetas, degree: int, table: np.ndarray) -> np.ndarray:
-    # the binary forms along the table's last axis at each angle, one dot product
-    # per entry, so that a row does not depend on the others in its batch
-    mono = _binary_monomials(np.atleast_1d(np.asarray(thetas, dtype=float)), degree)
+def _angles(thetas) -> np.ndarray:
+    return np.atleast_1d(np.asarray(thetas, dtype=float))
+
+
+def _form_rows(mono: np.ndarray, table: np.ndarray) -> np.ndarray:
+    # the binary forms along the table's last axis at each row of monomials, one
+    # dot product per entry, so that a row does not depend on the others in its batch
     return np.vecdot(mono[(slice(None),) + (None,) * (table.ndim - 1)], table)
 
 
+@lru_cache(maxsize=None)
 def _derivative_shifts(degree: int) -> np.ndarray:
-    # (2, degree+1, degree): column forms of d/dt and d/ds on binary forms
+    # read-only (2, degree+1, degree): column forms of d/dt and d/ds on binary forms
     E = np.zeros((2, degree + 1, degree))
     k = np.arange(degree)
     E[0, k, k] = degree - k
     E[1, k + 1, k] = k + 1
+    E.setflags(write=False)
     return E
 
 
@@ -108,13 +113,14 @@ class RationalCurve3D:
         :meth:`tangent_lines`, so a parameter's row does not depend on the
         others asked for with it.
         """
-        P = _form_rows(thetas, self.degree, self.C)
+        P = _form_rows(_binary_monomials(_angles(thetas), self.degree), self.C)
         return P / np.linalg.norm(P, axis=1, keepdims=True)
 
     def velocity(self, thetas) -> np.ndarray:
         """Derivative of the point path along the angle chart, one row per angle."""
-        th = np.atleast_1d(np.asarray(thetas, dtype=float))
-        Vt, Vs = np.moveaxis(_form_rows(th, self.degree - 1, self._partials), 1, 0)
+        th = _angles(thetas)
+        Vt, Vs = np.moveaxis(_form_rows(_binary_monomials(th, self.degree - 1),
+                                        self._partials), 1, 0)
         return -np.sin(th)[:, None] * Vt + np.cos(th)[:, None] * Vs
 
     @cached_property
@@ -148,7 +154,8 @@ class RationalCurve3D:
 
         Each row is :attr:`tangent_form` at its parameter, not normalized.
         """
-        return _form_rows(thetas, 2 * self.degree - 2, self.tangent_form)
+        return _form_rows(_binary_monomials(_angles(thetas), 2 * self.degree - 2),
+                          self.tangent_form)
 
 
 def _sample_thetas(n: int, offset: float = 0.0) -> np.ndarray:
@@ -187,8 +194,10 @@ def preset_curve(name: str, rng_seed: int) -> RationalCurve3D:
 
 
 def _is_generic(curve: RationalCurve3D) -> bool:
+    # the points of RationalCurve3D.points on the grid, bit for bit
     thetas = _sample_thetas(240)
-    P = curve.points(thetas)
+    P = _form_rows(_grid_monomials(curve.degree), curve.C)
+    P = P / np.linalg.norm(P, axis=1, keepdims=True)
     # immersion: velocity never parallel to the point
     p, v = P[::6, :, None], curve.velocity(thetas[::6])[:, None, :]
     wedge = p * v - np.swapaxes(p * v, 1, 2)
@@ -198,6 +207,14 @@ def _is_generic(curve: RationalCurve3D) -> bool:
     G = P @ P.T
     np.abs(G, out=G)
     return not np.any((G > 1.0 - 1e-8) & _separated(240))
+
+
+@lru_cache(maxsize=None)
+def _grid_monomials(degree: int) -> np.ndarray:
+    # read-only binary monomials of the genericity grid, _sample_thetas(240)
+    table = _binary_monomials(_sample_thetas(240), degree)
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=None)

@@ -358,11 +358,15 @@ class NullspaceFit:
 def fit_nullspace(rows) -> NullspaceFit | list[NullspaceFit]:
     """SVD of a stack of linear conditions, rows normalized to unit norm.
 
-    Zero rows are dropped; a row with a NaN or an inf raises.  A tall stack
-    takes the thin SVD, whose ``Vt`` is already square; one with fewer rows
-    than columns takes the full SVD, so it still has every right singular
-    vector and reads rank deficient.  A 3-d array holds k such stacks; one
-    batched SVD gives their k fits.
+    Zero rows are dropped; a row with a NaN or an inf raises.  A stack of
+    m x n rows with m at least ``11 n // 6`` (the bound at which LAPACK's
+    ``dgesdd`` factors QR first itself) takes the SVD of the n x n factor R
+    of one QR: its spectrum and ``Vt`` equal the thin SVD's bit for bit, and
+    the m x n left singular vectors, which no fit reads, are never formed.
+    A shorter tall stack takes the thin SVD, whose ``Vt`` is already square;
+    one with fewer rows than columns takes the full SVD, so it still has
+    every right singular vector and reads rank deficient.  A 3-d array holds
+    k such stacks; one batched call gives their k fits.
     """
     A = np.asarray(rows, dtype=float)
     if A.ndim not in (2, 3):
@@ -379,10 +383,12 @@ def fit_nullspace(rows) -> NullspaceFit | list[NullspaceFit]:
         fits = [fit_nullspace(b[m]) for b, m in zip(B, keep)]
     else:
         B = B / norms[..., None]
-        _, s, Vt = np.linalg.svd(B, full_matrices=B.shape[1] < B.shape[2])
-        s_pad = np.zeros(B.shape[::2])
+        m, n = B.shape[1:]
+        R = np.linalg.qr(B, mode="r") if m >= 11 * n // 6 else B
+        _, s, Vt = np.linalg.svd(R, full_matrices=m < n)
+        s_pad = np.zeros((len(B), n))
         s_pad[:, : s.shape[1]] = s
-        floor = np.finfo(float).eps * max(B.shape[1:]) * s_pad[:, 0]
+        floor = np.finfo(float).eps * max(m, n) * s_pad[:, 0]
         fits = [NullspaceFit(*fit) for fit in zip(s_pad, Vt, floor)]
     return fits if A.ndim == 3 else fits[0]
 

@@ -67,6 +67,10 @@ _RING_INTERNALS = np.array([(0.8, 1.6), (0.9, 1.15), (-0.05, 0.05),
                             (-0.15, 0.15), (-0.15, 0.15)])
 
 
+# a clock's uniform draws, as (low, high) columns: offset and stride factor
+_CLOCK = np.array([(0.0, np.pi), (0.8, 1.25)])
+
+
 def _uniform(bounds: np.ndarray, u: np.ndarray) -> np.ndarray:
     # Generator.uniform(low, high) is low + (high - low) * random()
     low, high = bounds.T
@@ -185,9 +189,11 @@ def observe_trajectory(kind: str, rng: np.random.Generator, n_cameras: int = 10,
 
     Each camera draws its clock offset and stride, then per frame a time
     jitter and, when noise_sigma > 0, a 3-vector of image noise, so the
-    random stream is that of observing camera by camera.  The positions at
-    all cameras' times are then evaluated once and projected row by row by
-    one call with the ring's stacked matrices into the ``(ids, points)``
+    random stream is that of observing camera by camera.  Without noise
+    every draw is a uniform, so a noise-free scene draws all its clocks in
+    one call on that same stream.  The times of all cameras are formed at
+    once, and the positions at them evaluated once and projected row by row
+    by one call with the ring's stacked matrices into the ``(ids, points)``
     detection arrays.  A frame whose point projects to the camera center yields no
     detection but still consumes its noise draw, so the stream does not
     depend on it.
@@ -195,19 +201,21 @@ def observe_trajectory(kind: str, rng: np.random.Generator, n_cameras: int = 10,
     traj = make_trajectory(kind, rng)
     cams = camera_ring(rng, n_cameras)
     frames = np.arange(frames_per_camera)
-    times = np.empty((n_cameras, frames_per_camera))
-    noise = np.empty((n_cameras, frames_per_camera, 3))
-    for ci in range(n_cameras):
-        offset = rng.uniform(0, np.pi)
-        stride = rng.uniform(0.8, 1.25) * np.pi / frames_per_camera
-        if noise_sigma == 0.0:
-            jitter = rng.uniform(0, 0.1 * stride, size=frames_per_camera)
-        else:
-            jitter = np.empty(frames_per_camera)
+    if noise_sigma == 0.0:
+        u = rng.random((n_cameras, frames_per_camera + 2))
+        clock, unit_jitter = u[:, :2], u[:, 2:]
+    else:
+        clock = np.empty((n_cameras, 2))
+        unit_jitter = np.empty((n_cameras, frames_per_camera))
+        noise = np.empty((n_cameras, frames_per_camera, 3))
+        for ci in range(n_cameras):
+            clock[ci] = rng.random(2)
             for k in frames:
-                jitter[k] = rng.uniform(0, 0.1 * stride)
+                unit_jitter[ci, k] = rng.random()
                 noise[ci, k] = rng.standard_normal(3)
-        times[ci] = offset + stride * frames + jitter
+    offset, stride = _uniform(_CLOCK, clock).T
+    stride = stride * np.pi / frames_per_camera
+    times = offset[:, None] + stride[:, None] * frames + (0.1 * stride)[:, None] * unit_jitter
     P = traj.positions(times.ravel()).reshape(n_cameras, frames_per_camera, 4)
     p = _map_rows(np.array([cam.M for cam in cams])[:, None], P)
     norms = np.sqrt((p * p).sum(axis=-1))

@@ -225,6 +225,17 @@ def test_partial_matrices_are_computed_once_and_read_only(quartic):
     assert np.array_equal(Cs[:, 3], 4 * quartic.C[:, 4])
 
 
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_derivative_shifts_are_cached_and_read_only(d):
+    E = cm._derivative_shifts(d)
+    assert E is cm._derivative_shifts(d)
+    assert E.shape == (2, d + 1, d) and not E.flags.writeable
+    # d/dt t^d = d t^(d-1) and d/ds s^d = d s^(d-1)
+    assert E[0, 0, 0] == E[1, d, d - 1] == d
+    with pytest.raises(ValueError):
+        E[0, 0, 0] = 0.0
+
+
 def test_tangent_form_is_computed_once_and_read_only(quartic):
     T = quartic.tangent_form
     assert quartic.tangent_form is T
@@ -270,6 +281,20 @@ def test_separation_mask_is_cached_and_read_only():
     assert mask.shape == (240, 240) and not mask[0, 7] and mask[0, 8] and not mask[0, 233]
     with pytest.raises(ValueError):
         mask[0, 0] = True
+
+
+@pytest.mark.parametrize("name", cm.PRESET_NAMES)
+def test_genericity_grid_table_is_cached_read_only_and_keeps_the_points(name):
+    table = cm._grid_monomials(cm.preset_curve(name, 0).degree)
+    assert table is cm._grid_monomials(table.shape[1] - 1)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    for seed in range(10):
+        curve = cm.preset_curve(name, seed)
+        P = cm._form_rows(table, curve.C)
+        P = P / np.linalg.norm(P, axis=1, keepdims=True)
+        assert np.array_equal(P, curve.points(cm._sample_thetas(240)))
 
 
 def _injective_by_gather(curve, n=240):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +264,47 @@ def test_fit_nullspace_right_basis_is_square_for_tall_and_wide_stacks():
     fit = pc.fit_nullspace(tall)
     assert np.array_equal(fit.s, s)
     assert np.array_equal(fit.Vt, Vt)
+
+
+def _thin_svd_matches_the_fit(B):
+    # fit_nullspace's spectrum and right basis against the thin SVD of the
+    # same unit rows, bit for bit
+    _, s, Vt = np.linalg.svd(B / np.linalg.norm(B, axis=-1, keepdims=True), full_matrices=False)
+    fits = pc.fit_nullspace(B)
+    if B.ndim == 2:
+        fits, s, Vt = [fits], s[None], Vt[None]
+    return all(np.array_equal(f.s, sk) and np.array_equal(f.Vt, Vk)
+               for f, sk, Vk in zip(fits, s, Vt, strict=True))
+
+
+@pytest.mark.parametrize("n", [15, 21, 35, 56])
+def test_fit_nullspace_keeps_the_thin_svd_bits_about_the_qr_bound(n):
+    # from 11 n // 6 rows on (the bound at which LAPACK's dgesdd factors QR
+    # first) the fit takes the SVD of one QR's R; below it, the thin SVD
+    bound = 11 * n // 6
+    for m in (bound - 1, bound, bound + 1):
+        B = np.random.default_rng((n, m)).standard_normal((3, m, n))
+        assert _thin_svd_matches_the_fit(B[0])
+        assert _thin_svd_matches_the_fit(B)
+
+
+_QR_BOUND_CHILD = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from test_polycore import _thin_svd_matches_the_fit
+for m in (101, 102, 103, 120):
+    B = np.random.default_rng((56, m)).standard_normal((3, m, 56))
+    assert _thin_svd_matches_the_fit(B[0]) and _thin_svd_matches_the_fit(B), m
+"""
+
+
+def test_fit_nullspace_keeps_the_thin_svd_bits_at_two_blas_threads():
+    # BLAS reads its thread count at load, so the check runs in a fresh interpreter
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", _QR_BOUND_CHILD, str(Path(__file__).parent)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_fit_nullspace_recovers_plane():
