@@ -260,14 +260,22 @@ def implicit_image_curve(curve: RationalCurve3D, cam: Camera) -> ImageCurve:
     basis = enumerate_monomials(3, curve.degree)
     n = max(2 * basis.size, basis.size + 6)
     thetas = np.concatenate([_sample_thetas(n), _sample_thetas(37, offset=0.41)])
-    pts, held = np.split(_projected_points(curve, cam, thetas), [n])
-    f, gap = pc.fit_vanishing_form(basis, pts)
+    pts = _projected_points(curve, cam, thetas)
+    return ImageCurve(_accepted_form(basis, pts, n, "implicit", "samples", 1e-7))
+
+
+def _accepted_form(basis, rows: np.ndarray, n: int, fit: str, held: str,
+                   tol: float) -> HomogeneousPolynomial:
+    # the one acceptance step of both image fits: the first n rows fit the
+    # form, a gap at or above the ambiguity cut refuses it, and every later
+    # row must vanish on it to within tol
+    f, gap = pc.fit_vanishing_form(basis, rows[:n])
     if gap >= 1e-3:
-        raise CurveModelError(f"implicit fit is ambiguous (gap {gap:.2e})")
-    resid = np.abs(f(held)).max()
-    if resid > 1e-7:
-        raise CurveModelError(f"implicit fit fails held-out samples ({resid:.2e})")
-    return ImageCurve(f)
+        raise CurveModelError(f"{fit} fit is ambiguous (gap {gap:.2e})")
+    resid = np.abs(f(rows[n:])).max()
+    if resid > tol:
+        raise CurveModelError(f"{fit} fit fails held-out {held} ({resid:.2e})")
+    return f
 
 
 def image_tangents(curve: RationalCurve3D, cam: Camera, thetas) -> np.ndarray:
@@ -309,14 +317,7 @@ def fit_dual_image_curve(curve: RationalCurve3D, cam: Camera) -> HomogeneousPoly
     basis = enumerate_monomials(3, m)
     n = max(2 * basis.size, basis.size + 8)
     thetas = np.concatenate([_sample_thetas(n), _sample_thetas(41, offset=0.27)])
-    lines, held = np.split(image_tangents(curve, cam, thetas), [n])
-    phi, gap = pc.fit_vanishing_form(basis, lines)
-    if gap >= 1e-3:
-        raise CurveModelError(f"dual fit is ambiguous (gap {gap:.2e})")
-    resid = np.abs(phi(held)).max()
-    if resid > 1e-6:
-        raise CurveModelError(f"dual fit fails held-out tangents ({resid:.2e})")
-    return phi
+    return _accepted_form(basis, image_tangents(curve, cam, thetas), n, "dual", "tangents", 1e-6)
 
 
 # fixed generic weights of the three pulled-back partials in find_nodes

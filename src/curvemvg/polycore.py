@@ -360,10 +360,11 @@ def fit_nullspace(rows) -> NullspaceFit | list[NullspaceFit]:
 
     Zero rows are dropped; a row with a NaN or an inf raises.  A stack of
     m x n rows with m at least ``11 n // 6`` (the bound at which LAPACK's
-    ``dgesdd`` factors QR first itself) takes the SVD of the n x n factor R
-    of one QR: its spectrum and ``Vt`` equal the thin SVD's bit for bit, and
-    the m x n left singular vectors, which no fit reads, are never formed.
-    A shorter tall stack takes the thin SVD, whose ``Vt`` is already square;
+    ``dgesdd`` factors QR first itself) and n at least 21 (below it the QR
+    costs more than it saves) takes the SVD of the n x n factor R of one QR:
+    its spectrum and ``Vt`` equal the thin SVD's bit for bit, and the m x n
+    left singular vectors, which no fit reads, are never formed.  Any other
+    stack with m >= n takes the thin SVD, whose ``Vt`` is already square;
     one with fewer rows than columns takes the full SVD, so it still has
     every right singular vector and reads rank deficient.  A 3-d array holds
     k such stacks; one batched call gives their k fits.
@@ -384,7 +385,7 @@ def fit_nullspace(rows) -> NullspaceFit | list[NullspaceFit]:
     else:
         B = B / norms[..., None]
         m, n = B.shape[1:]
-        R = np.linalg.qr(B, mode="r") if m >= 11 * n // 6 else B
+        R = np.linalg.qr(B, mode="r") if n >= 21 and m >= 11 * n // 6 else B
         _, s, Vt = np.linalg.svd(R, full_matrices=m < n)
         s_pad = np.zeros((len(B), n))
         s_pad[:, : s.shape[1]] = s

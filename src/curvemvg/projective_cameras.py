@@ -110,15 +110,6 @@ def point_line_matrix(L) -> np.ndarray:
     return plucker_matrix(swap_blocks(L))
 
 
-def meet_line_plane(L, A) -> np.ndarray:
-    """Intersection points of lines with a plane containing none of them."""
-    P = plucker_matrix(L) @ _coords(A, 4)
-    if np.any(np.linalg.norm(P, axis=-1) <= 1e-12 * (
-            np.linalg.norm(L, axis=-1) * np.linalg.norm(A) + 1e-300)):
-        raise GeometryError("plane contains the line, meet point is undefined")
-    return P
-
-
 def line_span_planes(L) -> tuple[np.ndarray, np.ndarray]:
     """Two orthonormal planes whose intersection is the line, for each line of a stack."""
     _, s, Vt = np.linalg.svd(plucker_matrix(L))
@@ -265,17 +256,6 @@ class Camera:
 
     def __repr__(self):
         return f"Camera({np.array2string(self.M, precision=4)})"
-
-
-def homography(cam1: Camera, cam2: Camera, plane) -> np.ndarray:
-    """Transfer map between images induced by a plane avoiding both centers."""
-    A = np.asarray(plane)
-    for cam in (cam1, cam2):
-        if abs(A @ cam.center) <= 1e-9 * np.linalg.norm(A):
-            raise GeometryError("plane passes through a camera center")
-    # column j is the image in cam2 of where the j-th basis ray of cam1 meets the plane
-    H = cam2.project(meet_line_plane(cam1.ray_matrix.T, A)).T
-    return H / np.linalg.norm(H)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from .projective_cameras import (
     Camera,
     _map_rows,
     fundamental,
-    join_points,
     sign_normalize,
     swap_blocks,
     triangulate,
@@ -395,14 +394,6 @@ def chow_reconstruct(views: list[tuple[Camera, np.ndarray]], d: int) -> ChowForm
     curve, hence one linear condition on the degree-d form.
     """
     return _fit_chow(_lifts(views, Camera.rays, "image point"), d)
-
-
-def chow_membership(G: ChowForm, P: np.ndarray,
-                    rng: np.random.Generator | None = None) -> bool:
-    """Whether the Chow form is within 1e-7 on five random lines through P."""
-    rng = np.random.default_rng(2024) if rng is None else rng
-    L = join_points(np.asarray(P, dtype=float), rng.standard_normal((5, 4)))
-    return not (np.abs(G(L)) > 1e-7).any()
 
 
 def consistency_report(d: int, m: int) -> dict:

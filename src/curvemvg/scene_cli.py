@@ -24,8 +24,7 @@ from . import polycore as pc
 from . import scenes
 from .curve_models import (RationalCurve3D, _sample_thetas, class_of, image_tangents,
                            implicit_image_curve, preset_curve, PRESET_NAMES)
-from .projective_cameras import (Camera, EpipolarGeometry, fundamental, join_points,
-                                 line_span_planes)
+from .projective_cameras import Camera, EpipolarGeometry, join_points, line_span_planes
 
 # kruppa, reconstruct and dynamics are imported by the handlers that call
 # them, so a cold run loads only what its command uses
@@ -36,16 +35,10 @@ class ConfigError(ValueError):
 
 
 TRAJECTORY_PRESETS = ("static", "line", "conic", "cubic")
-COMMANDS = ("simulate", "kruppa-check", "kruppa-dim", "reconstruct-points",
-            "reconstruct-dual", "reconstruct-chow", "classify-motion",
-            "consistency-tables")
 
 # classification labels expected for each trajectory preset
 EXPECTED_KIND = {"static": "static", "line": "line", "conic": "conic",
                  "cubic": "curve"}
-
-# the root of the library's documented errors: a geometry the command cannot reach
-LIBRARY_ERRORS = (CurvemvgError,)
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +355,9 @@ def _cmd_kruppa_check(cfg: SceneConfig, rng: np.random.Generator, rep: Report, a
     from . import kruppa as kp
     _need(cfg, "kruppa-check", 2, 1)
     cam1, cam2 = cfg.cameras[0], cfg.cameras[1]
-    eg = fundamental(cam1, cam2)
-    worst = 0.0
     instances = [kp.build_instance(curve, cam1, cam2) for curve in cfg.curves]
+    eg = instances[0].eg
+    worst = 0.0
     for ki, (curve, inst) in enumerate(zip(cfg.curves, instances)):
         resid = kp.detection_response(inst, rng=rng)
         rep.metrics[f"curve{ki}_constraint_norm"] = resid
@@ -400,8 +393,8 @@ def _cmd_kruppa_dim(cfg: SceneConfig, rng: np.random.Generator, rep: Report, arg
     from . import kruppa as kp
     _need(cfg, "kruppa-dim", 2, 1)
     cam1, cam2 = cfg.cameras[0], cfg.cameras[1]
-    eg = fundamental(cam1, cam2)
     instances = [kp.build_instance(c, cam1, cam2) for c in cfg.curves]
+    eg = instances[0].eg
     sigma_m = sum(inst.m for inst in instances)
     expected = max(7 - sigma_m, 0)
     rep.metrics["sigma_m"] = sigma_m
@@ -615,7 +608,7 @@ def run(command: str, cfg: SceneConfig, args=None) -> Report:
     every flag takes its parser default.
     """
     if command not in _HANDLERS:
-        raise ConfigError(f"unknown command {command!r}, choose from {COMMANDS}")
+        raise ConfigError(f"unknown command {command!r}, choose from {tuple(_HANDLERS)}")
     if args is None:
         args = _build_parser().parse_args([command])
     rng = np.random.default_rng(cfg.seed)
@@ -634,7 +627,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="curvemvg",
         description="Synthetic multi-view curve geometry workbench")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="scene configuration JSON")
         p.add_argument("--seed", type=int, default=None,
@@ -667,7 +660,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except LIBRARY_ERRORS as err:
+    except CurvemvgError as err:
         print(f"error: {args.command}: {err}", file=sys.stderr)
         return 1
     text = rep.to_json()

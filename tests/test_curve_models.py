@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -353,6 +354,35 @@ def test_image_fitters_sample_once_per_fit(monkeypatch, request, cams, name):
         n = max(2 * form.basis.size, form.basis.size + pad)
         ref, _ = pc.fit_vanishing_form(form.basis, sample(curve, cams[1], cm._sample_thetas(n)))
         assert np.array_equal(form.coeffs, ref.coeffs)
+
+
+# each image fit with the word its held-out refusal names the rows by
+_IMAGE_FITS = {"implicit": (cm.implicit_image_curve, "samples"),
+               "dual": (cm.fit_dual_image_curve, "tangents")}
+
+
+@pytest.mark.parametrize("fit", sorted(_IMAGE_FITS))
+def test_image_fits_refuse_an_ambiguous_form(monkeypatch, cams, cubic, fit):
+    fitter, _ = _IMAGE_FITS[fit]
+    form = pc.fit_vanishing_form
+    monkeypatch.setattr(pc, "fit_vanishing_form", lambda *a: (form(*a)[0], 0.5))
+    with pytest.raises(cm.CurveModelError) as err:
+        fitter(cubic, cams[1])
+    assert str(err.value) == f"{fit} fit is ambiguous (gap 5.00e-01)"
+
+
+@pytest.mark.parametrize("fit", sorted(_IMAGE_FITS))
+def test_image_fits_refuse_a_form_that_misses_the_held_out_rows(monkeypatch, cams, cubic, fit):
+    fitter, held = _IMAGE_FITS[fit]
+    wrong = np.random.default_rng(4).standard_normal
+
+    def unrelated_form(basis, samples):
+        return pc.HomogeneousPolynomial(basis, wrong(basis.size)), 0.0
+
+    monkeypatch.setattr(pc, "fit_vanishing_form", unrelated_form)
+    with pytest.raises(cm.CurveModelError) as err:
+        fitter(cubic, cams[1])
+    assert re.fullmatch(rf"{fit} fit fails held-out {held} \(\d\.\d\de[+-]\d+\)", str(err.value))
 
 
 def test_dual_conic_is_adjugate(cams, conic):

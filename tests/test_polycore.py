@@ -279,13 +279,24 @@ def _thin_svd_matches_the_fit(B):
 
 @pytest.mark.parametrize("n", [15, 21, 35, 56])
 def test_fit_nullspace_keeps_the_thin_svd_bits_about_the_qr_bound(n):
-    # from 11 n // 6 rows on (the bound at which LAPACK's dgesdd factors QR
-    # first) the fit takes the SVD of one QR's R; below it, the thin SVD
+    # from 21 columns and 11 n // 6 rows on (the bound at which LAPACK's
+    # dgesdd factors QR first) the fit takes the SVD of one QR's R; below
+    # either, the thin SVD
     bound = 11 * n // 6
     for m in (bound - 1, bound, bound + 1):
         B = np.random.default_rng((n, m)).standard_normal((3, m, n))
         assert _thin_svd_matches_the_fit(B[0])
         assert _thin_svd_matches_the_fit(B)
+
+
+@pytest.mark.parametrize("shape, qr_calls", [((30, 15), 0), ((120, 21), 1)])
+def test_fit_nullspace_factors_qr_first_only_from_the_column_floor(monkeypatch, shape, qr_calls):
+    # below 21 columns the QR costs more than the thin SVD it shortens
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+    pc.fit_nullspace(np.random.default_rng(3).standard_normal(shape))
+    assert len(calls) == qr_calls
 
 
 _QR_BOUND_CHILD = """

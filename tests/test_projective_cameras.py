@@ -61,34 +61,6 @@ def test_point_line_matrix_kernel():
     assert np.linalg.norm(W @ r.standard_normal(4)) > 1e-6
 
 
-def test_meet_line_plane():
-    r = rng()
-    L = pcam.join_points(r.standard_normal(4), r.standard_normal(4))
-    A = r.standard_normal(4)
-    X = pcam.meet_line_plane(L, A)
-    assert abs(X @ A) < 1e-10
-    assert np.linalg.norm(pcam.point_line_matrix(L) @ X) < 1e-10
-    # a stack gives one meet per line
-    L2 = pcam.join_points(r.standard_normal(4), r.standard_normal(4))
-    X2 = pcam.meet_line_plane(np.stack([L, L2]), A)
-    assert_bit_equal(X2[0], X)
-    assert abs(X2[1] @ A) < 1e-10
-
-
-def test_meet_line_plane_refuses_a_line_inside_the_plane_in_a_stack():
-    # the degeneracy check is row by row: one line of a stack inside the
-    # plane raises, as the single-line call does, instead of meeting at zero
-    r = rng()
-    A = r.standard_normal(4)
-    on_plane = np.linalg.svd(A[None])[2][1:3]       # two points of the plane
-    inside = pcam.join_points(*on_plane)
-    outside = pcam.join_points(r.standard_normal(4), r.standard_normal(4))
-    with pytest.raises(pcam.GeometryError, match="plane contains the line"):
-        pcam.meet_line_plane(inside, A)
-    with pytest.raises(pcam.GeometryError, match="plane contains the line"):
-        pcam.meet_line_plane(np.stack([outside, inside]), A)
-
-
 def test_camera_center_and_ray():
     r = rng()
     cam = Camera(r.standard_normal((3, 4)))
@@ -150,29 +122,6 @@ def test_epipolar_line_through_correspondence(cams):
     X = r.standard_normal(4)
     l2 = eg.F @ (cams[0].M @ X)
     assert abs(l2 @ (cams[1].M @ X)) < 1e-10
-
-
-def test_plane_homography_transfers(cams):
-    r = rng()
-    plane = r.standard_normal(4)
-    H = pcam.homography(cams[0], cams[1], plane)
-    from curvemvg.polycore import proportionality_residual
-    for _ in range(5):
-        # a point on the plane
-        ns = np.linalg.svd(plane[None, :])[2][1:]
-        X = ns.T @ r.standard_normal(3)
-        assert proportionality_residual(H @ (cams[0].M @ X), cams[1].M @ X) < 1e-8
-
-
-def test_plane_homography_maps_epipoles(cams):
-    # any plane avoiding both centers sends e1 to e2: the baseline pierces
-    # the plane in a point whose second image is the epipole
-    from curvemvg.polycore import proportionality_residual
-    r = rng()
-    eg = fundamental(cams[0], cams[1])
-    for _ in range(5):
-        H = pcam.homography(cams[0], cams[1], r.standard_normal(4))
-        assert proportionality_residual(H @ eg.e1, eg.e2) < 1e-9
 
 
 def test_triangulate_round_trip(cams):
@@ -340,8 +289,6 @@ _MALFORMED = {
     "point_line_matrix: 7-vector": lambda: pcam.point_line_matrix(np.ones(7)),
     "line_span_points: 5-vector": lambda: pcam.line_span_points(np.ones(5)),
     "line_span_planes: 5-vector": lambda: pcam.line_span_planes(np.ones(5)),
-    "meet_line_plane: 5-vector line": lambda: pcam.meet_line_plane(np.ones(5), np.ones(4)),
-    "meet_line_plane: 3-vector plane": lambda: pcam.meet_line_plane(_GOOD_LINE, np.ones(3)),
     "PluckerLine: 5-vector": lambda: PluckerLine(np.ones(5)),
 }
 

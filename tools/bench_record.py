@@ -24,12 +24,14 @@ count as failed), its wall time and its summary line under ``tier1``, and
 ``src_lines``, the ``wc -l`` total of ``src/curvemvg/*.py`` in that
 checkout.  A record that is appended to keeps the figures of its first run.
 
-Next to every run, the script times one fixed calibration kernel in a fresh
-interpreter at one BLAS thread: 200 SVDs of one seeded 64 x 64 matrix, as
-CPU milliseconds, stored with the run as ``calibration_ms``.  The host's
-speed moves every figure of a record, so dividing a metric by the
-calibration of its runs lets records of different sessions be scaled to one
-another; the summary prints both sides' calibration medians and their ratio.
+Next to every run, the script times two fixed calibration kernels, each in
+a fresh interpreter at one BLAS thread, as CPU milliseconds stored with the
+run: ``calibration_ms``, 200 SVDs of one seeded 64 x 64 matrix (BLAS-bound),
+and ``calibration_small_ms``, a seeded loop of small-array numpy calls
+(interpreter-bound, the regime of the workloads).  The host's speed moves
+every figure of a record, so dividing a metric by the calibration of its
+runs lets records of different sessions be scaled to one another; the
+summary prints both sides' medians of each kernel and their ratio.
 
 A checkout whose tracked files differ from its commit is recorded as
 ``BENCH_<commit>-worktree.json``: such a record is keyed by its base commit
@@ -144,8 +146,11 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int) -> str:
     return proc.stdout.strip().splitlines()[-1]
 
 
-# the calibration kernel, timed in a fresh interpreter so its BLAS thread count holds
-CALIBRATION = """
+# the calibration kernels by the key each run stores, each timed in a fresh
+# interpreter so its BLAS thread count holds: one BLAS-bound, and one bound by
+# the interpreter's cost per numpy call on arrays of a few rows
+CALIBRATIONS = {
+    "calibration_ms": """
 import time
 import numpy as np
 a = np.random.default_rng(0).standard_normal((64, 64))
@@ -153,24 +158,40 @@ start = time.process_time()
 for _ in range(200):
     np.linalg.svd(a)
 print(1e3 * (time.process_time() - start))
-"""
+""",
+    "calibration_small_ms": """
+import time
+import numpy as np
+rng = np.random.default_rng(0)
+a, b = rng.standard_normal((6, 4)), rng.standard_normal((4, 3))
+start = time.process_time()
+for _ in range(4000):
+    p = a @ b
+    p = p / np.linalg.norm(p, axis=1, keepdims=True)
+    np.linalg.svd(p, compute_uv=False)
+    np.abs(np.concatenate([p, p])).max()
+print(1e3 * (time.process_time() - start))
+""",
+}
 
 
-def calibrate() -> float:
-    """CPU milliseconds of the calibration kernel at one BLAS thread."""
+def calibrate(kernel: str) -> float:
+    """CPU milliseconds of one calibration kernel at one BLAS thread."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", CALIBRATION], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", kernel], env=env, capture_output=True,
                           text=True, check=True, timeout=600)
     return round(float(proc.stdout), 3)
 
 
-def calibration_line(records: dict) -> str:
-    """Both sides' median calibration over the runs that carry one, and their ratio."""
-    med = {name: np.median([run["calibration_ms"] for run in rec["runs"]
-                            if "calibration_ms" in run] or [np.nan])
-           for name, rec in records.items()}
-    return (f"calibration: parent {med['parent']:.1f} ms, change {med['change']:.1f} ms, "
-            f"change/parent {med['change'] / med['parent']:.3f}")
+def calibration_lines(records: dict) -> list[str]:
+    """Per kernel, both sides' median over the runs that carry it, and their ratio."""
+    lines = []
+    for key in CALIBRATIONS:
+        med = {name: np.median([run[key] for run in rec["runs"] if key in run] or [np.nan])
+               for name, rec in records.items()}
+        lines.append(f"{key}: parent {med['parent']:.1f} ms, change {med['change']:.1f} ms, "
+                     f"change/parent {med['change'] / med['parent']:.3f}")
+    return lines
 
 
 def summarize(records: dict, workload: str, trace: int, bench: dict) -> list[str]:
@@ -239,15 +260,14 @@ def main(argv=None) -> int:
             line = run_once(checkout, args.workload, seed, args.trace)
             rec["runs"].append({"workload": args.workload, "seed": seed, "trace": args.trace,
                                 "side": name, "first_in_pair": place == 0, "line": line,
-                                "calibration_ms": calibrate()})
+                                **{key: calibrate(kernel) for key, kernel in CALIBRATIONS.items()}})
             print(f"{args.workload} seed {seed} {name}: {line}", file=sys.stderr)
         for _, path, rec in sides.values():
             path.write_text(json.dumps(rec, indent=1) + "\n")
     bench = json.loads((args.change.resolve() / "BENCHMARK.json").read_text())
     records = {name: rec for name, (_, _, rec) in sides.items()}
-    for line in summarize(records, args.workload, args.trace, bench):
+    for line in summarize(records, args.workload, args.trace, bench) + calibration_lines(records):
         print(line)
-    print(calibration_line(records))
     return 0
 
 
