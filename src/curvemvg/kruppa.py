@@ -51,6 +51,8 @@ class KruppaInstance:
             raise KruppaError("the two dual forms must share their degree")
         if self.phi1.degree < 2:
             raise KruppaError("class must be at least 2")
+        if not (np.isfinite(self.phi1.coeffs).all() and np.isfinite(self.phi2.coeffs).all()):
+            raise KruppaError("dual forms have non-finite coefficients")
 
     @property
     def m(self) -> int:
@@ -91,7 +93,7 @@ def _restricted_pair(phi1, phi2, e1, F, probe):
     G = cross_matrix(e1)
     u = pc.restrict_to_line(phi2, np.asarray(F) @ a, np.asarray(F) @ b).coeffs
     v = pc.restrict_to_line(phi1, G @ a, G @ b).coeffs
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    nu, nv = np.sqrt(u @ u), np.sqrt(v @ v)
     if nu <= 1e-13 or nv <= 1e-13:
         raise KruppaError("probe line degenerates both restricted forms")
     return u, v, nu * nv, int(np.argmax(np.abs(u) + np.abs(v)))
@@ -215,17 +217,16 @@ def epipolar_chart(eg: EpipolarGeometry):
     S_dirs = [q[:, k].reshape(2, 2) for k in range(1, 4)]
 
     def chart(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        theta = np.asarray(theta, dtype=float)
         e1 = e1_0 + theta[0] * v1 + theta[1] * v2
-        e1 = e1 / np.linalg.norm(e1)
+        e1 = e1 / np.sqrt(e1 @ e1)
         e2 = e2_0 + theta[2] * u1 + theta[3] * u2
-        e2 = e2 / np.linalg.norm(e2)
+        e2 = e2 / np.sqrt(e2 @ e2)
         # bases of the perpendicular planes, smooth near theta = 0
         V = _complete_basis(e1, v1, v2)
         W = _complete_basis(e2, u1, u2)
         S = S0 + theta[4] * S_dirs[0] + theta[5] * S_dirs[1] + theta[6] * S_dirs[2]
         F = W @ S @ V.T
-        return e1, F / np.linalg.norm(F)
+        return e1, F / np.sqrt(F.ravel() @ F.ravel())
 
     return chart
 
@@ -233,9 +234,9 @@ def epipolar_chart(eg: EpipolarGeometry):
 def _complete_basis(e: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # orthonormal basis of the plane orthogonal to e, seeded by a, b
     x = a - (a @ e) * e
-    x = x / np.linalg.norm(x)
+    x = x / np.sqrt(x @ x)
     y = b - (b @ e) * e - (b @ x) * x
-    y = y / np.linalg.norm(y)
+    y = y / np.sqrt(y @ y)
     return np.column_stack([x, y])
 
 
@@ -247,7 +248,8 @@ def _constraint_map(instances, eg: EpipolarGeometry, rng: np.random.Generator,
     at ``eg``, so the map is smooth in the chart parameters.  Constraints
     from a single probe line have a badly conditioned differential even when
     the variety is cut transversally, so rank and descent work draws at
-    least two lines per instance.  Returns the chart and the map.
+    least two lines per instance.  Returns the chart and the map, whose
+    norms are sqrt(x . x) so that it takes complex chart points.
     """
     terms = []  # (instance, probe, pivot)
     for inst in instances:
@@ -265,10 +267,10 @@ def _constraint_map(instances, eg: EpipolarGeometry, rng: np.random.Generator,
     return chart, func
 
 
-def _central_jacobian(func, theta: np.ndarray, step: float) -> np.ndarray:
-    # central differences along each chart axis, one column per axis
-    return np.stack([(func(theta + d) - func(theta - d)) / (2 * step)
-                     for d in step * np.eye(7)], axis=1)
+def _jacobian(func, theta: np.ndarray) -> np.ndarray:
+    # the exact differential of the analytic map by the complex step (Squire &
+    # Trapp 1998): column k is Im func(theta + i h e_k) / h, with no cancellation
+    return np.stack([func(theta + d).imag for d in 1e-30j * np.eye(7)], axis=1) / 1e-30
 
 
 def solution_dimension(instances, eg_truth: EpipolarGeometry,
@@ -276,7 +278,7 @@ def solution_dimension(instances, eg_truth: EpipolarGeometry,
     """Local dimension of the constraint variety at the true geometry.
 
     Differentiates the stacked constraints of two probe lines per curve
-    through the 7-chart by central differences (step 1e-6) and reads off 7
+    through the 7-chart exactly, by the complex step, and reads off 7
     minus the numerical rank at :data:`polycore.RANK_TOL`; a singular-value
     gap under 10 at the cut is reported as indeterminate rather than rounded
     to a dimension.  Every probe restriction contains the true variety, so
@@ -288,7 +290,7 @@ def solution_dimension(instances, eg_truth: EpipolarGeometry,
         raise KruppaError("need at least one curve instance")
     rng = np.random.default_rng(1234) if rng is None else rng
     _, func = _constraint_map(instances, eg_truth, rng, 2)
-    rank, gap = pc.numerical_rank(_central_jacobian(func, np.zeros(7), 1e-6))
+    rank, gap = pc.numerical_rank(_jacobian(func, np.zeros(7)))
     if gap < 10.0:
         raise KruppaError(
             f"rank of the constraint Jacobian is indeterminate (gap {gap:.2f})")
@@ -305,11 +307,11 @@ def refine_epipolar(eg_init: EpipolarGeometry, instances,
                     rng: np.random.Generator | None = None) -> RefineResult:
     """Gauss-Newton descent of the stacked constraints over the 7-chart.
 
-    Draws three probe lines per curve and takes at most 60 damped steps,
-    stopping once the residual norm is below 1e-9.  Returns the refined
-    geometry with the final residual norm; a residual plateau above 1e-6
-    raises, since that means the initial geometry is not in the attraction
-    basin of any solution.
+    Draws three probe lines per curve and takes at most 60 damped steps on
+    the exact (complex-step) Jacobian, stopping once the residual norm is
+    below 1e-9.  Returns the refined geometry with the final residual norm;
+    a residual plateau above 1e-6 raises, since that means the initial
+    geometry is not in the attraction basin of any solution.
     """
     instances = list(instances)
     rng = np.random.default_rng(99) if rng is None else rng
@@ -321,7 +323,7 @@ def refine_epipolar(eg_init: EpipolarGeometry, instances,
     for _ in range(60):
         if np.sqrt(cost) < 1e-9:
             break
-        J = _central_jacobian(func, theta, 1e-7)
+        J = _jacobian(func, theta)
         improved = False
         for _ in range(25):
             H = J.T @ J + lam * np.eye(7)

@@ -293,6 +293,8 @@ def proportionality_residual(p, q) -> float:
     """Largest normalized cross-difference of two vectors (0 iff parallel over C)."""
     p = np.asarray(p).ravel()
     q = np.asarray(q).ravel()
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise PolynomialError("residual undefined for non-finite vectors")
     np_, nq = np.linalg.norm(p), np.linalg.norm(q)
     if np_ == 0.0 or nq == 0.0:
         raise PolynomialError("residual undefined for zero vectors")
@@ -531,7 +533,10 @@ def numerical_rank(matrix, rel_tol: float = RANK_TOL) -> tuple[int, float]:
     smooth decay and the rank should not be trusted; the caller picks the
     floor.
     """
-    s = np.linalg.svd(np.asarray(matrix), compute_uv=False)
+    matrix = np.asarray(matrix)
+    if not np.isfinite(matrix).all():
+        raise PolynomialError("rank undefined for a matrix with non-finite entries")
+    s = np.linalg.svd(matrix, compute_uv=False)
     rank = int(_rank_at(s, rel_tol))
     if rank == 0:
         return 0, np.inf

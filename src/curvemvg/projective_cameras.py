@@ -267,9 +267,10 @@ class EpipolarGeometry:
     e2: np.ndarray
 
     def __post_init__(self):
-        F = np.asarray(self.F, dtype=float)
+        F = _finite(self.F, "fundamental matrix")
         if F.shape != (3, 3):
             raise GeometryError("fundamental matrices are 3x3")
+        e1, e2 = _finite(self.e1, "epipole"), _finite(self.e2, "epipole")
         if np.linalg.norm(F) == 0.0:
             raise GeometryError("fundamental matrix must be nonzero")
         F = F / np.linalg.norm(F)
@@ -279,8 +280,7 @@ class EpipolarGeometry:
         if s[2] > 1e-7 * s[0]:
             raise GeometryError(
                 f"fundamental matrix must be singular (sigma3/sigma1 = {s[2]/s[0]:.2e})")
-        e1 = sign_normalize(np.asarray(self.e1, dtype=float))
-        e2 = sign_normalize(np.asarray(self.e2, dtype=float))
+        e1, e2 = sign_normalize(e1), sign_normalize(e2)
         if np.linalg.norm(F @ e1) > 1e-7 or np.linalg.norm(F.T @ e2) > 1e-7:
             raise GeometryError("epipoles must span the kernels of F")
         object.__setattr__(self, "F", F)
@@ -290,10 +290,17 @@ class EpipolarGeometry:
     @classmethod
     def from_F(cls, F) -> "EpipolarGeometry":
         """Project a near-rank-2 matrix onto the epipolar manifold."""
-        F = np.asarray(F, dtype=float)
-        U, s, Vt = np.linalg.svd(F)
+        U, s, Vt = np.linalg.svd(_finite(F, "fundamental matrix"))
         F2 = (U * np.array([s[0], s[1], 0.0])) @ Vt
         return cls(F2 / np.linalg.norm(F2), Vt[-1], U[:, -1])
+
+
+def _finite(x, what: str) -> np.ndarray:
+    # the epipolar geometry's entry check: a float array without NaN or inf
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise GeometryError(f"{what} has non-finite entries")
+    return x
 
 
 def fundamental(cam1: Camera, cam2: Camera) -> EpipolarGeometry:

@@ -164,3 +164,75 @@ def test_instance_rejects_mismatched_degrees(instances):
     b = instances["cubic"]
     with pytest.raises(kp.KruppaError):
         kp.KruppaInstance(a.phi1, b.phi2, a.eg)
+
+
+@pytest.fixture(scope="module")
+def rungs(pair, quintic):
+    # a conic, a twisted cubic, the two together and a rational quartic, whose
+    # class sums stay under the chart's 7 dimensions; then the quintic, over them
+    conic, cubic = preset_curve("conic", 3), preset_curve("twisted_cubic", 5)
+    ladder = [[conic], [cubic], [conic, cubic], [preset_curve("rational_quartic", 3)],
+              [quintic]]
+    return [[kp.build_instance(c, *pair) for c in curves] for curves in ladder]
+
+
+@pytest.mark.parametrize("probe_seed", range(4))
+def test_constraint_jacobian_drops_its_null_directions_to_rounding(rungs, probe_seed):
+    # the complex-step Jacobian is exact, so the singular value just past
+    # the codimension sum(m) sits at rounding level; central differences left
+    # it at 1e-11 to 8e-10 of the largest
+    for instances in rungs[:-1]:
+        _, func = kp._constraint_map(instances, instances[0].eg,
+                                     np.random.default_rng(probe_seed), 2)
+        s = np.linalg.svd(kp._jacobian(func, np.zeros(7)), compute_uv=False)
+        assert s[sum(i.m for i in instances)] <= 1e-12 * s[0], len(instances)
+
+
+@pytest.mark.parametrize("probe_seed", range(4))
+def test_constraint_jacobian_agrees_with_differences_of_the_real_map(rungs, probe_seed):
+    # the complex step differentiates only an analytic map: a norm that takes
+    # |x| instead of sqrt(x . x) in the chart or the restriction drops the
+    # imaginary part.  At the truth the constraints vanish and each norm is
+    # stationary, so the map is also differentiated off the truth
+    off_truth = 1e-2 * np.random.default_rng(100 + probe_seed).standard_normal(7)
+    h = 1e-6
+    for instances in rungs:
+        _, func = kp._constraint_map(instances, instances[0].eg,
+                                     np.random.default_rng(probe_seed), 2)
+        for theta in (np.zeros(7), off_truth):
+            J = kp._jacobian(func, theta)
+            J_diff = np.stack([(func(theta + d) - func(theta - d)) / (2 * h)
+                               for d in h * np.eye(7)], axis=1)
+            assert np.abs(J - J_diff).max() <= 1e-6 * np.abs(J).max(), len(instances)
+
+
+def test_constraint_map_takes_one_evaluation_per_chart_axis(cams, conic):
+    # one complex evaluation per column, where central differences took two
+    instances = [kp.build_instance(conic, cams[0], cams[1])]
+    _, func = kp._constraint_map(instances, instances[0].eg, np.random.default_rng(0), 2)
+    calls = []
+    J = kp._jacobian(lambda t: calls.append(t) or func(t), np.zeros(7))
+    assert len(calls) == 7 and J.shape == (2 * instances[0].m, 7)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_instance_rejects_a_non_finite_dual_form(instances, bad):
+    # a NaN dual form used to pass: detection_response read max(0.0, nan) = 0.0
+    a = instances["cubic"]
+    coeffs = a.phi2.coeffs.copy()
+    coeffs[2] = bad
+    phi2 = pc.HomogeneousPolynomial(a.phi2.basis, coeffs)
+    with pytest.raises(kp.KruppaError, match="non-finite"):
+        kp.KruppaInstance(a.phi1, phi2, a.eg)
+    with pytest.raises(kp.KruppaError, match="non-finite"):
+        kp.KruppaInstance(phi2, a.phi1, a.eg)
+
+
+def test_classical_residual_refuses_a_nan_conic(pair, conic):
+    # the proportionality residual of a NaN matrix used to read nan
+    eg = fundamental(*pair)
+    C = pc.quadratic_matrix(implicit_image_curve(conic, pair[0]).f)
+    C_bad = C.copy()
+    C_bad[1, 2] = C_bad[2, 1] = np.nan
+    with pytest.raises(pc.PolynomialError, match="non-finite"):
+        kp.classical_kruppa_residual(eg, C_bad, C)

@@ -429,6 +429,25 @@ def test_proportionality_residual():
     assert pc.proportionality_residual(p, np.array([1.0, 2.0, 4.0])) > 1e-2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_numerical_rank_refuses_a_non_finite_entry(bad):
+    # numpy's SVD used to raise LinAlgError: "SVD did not converge"
+    A = np.diag([1.0, 0.5, 1e-12])
+    A[0, 2] = bad
+    with pytest.raises(pc.PolynomialError, match="non-finite"):
+        pc.numerical_rank(A)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_proportionality_residual_refuses_a_non_finite_entry(bad):
+    # a NaN used to come back as the residual itself
+    p = np.array([1.0, 2.0, 3.0])
+    with pytest.raises(pc.PolynomialError, match="non-finite"):
+        pc.proportionality_residual(p, np.array([1.0, bad, 3.0]))
+    with pytest.raises(pc.PolynomialError, match="non-finite"):
+        pc.proportionality_residual(np.array([bad, 2.0, 3.0]), p)
+
+
 def test_proportionality_residual_accepts_a_complex_ratio():
     rng = np.random.default_rng(9)
     p = rng.standard_normal(4) + 1j * rng.standard_normal(4)

@@ -107,6 +107,21 @@ def test_fundamental_rank_and_epipoles(cams):
         assert np.linalg.norm(eg.e2 @ eg.F) < 1e-10
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", ["F", "e1", "e2", "from_F"])
+def test_epipolar_geometry_rejects_non_finite_entries(cams, entry, bad):
+    # a NaN or an inf in F reached numpy's SVD as LinAlgError, and a NaN
+    # epipole was kept: its kernel check read nan > 1e-7 as False
+    eg = fundamental(cams[0], cams[1])
+    F, e1, e2 = eg.F.copy(), eg.e1.copy(), eg.e2.copy()
+    {"F": F, "e1": e1, "e2": e2, "from_F": F}[entry][1] = bad
+    with pytest.raises(pcam.GeometryError, match="non-finite"):
+        if entry == "from_F":
+            EpipolarGeometry.from_F(F)
+        else:
+            EpipolarGeometry(F, e1, e2)
+
+
 def test_fundamental_matches_point_correspondences(cams):
     r = rng()
     eg = fundamental(cams[0], cams[1])

@@ -206,6 +206,29 @@ def test_kruppa_check_builds_each_instance_once(monkeypatch):
     assert "perturbation_detected" in rep.verdicts
 
 
+def test_kruppa_check_fails_detection_when_every_perturbed_probe_raises(monkeypatch):
+    # the responses at the truth are read; every one away from it raises, so
+    # no curve has a perturbed figure and nothing was detected (a clamp used
+    # to record 1e6 and pass the verdict)
+    truth = []
+    build, respond = kp.build_instance, kp.detection_response
+    monkeypatch.setattr(kp, "build_instance", lambda *a: truth.append(build(*a)) or truth[-1])
+
+    def refuse_off_truth(inst, rng=None):
+        if any(inst is t for t in truth):
+            return respond(inst, rng=rng)
+        raise kp.KruppaError("no usable probe line found")
+
+    monkeypatch.setattr(kp, "detection_response", refuse_off_truth)
+    cfg = sc.load_config(str(CONFIGS / "kruppa_trio.json"), noise_override=1e-3)
+    rep = sc.run("kruppa-check", cfg)
+    assert rep.verdicts["constraints_vanish"]
+    assert rep.verdicts["perturbation_detected"] is False
+    assert not [k for k in rep.metrics if k.endswith("_perturbed_min")]
+    assert len(rep.notes) == 3 * len(cfg.curves)
+    assert all("perturbed probe: no usable probe line found" in n for n in rep.notes)
+
+
 def test_main_exit_two_on_config_errors(tmp_path, capsys):
     assert sc.main(["simulate"]) == 2
     bad = tmp_path / "bad.json"
@@ -481,6 +504,18 @@ def test_reconstruct_chow_digest_ignores_the_blas_thread_count():
     # the stacked Chow fit reads one whitened SVD of all the views' rays
     _assert_digest_ignores_the_blas_thread_count(
         "reconstruct-chow --config chow_cubic.json", "chow_cubic.json")
+
+
+def test_kruppa_dim_digest_ignores_the_blas_thread_count():
+    # the constraint Jacobian's rank is read from one SVD of its seven columns
+    _assert_digest_ignores_the_blas_thread_count(
+        "kruppa-dim --config conic_pair.json", "conic_pair.json")
+
+
+def test_kruppa_check_digest_ignores_the_blas_thread_count():
+    # the detection responses and the classical residuals of all three curves
+    _assert_digest_ignores_the_blas_thread_count(
+        "kruppa-check --config kruppa_trio.json --noise 1e-3", "kruppa_trio.json")
 
 
 def test_simulate_digest_ignores_the_blas_thread_count():
