@@ -46,12 +46,14 @@ def _check_dg(d: int, g: int):
 
 
 @lru_cache(maxsize=None)
-def _exponent_tables(degree: int) -> np.ndarray:
-    # read-only rows d..0 (powers of t) and 0..d (of s); contiguous, since a
-    # reversed view sends numpy to a strided pow loop that rounds differently
-    table = np.array([np.arange(degree, -1, -1), np.arange(degree + 1)])
-    table.setflags(write=False)
-    return table
+def _exponent_tables(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    # read-only exponents d..0 (powers of t) and 0..d (of s); contiguous, since a
+    # reversed view sends numpy to a strided pow loop that rounds differently.
+    # A pair, since unpacking the rows of one array builds two views on every call
+    down, up = np.arange(degree, -1, -1), np.arange(degree + 1)
+    down.setflags(write=False)
+    up.setflags(write=False)
+    return down, up
 
 
 def _binary_monomials(theta: float | np.ndarray, degree: int) -> np.ndarray:
@@ -60,7 +62,7 @@ def _binary_monomials(theta: float | np.ndarray, degree: int) -> np.ndarray:
 
 
 def _angles(thetas) -> np.ndarray:
-    return np.atleast_1d(np.asarray(thetas, dtype=float))
+    return np.asarray(thetas, dtype=float).reshape(-1)
 
 
 def _form_rows(mono: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -288,12 +290,14 @@ def image_tangents(curve: RationalCurve3D, cam: Camera, thetas) -> np.ndarray:
     is taken row by row, so a parameter's row does not depend on the others
     asked for with it.  A parameter whose tangent line meets the camera
     center (the center on the tangent, or a curve point at the center) raises.
+    The center test and the unit scaling read one pass of squared row norms.
     """
     L = curve.tangent_lines(thetas)
     l = _map_rows(cam.line_matrix, L)
-    if (np.vecdot(l, l) <= 1e-20 * np.vecdot(L, L)).any():
+    sq = (l * l).sum(axis=1)
+    if (sq <= 1e-20 * np.vecdot(L, L)).any():
         raise GeometryError("the tangent line meets the camera center at this parameter")
-    return pc.sign_normalize_rows(l)
+    return pc._signed_rows(l / np.sqrt(sq)[:, None])
 
 
 def image_tangent(curve: RationalCurve3D, cam: Camera, theta: float) -> np.ndarray:

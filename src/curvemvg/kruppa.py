@@ -142,6 +142,8 @@ def classical_kruppa_residual(eg: EpipolarGeometry, C1, C2) -> float:
     C2 = np.asarray(C2, dtype=float)
     if C1.shape != (3, 3) or C2.shape != (3, 3):
         raise KruppaError("conic matrices are 3x3")
+    if not (np.isfinite(C1).all() and np.isfinite(C2).all()):
+        raise pc.PolynomialError("residual undefined for non-finite conic matrices")
     G = cross_matrix(eg.e1)
     lhs = G.T @ adjugate3(C1) @ G
     rhs = eg.F.T @ adjugate3(C2) @ eg.F

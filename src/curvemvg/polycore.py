@@ -582,12 +582,17 @@ def sign_normalize_rows(X: np.ndarray) -> np.ndarray:
     if (norms == 0.0).any():
         raise PolynomialError("cannot normalize the zero vector")
     X = X / norms[:, None]
-    rows = np.arange(len(X))
-    if cplx:
-        lead = X[rows, np.abs(X).argmax(axis=1)]
-        X = X / (lead / np.abs(lead))[:, None]
-        return np.where((np.abs(X.imag) < 1e-12).all(axis=1)[:, None], X.real, X)
-    lead = X[rows, (np.abs(X) > 1e-12).argmax(axis=1)]
+    if not cplx:
+        return _signed_rows(X)
+    lead = X[np.arange(len(X)), np.abs(X).argmax(axis=1)]
+    X = X / (lead / np.abs(lead))[:, None]
+    return np.where((np.abs(X.imag) < 1e-12).all(axis=1)[:, None], X.real, X)
+
+
+def _signed_rows(X: np.ndarray) -> np.ndarray:
+    # the real sign rule of sign_normalize_rows on rows already at unit norm:
+    # a row whose first coordinate above 1e-12 in magnitude is negative is negated
+    lead = X[np.arange(len(X)), (np.abs(X) > 1e-12).argmax(axis=1)]
     return np.where(lead[:, None] < 0.0, -X, X)
 
 

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polycore as pc
-from .curve_models import RationalCurve3D, preset_curve
-from .projective_cameras import Camera, _map_rows, join_points, point_line_matrix, posed_matrices
+from .curve_models import CurveModelError, RationalCurve3D, preset_curve
+from .projective_cameras import (Camera, GeometryError, _map_rows, join_points, point_line_matrix,
+                                 posed_matrices)
 
 
 def _cross3(u, v) -> np.ndarray:
@@ -35,7 +36,7 @@ def look_at_rotation(position, target, up) -> np.ndarray:
     x = _cross3(np.asarray(up, dtype=float), z)
     xn = pc._norms(x)
     if np.any(xn < 1e-8):
-        raise ValueError("up direction is parallel to the viewing axis")
+        raise GeometryError("up direction is parallel to the viewing axis")
     x = x / xn
     return np.stack([x, _cross3(z, x), z], axis=-2)
 
@@ -146,7 +147,7 @@ def make_trajectory(kind: str, rng: np.random.Generator) -> Trajectory:
         return Trajectory("conic", preset_curve("conic", int(rng.integers(2**31))))
     if kind == "cubic":
         return Trajectory("cubic", preset_curve("twisted_cubic", int(rng.integers(2**31))))
-    raise ValueError(f"unknown trajectory kind {kind!r}")
+    raise CurveModelError(f"unknown trajectory kind {kind!r}")
 
 
 @dataclass

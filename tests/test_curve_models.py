@@ -180,7 +180,7 @@ def test_image_tangents_are_bit_equal_to_the_power_tensor_formula(request, cams,
     for cam in cams[:4]:
         batch = cm.image_tangents(curve, cam, ths)
         assert np.array_equal(batch, _tangents_by_the_power_tensor(curve, cam, ths))
-        for th, row in zip(ths[::7], batch[::7]):
+        for th, row in zip(ths, batch):
             assert np.array_equal(cm.image_tangent(curve, cam, th), row)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -228,11 +230,15 @@ def test_instance_rejects_a_non_finite_dual_form(instances, bad):
         kp.KruppaInstance(phi2, a.phi1, a.eg)
 
 
-def test_classical_residual_refuses_a_nan_conic(pair, conic):
-    # the proportionality residual of a NaN matrix used to read nan
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_classical_residual_refuses_a_nan_conic(pair, conic, bad):
+    # a NaN or inf conic on either side is refused before adjugate3 can warn
     eg = fundamental(*pair)
     C = pc.quadratic_matrix(implicit_image_curve(conic, pair[0]).f)
     C_bad = C.copy()
-    C_bad[1, 2] = C_bad[2, 1] = np.nan
-    with pytest.raises(pc.PolynomialError, match="non-finite"):
-        kp.classical_kruppa_residual(eg, C_bad, C)
+    C_bad[1, 2] = C_bad[2, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for C1, C2 in ((C_bad, C), (C, C_bad)):
+            with pytest.raises(pc.PolynomialError, match="non-finite"):
+                kp.classical_kruppa_residual(eg, C1, C2)

@@ -4,10 +4,12 @@ import itertools
 import numpy as np
 import pytest
 
+from curvemvg import CurvemvgError
 from curvemvg import polycore as pc
 from curvemvg import scenes
-from curvemvg.curve_models import _binary_monomials
-from curvemvg.projective_cameras import _map_rows, join_points, meet_planes, point_line_matrix
+from curvemvg.curve_models import CurveModelError, _binary_monomials
+from curvemvg.projective_cameras import (GeometryError, _map_rows, join_points, meet_planes,
+                                         point_line_matrix)
 
 
 def _reference_missing_lines(points, rng, count, min_gap):
@@ -99,6 +101,18 @@ def test_look_at_rotation_is_a_rotation_through_the_target():
         assert np.allclose(R[2], axis, atol=1e-15)
         assert np.allclose(R[0], np.cross(up, axis) / np.linalg.norm(np.cross(up, axis)),
                            atol=1e-15)
+
+
+def test_look_at_rotation_refuses_an_up_along_the_axis():
+    with pytest.raises(CurvemvgError) as err:
+        scenes.look_at_rotation([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 2.0])
+    assert err.type is GeometryError
+
+
+def test_make_trajectory_refuses_an_unknown_kind():
+    with pytest.raises(CurvemvgError) as err:
+        scenes.make_trajectory("spiral", np.random.default_rng(0))
+    assert err.type is CurveModelError
 
 
 def _reference_camera(M):

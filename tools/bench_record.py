@@ -49,7 +49,10 @@ sides' quartile distances and the metric's bound, the last three as
 percentages of the parent's median, as the bound is a fraction of it.  The
 verdict is ``worse`` when the change's median is worse by more than the
 bound, else ``unresolved`` when the quartile distance exceeds the bound (the
-runs spread too widely to tell), else ``within bound``.  A traced run
+runs spread too widely to tell), else ``within bound``.  Each line ends
+with ``gain met`` when the change won at least nine tenths of the pairs and
+its median is better than the parent's by more than the parent's own
+quartile distance, and ``gain not met`` otherwise.  A traced run
 reports the per-layer metrics instead, so with ``--trace 1`` the lines give
 both medians of each per-layer metric of ``BENCHMARK.json``, with no
 verdict.  A last line gives each side's failed and attempted operations.
@@ -217,15 +220,18 @@ def summarize(records: dict, workload: str, trace: int, bench: dict) -> list[str
         med_p, med_c = np.median(parent), np.median(change)
         # every share below is a fraction of the parent's median, as the bound is
         worse = sign * (med_c - med_p) / med_p
-        spread = max(np.subtract(*np.percentile(runs, [75, 25])) / med_p
-                     for runs in (parent, change))
+        spread_p, spread_c = (np.subtract(*np.percentile(runs, [75, 25])) / med_p
+                              for runs in (parent, change))
+        spread = max(spread_p, spread_c)
         verdict = ("worse" if worse > bound else "unresolved" if spread > bound
                    else "within bound")
         way = "worse" if worse > 0 else "better"
+        gain = won >= 0.9 * len(seeds) and -worse > spread_p
         lines.append(f"{workload} {name} ({metric['better']} is better): {verdict}; "
                      f"median {med_p:.4g} -> {med_c:.4g} {metric['unit']} "
                      f"({100.0 * abs(worse):.1f}% {way}), change won {won}/{len(seeds)} pairs, "
-                     f"quartile distance {100.0 * spread:.1f}%, bound {100.0 * bound:.0f}%")
+                     f"quartile distance {100.0 * spread:.1f}%, bound {100.0 * bound:.0f}%; "
+                     f"gain {'met' if gain else 'not met'}")
     ops = {side: [sum(results[side][s][key] for s in seeds) for key in ("failed", "attempted")]
            for side in ("parent", "change")}
     lines.append(f"{workload} failed operations: parent {ops['parent'][0]}/{ops['parent'][1]}, "
