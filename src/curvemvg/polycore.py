@@ -558,12 +558,7 @@ def sign_normalize(v: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(v)
     if n == 0.0:
         raise PolynomialError("cannot normalize the zero vector")
-    v = v / n
-    significant = np.abs(v) > 1e-12
-    if not np.any(significant):
-        return v
-    lead = v[np.argmax(significant)]
-    return -v if lead < 0 else v
+    return _signed_rows((v / n)[None])[0]
 
 
 def sign_normalize_rows(X: np.ndarray) -> np.ndarray:
@@ -590,7 +585,7 @@ def sign_normalize_rows(X: np.ndarray) -> np.ndarray:
 
 
 def _signed_rows(X: np.ndarray) -> np.ndarray:
-    # the real sign rule of sign_normalize_rows on rows already at unit norm:
+    # the real sign rule of sign_normalize and sign_normalize_rows on unit rows:
     # a row whose first coordinate above 1e-12 in magnitude is negative is negated
     lead = X[np.arange(len(X)), (np.abs(X) > 1e-12).argmax(axis=1)]
     return np.where(lead[:, None] < 0.0, -X, X)

@@ -12,8 +12,8 @@ number of measurements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -157,28 +157,43 @@ def _view_ranks(basis, blocks) -> list[int]:
 
 
 def _checked_fit(basis, blocks, nullity: int, what: str, cap: int,
-                 blind_hint) -> tuple[pc.NullspaceFit, list[int]]:
-    """The one rank-checked fit of stacked view blocks, and each view's rank.
+                 blind_hint) -> tuple[pc.NullspaceFit, tuple[np.ndarray, ...]]:
+    """The one rank-checked fit of stacked view blocks, and the blocks held read-only.
 
     The stacked rank must leave exactly ``nullity`` null directions.  Below
     that, :class:`InsufficientViews` names the rank, the per-view ranks
     against their ``cap`` and ``blind_hint(number of views)``, the blind
     family the views leave ("" for none); above it the rows fit no such
-    family of forms, which raises :class:`ReconstructionError`.
+    family of forms, which raises :class:`ReconstructionError`.  Per-view
+    ranks are read only for that message; a fit that passes hands its
+    blocks on, so its ``per_view_ranks`` reads them when asked.
     """
-    ranks = _view_ranks(basis, blocks)
+    if not all(map(len, blocks)):
+        raise pc.PolynomialError("no samples to fit")     # a view without rows has no rank
     fit = pc.whitened_nullspace(basis, np.concatenate(blocks))
     total, needed = fit.rank(), basis.size - nullity
     if total < needed:
         hint = (blind_hint(len(blocks)) or "views are too sparsely sampled; "
                 f"supply at least {cap} {what}s per view")
         raise InsufficientViews(f"stacked {what} equations have rank {total} < {needed} "
-                                f"(per-view ranks {ranks}, caps {cap}; {hint})")
+                                f"(per-view ranks {_view_ranks(basis, blocks)}, caps {cap}; "
+                                f"{hint})")
     if total > needed:
         raise ReconstructionError(
             f"{what} equations have rank {total} > {needed}: "
             f"the {what}s do not all come from one curve at degree {basis.degree}")
-    return fit, ranks
+    held = tuple(b.view() for b in blocks)
+    for b in held:
+        b.setflags(write=False)
+    return fit, held
+
+
+def _evaluate_unit(form: HomogeneousPolynomial, rows, what: str):
+    # the form at each unit-normalized row; a zero or non-finite row raises, as in _lifts
+    norms = pc._norms(rows)
+    if not (np.isfinite(norms).all() and norms.all()):
+        raise ReconstructionError(f"cannot normalize a zero or not finite {what}")
+    return form(rows / norms)
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +216,26 @@ def min_views_dual(m: int) -> int:
 
 @dataclass
 class DualSurface:
-    """Degree-m form on the dual P3 vanishing on tangent planes of the curve."""
+    """Degree-m form on the dual P3 vanishing on tangent planes of the curve.
+
+    ``per_view_ranks`` is read from the held lifted view blocks on first
+    access, one spectra-only call per block shape, and kept.
+    """
 
     Upsilon: HomogeneousPolynomial
     gap: float
-    per_view_ranks: list[int]
+    _view_blocks: tuple[np.ndarray, ...] = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def per_view_ranks(self) -> list[int]:
+        return _view_ranks(self.Upsilon.basis, self._view_blocks)
 
     def __call__(self, plane):
-        """Value at one plane, or at each unit-normalized row of a stack."""
-        return self.Upsilon(plane / pc._norms(plane))
+        """Value at one plane, or at each unit-normalized row of a stack.
+
+        A zero or non-finite plane raises :class:`ReconstructionError`.
+        """
+        return _evaluate_unit(self.Upsilon, plane, "plane")
 
 
 def dual_ambiguity_dim(m: int, k: int) -> int:
@@ -253,9 +279,9 @@ def dual_reconstruct(views: list[tuple[Camera, np.ndarray]], m: int) -> DualSurf
                 f"class {m} needs at least {m + 1} views") if blind else ""
 
     blocks = _lifts(views, lambda cam, lines: _map_rows(cam.M.T, lines), "tangent line")
-    fit, ranks = _checked_fit(enumerate_monomials(4, m), blocks, 1, "tangent",
-                              dual_view_cap(m), blind_hint)
-    return DualSurface(fit.form(), fit.gap(), ranks)
+    fit, held = _checked_fit(enumerate_monomials(4, m), blocks, 1, "tangent",
+                             dual_view_cap(m), blind_hint)
+    return DualSurface(fit.form(), fit.gap(), held)
 
 
 # ---------------------------------------------------------------------------
@@ -332,23 +358,32 @@ class ChowForm:
     """Degree-d form on P5 vanishing on rays that meet the curve.
 
     The representative is the member of its residue class orthogonal to all
-    degree-d multiples of the Grassmann quadric.
+    degree-d multiples of the Grassmann quadric.  ``per_view_ranks`` is
+    read from the held view blocks of rays on first access, one spectra-only
+    call per block shape, and kept; a fit that holds no blocks reads ``[]``.
     """
 
     Gamma: HomogeneousPolynomial
     gap: float
-    per_view_ranks: list[int]
+    _view_blocks: tuple[np.ndarray, ...] = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def per_view_ranks(self) -> list[int]:
+        return _view_ranks(self.Gamma.basis, self._view_blocks)
 
     @property
     def degree(self) -> int:
         return self.Gamma.degree
 
     def __call__(self, line):
-        """Value at one line, or at each unit-normalized row of a stack."""
-        return self.Gamma(line / pc._norms(line))
+        """Value at one line, or at each unit-normalized row of a stack.
+
+        A zero or non-finite line raises :class:`ReconstructionError`.
+        """
+        return _evaluate_unit(self.Gamma, line, "line")
 
 
-def _chow_form(fit: pc.NullspaceFit, d: int, ranks: list[int]) -> ChowForm:
+def _chow_form(fit: pc.NullspaceFit, d: int, held=()) -> ChowForm:
     # the canonical representative: the 1 + C(d+3,5) weakest directions
     # pulled back, minus their part in the degree-d multiples of the quadric
     k = chow_ideal_dim(d)
@@ -358,7 +393,7 @@ def _chow_form(fit: pc.NullspaceFit, d: int, ranks: list[int]) -> ChowForm:
     resid = pulled - (pulled @ ideal.T) @ ideal
     _, _, Vr = np.linalg.svd(resid, full_matrices=False)
     Gamma = HomogeneousPolynomial(enumerate_monomials(6, d), sign_normalize(Vr[0]))
-    return ChowForm(Gamma, fit.gap(k + 1), ranks)
+    return ChowForm(Gamma, fit.gap(k + 1), held)
 
 
 def fit_chow_from_lines(lines: np.ndarray, d: int) -> ChowForm:
@@ -368,10 +403,11 @@ def fit_chow_from_lines(lines: np.ndarray, d: int) -> ChowForm:
     of the Grassmann quadric (those vanish on all lines whatsoever), so the
     fit takes 1 + C(d+3,5) directions and projects out the ideal part to land
     on the canonical representative.  No rank is checked (chow_reconstruct
-    is the checked route) and ``per_view_ranks`` is empty, so callers must
-    validate the fit on held-out lines: a wrong-degree fit evaluates large.
+    is the checked route) and the fit holds no view blocks, so its
+    ``per_view_ranks`` reads ``[]``; callers must validate the fit on
+    held-out lines: a wrong-degree fit evaluates large.
     """
-    return _chow_form(pc.whitened_nullspace(enumerate_monomials(6, d), lines), d, [])
+    return _chow_form(pc.whitened_nullspace(enumerate_monomials(6, d), lines), d)
 
 
 def _fit_chow(blocks: list[np.ndarray], d: int) -> ChowForm:
@@ -382,9 +418,9 @@ def _fit_chow(blocks: list[np.ndarray], d: int) -> ChowForm:
                 f"alpha-planes; degree {d} needs rays from at least {views_for_chow(d)} "
                 "distinct centers") if blind else ""
 
-    fit, ranks = _checked_fit(enumerate_monomials(6, d), blocks, chow_ideal_dim(d) + 1,
-                              "ray", chow_view_cap(d), blind_hint)
-    return _chow_form(fit, d, ranks)
+    fit, held = _checked_fit(enumerate_monomials(6, d), blocks, chow_ideal_dim(d) + 1,
+                             "ray", chow_view_cap(d), blind_hint)
+    return _chow_form(fit, d, held)
 
 
 def chow_reconstruct(views: list[tuple[Camera, np.ndarray]], d: int) -> ChowForm:

@@ -557,7 +557,9 @@ def _parse_range(text: str, what: str) -> range:
             raise ValueError
     except ValueError:
         raise ConfigError(f"{what} must look like '2' or '2..4', got {text!r}") from None
-    if a < 1 or b < a:
+    if a < 2:
+        raise ConfigError(f"{what} range {text!r} must start at 2 or above")
+    if b < a:
         raise ConfigError(f"{what} range {text!r} is empty or out of order")
     return range(a, b + 1)
 

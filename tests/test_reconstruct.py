@@ -282,6 +282,18 @@ def test_dual_reconstruct_refuses_an_empty_view(cams, cubic):
         rc.dual_reconstruct(views, 4)
 
 
+@pytest.mark.parametrize("route", ["dual", "chow"])
+def test_an_empty_view_is_refused_when_the_others_suffice(cams, cubic, route):
+    # the fit passes on the other views, but a view without rows has no rank
+    if route == "dual":
+        views, fit, deg = _tangent_views(cubic, cams[:5], 20), rc.dual_reconstruct, 4
+    else:
+        views, fit, deg = _point_views(cubic, cams, 24), rc.chow_reconstruct, 3
+    views.append((cams[0], np.zeros((0, 3))))
+    with pytest.raises(pc.PolynomialError, match="no samples"):
+        fit(views, deg)
+
+
 @pytest.mark.parametrize("route,value", [("chow", 0.0), ("chow", np.nan), ("chow", np.inf),
                                          ("dual", 0.0), ("dual", np.nan)])
 def test_a_row_with_no_lift_is_named(cams, route, value):
@@ -473,7 +485,8 @@ def test_unenforced_chow_fit_reads_no_ranks():
 def test_stacked_samples_are_expanded_once(monkeypatch, cams, conic, cubic):
     # the stacked rank check and the fit read one decomposition, so each
     # route expands its full stacked sample array exactly once; the per-view
-    # ranks share one more expansion, of every view over its 3-dim span
+    # ranks, read here, share one more expansion, of every view over its
+    # 3-dim span
     calls = []
     expand = pc.monomial_rows
 
@@ -486,9 +499,9 @@ def test_stacked_samples_are_expanded_once(monkeypatch, cams, conic, cubic):
     point_views = _point_views(conic, cams[:5], 16)
     lines = np.concatenate([pts @ cam.ray_matrix.T for cam, pts in point_views])
     for full, total, per_view, route in (
-            (4, 100, 1, lambda: rc.dual_reconstruct(tangent_views, 4)),
-            (6, 80, 1, lambda: rc.chow_reconstruct(point_views, 2)),
-            (6, 80, 0, lambda: rc.fit_chow_from_lines(lines, 2))):
+            (4, 100, 1, lambda: rc.dual_reconstruct(tangent_views, 4).per_view_ranks),
+            (6, 80, 1, lambda: rc.chow_reconstruct(point_views, 2).per_view_ranks),
+            (6, 80, 0, lambda: rc.fit_chow_from_lines(lines, 2).per_view_ranks)):
         calls.clear()
         route()
         assert calls.count((full, total)) == 1
@@ -497,8 +510,9 @@ def test_stacked_samples_are_expanded_once(monkeypatch, cams, conic, cubic):
 
 def test_checked_routes_fit_once_and_read_each_shape_from_one_spectrum(monkeypatch, cams,
                                                                         cubic):
-    # the stacked fit is the only nullspace fit; the per-view ranks take one
-    # spectra-only reader call, and so one SVD without vectors, per block shape
+    # the stacked fit is the only nullspace fit; the per-view ranks, read
+    # here, take one spectra-only reader call, and so one SVD without
+    # vectors, per block shape
     calls = {"fit": 0, "ranks": 0, "spectra": 0}
     fit, ranks, svd = pc.fit_nullspace, pc.whitened_ranks, np.linalg.svd
 
@@ -522,12 +536,62 @@ def test_checked_routes_fit_once_and_read_each_shape_from_one_spectrum(monkeypat
     rays = [cam.rays(pts) for cam, pts in point_views]
     ids = np.repeat(np.arange(len(rays)), [len(r) for r in rays])
     rayset = dy.RaySet(pc.sign_normalize_rows(np.concatenate(rays)), ids, ids, ids)
-    for route in (lambda: rc.dual_reconstruct(tangent_views, 4),
-                  lambda: rc.chow_reconstruct(point_views, 3),
-                  lambda: dy.recover_trajectory_chow(rayset, 3)):
+    for route in (lambda: rc.dual_reconstruct(tangent_views, 4).per_view_ranks,
+                  lambda: rc.chow_reconstruct(point_views, 3).per_view_ranks,
+                  lambda: dy.recover_trajectory_chow(rayset, 3).per_view_ranks):
         calls.update(fit=0, ranks=0, spectra=0)
         route()
         assert calls == {"fit": 1, "ranks": 2, "spectra": 2}
+
+
+def test_per_view_ranks_are_read_only_when_asked(monkeypatch, cams, cubic):
+    # a fit that passes reads no per-view rank until per_view_ranks is read,
+    # then one spectra-only call per block shape, once; a refusal reads them
+    # before it raises, since its message names them
+    calls = []
+    ranks = pc.whitened_ranks
+    monkeypatch.setattr(pc, "whitened_ranks",
+                        lambda *args: calls.append(1) or ranks(*args))
+    # two block shapes per route: the last views carry more rows
+    tangent_views = [(cam, np.concatenate([lines, lines[:4] * 2.0]) if i >= 3 else lines)
+                     for i, (cam, lines) in enumerate(_tangent_views(cubic, cams[:5], 20))]
+    point_views = _point_views(cubic, cams, 24)[:6] + _point_views(cubic, cams[6:], 30)
+    for fit, views, deg, short in ((rc.dual_reconstruct, tangent_views, 4, 4),
+                                   (rc.chow_reconstruct, point_views, 3, 5)):
+        calls.clear()
+        got = fit(views, deg)
+        assert calls == []
+        first = got.per_view_ranks
+        assert len(calls) == 2
+        assert got.per_view_ranks is first
+        assert len(calls) == 2
+        assert all(not b.flags.writeable for b in got._view_blocks)
+        calls.clear()
+        with pytest.raises(rc.InsufficientViews, match=r"per-view ranks \[") as err:
+            fit(views[:short], deg)
+        assert calls
+        assert f"per-view ranks {first[:short]}" in str(err.value)
+
+
+@pytest.mark.parametrize("value", [0.0, np.nan, np.inf])
+@pytest.mark.parametrize("route", ["dual", "chow"])
+def test_fitted_forms_refuse_a_row_with_no_unit_scale(cams, conic, route, value):
+    # a zero or non-finite plane or line raises the documented error, with no
+    # warning before it, alone or as one row of a stack
+    if route == "dual":
+        form = rc.dual_reconstruct(_tangent_views(conic, cams[:3], 12), 2)
+        rows = np.random.default_rng(5).standard_normal((4, 4))
+    else:
+        form = rc.chow_reconstruct(_point_views(conic, cams[:5], 16), 2)
+        rows = join_points(*np.random.default_rng(5).standard_normal((2, 4, 4)))
+    assert np.isfinite(form(rows)).all()
+    rows[2] = 0.0
+    rows[2, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (rows, rows[2]):
+            with pytest.raises(rc.ReconstructionError, match="zero or not finite"):
+                form(bad)
 
 
 def test_unchecked_chow_fit_reports_its_stacked_rank(cams, conic):

@@ -166,7 +166,7 @@ def test_export_samples(tmp_path):
 def test_parse_range():
     assert sc._parse_range("2..4", "--d") == range(2, 5)
     assert sc._parse_range("3", "--d") == range(3, 4)
-    for bad in ("4..2", "0..2", "a..b", "1..2..3"):
+    for bad in ("4..2", "0..2", "1..2", "a..b", "1..2..3"):
         with pytest.raises(sc.ConfigError):
             sc._parse_range(bad, "--d")
 
@@ -364,6 +364,16 @@ def test_main_exit_two_on_negative_seed(tmp_path, capsys):
     assert sc.main(["simulate", "--config", str(cfgp)]) == 2
     captured = capsys.readouterr()
     assert captured.err == "config error: seed must be a non-negative integer, got -3\n"
+
+
+@pytest.mark.parametrize("flag,value", [("--d", "1..2"), ("--m", "1..3"), ("--m", "0..1")])
+def test_main_exit_two_on_a_range_below_two(flag, value, capsys):
+    # degrees and classes start at 2: a range reaching below is a bad flag
+    rc = sc.main(["consistency-tables", flag, value])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"config error: {flag} range {value!r} must start at 2 or above\n"
 
 
 @pytest.mark.parametrize("planes", ["0", "-3"])
