@@ -2,11 +2,14 @@
 
 A curve seen in two views links the unknown (F, e1) through one polynomial
 identity: composing the second dual form with p -> F p must be proportional
-to composing the first dual form with p -> e1 x p.  Restricting both sides
-to a probe line and cross-multiplying coefficients eliminates the unknown
-scale and leaves m scalar conditions per curve, where m is the class of the
-image.  Stacking curves cuts the seven-dimensional manifold of epipolar
-geometries down to the solution set explored here.
+to composing the first dual form with p -> e1 x p.  Both sides depend on p
+only through the epipolar line joining e1 and p, so restricting them to one
+chart of e1's pencil and cross-multiplying coefficients eliminates the
+unknown scale and leaves m scalar conditions per curve, where m is the class
+of the image.  The chart is the orthonormal basis of e1's complement that
+:func:`epipolar_chart` builds, so no probe line is drawn.  Stacking curves
+cuts the seven-dimensional manifold of epipolar geometries down to the
+solution set explored here.
 """
 
 from __future__ import annotations
@@ -68,13 +71,15 @@ def build_instance(curve: RationalCurve3D, cam1: Camera, cam2: Camera) -> Kruppa
 def constraint_vector(phi1: HomogeneousPolynomial, phi2: HomogeneousPolynomial,
                       e1, F, probe: tuple[np.ndarray, np.ndarray],
                       pivot: int | None = None) -> np.ndarray:
-    """Scale-eliminated tangency conditions on one probe line.
+    """Scale-eliminated tangency conditions on one line of points p.
 
     Restricts ``phi2(F p)`` and ``phi1(e1 x p)`` to the line spanned by the
-    probe points and returns the m independent cross-differences against the
-    pivot coefficient (strongest by default), normalized by both coefficient
-    norms.  Callers that difference repeated evaluations should freeze the
-    pivot so the output stays smooth in (e1, F).
+    two probe points and returns the m independent cross-differences against
+    the pivot coefficient (strongest by default), normalized by both
+    coefficient norms.  Any line not through e1 is a chart of e1's pencil and
+    carries the same conditions; the library passes its pencil basis.
+    Callers that difference repeated evaluations should freeze the pivot so
+    the output stays smooth in (e1, F).
     """
     u, v, scale, strongest = _restricted_pair(phi1, phi2, e1, F, probe)
     return _cross_differences(u, v, scale, strongest if pivot is None else pivot)
@@ -87,48 +92,28 @@ def _cross_differences(u, v, scale, k):
 
 
 def _restricted_pair(phi1, phi2, e1, F, probe):
-    # the one probe restriction: phi2(F p) and phi1(e1 x p) on the probe line,
-    # the product of their norms and the strongest coefficient's index
+    # the one restriction: phi2(F p) and phi1(e1 x p) on the line of the
+    # probe points, the product of their norms and the strongest coefficient's index
     a, b = probe
     G = cross_matrix(e1)
     u = pc.restrict_to_line(phi2, np.asarray(F) @ a, np.asarray(F) @ b).coeffs
     v = pc.restrict_to_line(phi1, G @ a, G @ b).coeffs
     nu, nv = np.sqrt(u @ u), np.sqrt(v @ v)
     if nu <= 1e-13 or nv <= 1e-13:
-        raise KruppaError("probe line degenerates both restricted forms")
+        raise KruppaError("the line degenerates a restricted form")
     return u, v, nu * nv, int(np.argmax(np.abs(u) + np.abs(v)))
 
 
-def _usable_probes(inst: KruppaInstance, e1, F, rng: np.random.Generator,
-                   want: int, pool: int) -> list:
-    # the one probe draw: up to ``want`` usable probe lines of ``pool`` drawn,
-    # each with its restricted pair; the draw stops at the ``want``-th
-    found, last = [], None
-    for _ in range(pool):
-        probe = rng.standard_normal(3), rng.standard_normal(3)
-        try:
-            found.append((probe, _restricted_pair(inst.phi1, inst.phi2, e1, F, probe)))
-        except (KruppaError, pc.PolynomialError) as err:
-            last = err
-            continue
-        if len(found) == want:
-            break
-    if not found:
-        raise KruppaError(f"no usable probe line found: {last}")
-    return found
+def detection_response(inst: KruppaInstance) -> float:
+    """Largest tangency condition of one instance on its own epipolar pencil.
 
-
-def detection_response(inst: KruppaInstance, rng: np.random.Generator | None = None) -> float:
-    """Largest constraint magnitude over the first three usable of six probe lines.
-
-    A single probe can land near the kernel of the probe-restricted
-    constraint Jacobian and answer a genuinely wrong geometry with a
-    deceptively small vector; the max over a few probes is the statistic
-    that separates truth (still at fit-noise level) from perturbations.
+    Both dual forms are restricted to the pencil of ``inst.eg`` through the
+    orthonormal basis :func:`epipolar_chart` reads at the geometry itself,
+    so the figure takes no probe line and no seed.  It sits at fit-noise
+    level at the true geometry and grows with the distance to a wrong one.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
-    draws = _usable_probes(inst, inst.eg.e1, inst.eg.F, rng, 3, 6)
-    return max(0.0, *(float(np.abs(_cross_differences(*pair)).max()) for _, pair in draws))
+    e1, F, V = epipolar_chart(inst.eg)(np.zeros(7))
+    return float(np.abs(constraint_vector(inst.phi1, inst.phi2, e1, F, tuple(V.T))).max())
 
 
 def classical_kruppa_residual(eg: EpipolarGeometry, C1, C2) -> float:
@@ -207,7 +192,10 @@ def epipolar_chart(eg: EpipolarGeometry):
 
     Two parameters move each epipole inside its projective chart and three
     move the rank-2 core with both kernels pinned; returns a callable
-    ``theta -> (e1, F)`` with ``theta = 0`` reproducing the input.
+    ``theta -> (e1, F, V)`` with ``theta = 0`` reproducing the input, where
+    the columns of V are an orthonormal basis of e1's complement: the
+    pencil chart, whose points p = V c give every line through e1 once, as
+    e1 x p.
     """
     U, s, Vt = np.linalg.svd(eg.F)
     v1, v2 = Vt[0], Vt[1]
@@ -228,7 +216,7 @@ def epipolar_chart(eg: EpipolarGeometry):
         W = _complete_basis(e2, u1, u2)
         S = S0 + theta[4] * S_dirs[0] + theta[5] * S_dirs[1] + theta[6] * S_dirs[2]
         F = W @ S @ V.T
-        return e1, F / np.sqrt(F.ravel() @ F.ravel())
+        return e1, F / np.sqrt(F.ravel() @ F.ravel()), V
 
     return chart
 
@@ -242,31 +230,25 @@ def _complete_basis(e: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.column_stack([x, y])
 
 
-def _constraint_map(instances, eg: EpipolarGeometry, rng: np.random.Generator,
-                    per_instance: int):
+def _constraint_map(instances, eg: EpipolarGeometry):
     """The stacked constraints of all instances as a map on the 7-chart at ``eg``.
 
-    Each instance gets ``per_instance`` probe lines whose pivots are frozen
-    at ``eg``, so the map is smooth in the chart parameters.  Constraints
-    from a single probe line have a badly conditioned differential even when
-    the variety is cut transversally, so rank and descent work draws at
-    least two lines per instance.  Returns the chart and the map, whose
-    norms are sqrt(x . x) so that it takes complex chart points.
+    Each instance contributes its m conditions on the chart's own pencil
+    basis, with the pivots frozen at ``eg`` so that the map is smooth in the
+    chart parameters.  Its norms are sqrt(x . x), so it takes complex chart
+    points.
     """
-    terms = []  # (instance, probe, pivot)
-    for inst in instances:
-        draws = _usable_probes(inst, eg.e1, eg.F, rng, per_instance, 5 * per_instance)
-        if len(draws) < per_instance:
-            raise KruppaError("not enough usable probe lines for one instance")
-        terms.extend((inst, probe, pair[3]) for probe, pair in draws)
     chart = epipolar_chart(eg)
+    e1, F, V = chart(np.zeros(7))
+    pivots = [_restricted_pair(inst.phi1, inst.phi2, e1, F, tuple(V.T))[3]
+              for inst in instances]
 
     def func(theta: np.ndarray) -> np.ndarray:
-        e1, F = chart(theta)
-        return np.concatenate([constraint_vector(inst.phi1, inst.phi2, e1, F, probe, pivot)
-                               for inst, probe, pivot in terms])
+        e1, F, V = chart(theta)
+        return np.concatenate([constraint_vector(inst.phi1, inst.phi2, e1, F, tuple(V.T), k)
+                               for inst, k in zip(instances, pivots)])
 
-    return chart, func
+    return func
 
 
 def _jacobian(func, theta: np.ndarray) -> np.ndarray:
@@ -275,78 +257,22 @@ def _jacobian(func, theta: np.ndarray) -> np.ndarray:
     return np.stack([func(theta + d).imag for d in 1e-30j * np.eye(7)], axis=1) / 1e-30
 
 
-def solution_dimension(instances, eg_truth: EpipolarGeometry,
-                       rng: np.random.Generator | None = None) -> int:
+def solution_dimension(instances, eg_truth: EpipolarGeometry) -> int:
     """Local dimension of the constraint variety at the true geometry.
 
-    Differentiates the stacked constraints of two probe lines per curve
-    through the 7-chart exactly, by the complex step, and reads off 7
-    minus the numerical rank at :data:`polycore.RANK_TOL`; a singular-value
-    gap under 10 at the cut is reported as indeterminate rather than rounded
-    to a dimension.  Every probe restriction contains the true variety, so
-    stacking several lines per curve tightens conditioning without
-    overshooting the codimension.
+    Differentiates the stacked pencil conditions of every curve through the
+    7-chart exactly, by the complex step, and reads off 7 minus the
+    numerical rank at 1e-10 of the largest singular value; a gap under 10
+    at the cut is reported as indeterminate rather than rounded to a
+    dimension.  The pencil chart carries every condition a probe line
+    would, so the answer depends on no draw.
     """
     instances = list(instances)
     if not instances:
         raise KruppaError("need at least one curve instance")
-    rng = np.random.default_rng(1234) if rng is None else rng
-    _, func = _constraint_map(instances, eg_truth, rng, 2)
-    rank, gap = pc.numerical_rank(_jacobian(func, np.zeros(7)))
+    J = _jacobian(_constraint_map(instances, eg_truth), np.zeros(7))
+    rank, gap = pc.numerical_rank(J, rel_tol=1e-10)
     if gap < 10.0:
         raise KruppaError(
             f"rank of the constraint Jacobian is indeterminate (gap {gap:.2f})")
     return 7 - rank
-
-
-@dataclass
-class RefineResult:
-    eg: EpipolarGeometry
-    residual: float
-
-
-def refine_epipolar(eg_init: EpipolarGeometry, instances,
-                    rng: np.random.Generator | None = None) -> RefineResult:
-    """Gauss-Newton descent of the stacked constraints over the 7-chart.
-
-    Draws three probe lines per curve and takes at most 60 damped steps on
-    the exact (complex-step) Jacobian, stopping once the residual norm is
-    below 1e-9.  Returns the refined geometry with the final residual norm;
-    a residual plateau above 1e-6 raises, since that means the initial
-    geometry is not in the attraction basin of any solution.
-    """
-    instances = list(instances)
-    rng = np.random.default_rng(99) if rng is None else rng
-    chart, func = _constraint_map(instances, eg_init, rng, 3)
-    theta = np.zeros(7)
-    r = func(theta)
-    cost = float(r @ r)
-    lam = 1e-6
-    for _ in range(60):
-        if np.sqrt(cost) < 1e-9:
-            break
-        J = _jacobian(func, theta)
-        improved = False
-        for _ in range(25):
-            H = J.T @ J + lam * np.eye(7)
-            try:
-                delta = np.linalg.solve(H, -J.T @ r)
-            except np.linalg.LinAlgError:
-                lam *= 10
-                continue
-            r_new = func(theta + delta)
-            cost_new = float(r_new @ r_new)
-            if cost_new < cost:
-                theta = theta + delta
-                r, cost = r_new, cost_new
-                lam = max(lam / 5, 1e-12)
-                improved = True
-                break
-            lam *= 10
-        if not improved:
-            break
-    residual = float(np.sqrt(cost))
-    if residual > 1e-6:
-        raise KruppaError(f"refinement stalled at residual {residual:.2e}")
-    e1, F = chart(theta)
-    return RefineResult(EpipolarGeometry.from_F(F), residual)

@@ -139,8 +139,16 @@ def evaluate(p: HomogeneousPolynomial, x):
 
 
 def _norms(v) -> np.ndarray:
-    # np.linalg.norm of each vector along the last axis, as its own dot product
-    return np.sqrt(np.vecdot(v, v))[..., None]
+    # np.linalg.norm of each vector along the last axis, as its own dot product;
+    # a finite row whose squared sum overflows is scaled by its largest entry
+    with np.errstate(over="ignore"):
+        n = np.sqrt(np.vecdot(v, v))[..., None]
+    if not np.isfinite(n).all():
+        rows, flat = np.reshape(v, (-1, np.shape(v)[-1])), n.reshape(-1)
+        for i in np.flatnonzero(~np.isfinite(flat) & np.isfinite(rows).all(axis=1)):
+            top = np.abs(rows[i]).max()
+            flat[i] = top * np.sqrt(np.vecdot(rows[i] / top, rows[i] / top))
+    return n
 
 
 @lru_cache(maxsize=None)

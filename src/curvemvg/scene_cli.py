@@ -3,8 +3,8 @@
 Every command reads one JSON scene configuration, runs a single operation
 chain from the library, and emits a report whose digest is reproducible:
 identical config and seed give a byte-identical report.  All randomness
-(camera draws, probe lines, sampling offsets, noise) flows from one global
-generator seeded once per run.
+(camera draws, test lines, wrong-F draws, sampling offsets, noise) flows
+from one global generator seeded once per run.
 """
 
 from __future__ import annotations
@@ -359,7 +359,7 @@ def _cmd_kruppa_check(cfg: SceneConfig, rng: np.random.Generator, rep: Report, a
     eg = instances[0].eg
     worst = 0.0
     for ki, (curve, inst) in enumerate(zip(cfg.curves, instances)):
-        resid = kp.detection_response(inst, rng=rng)
+        resid = kp.detection_response(inst)
         rep.metrics[f"curve{ki}_constraint_norm"] = resid
         worst = max(worst, resid)
         if inst.m == 2:
@@ -372,7 +372,7 @@ def _cmd_kruppa_check(cfg: SceneConfig, rng: np.random.Generator, rep: Report, a
     rep.verdicts["constraints_vanish"] = worst <= max(1e-9, 10.0 * cfg.noise_sigma)
     if cfg.noise_sigma > 0:
         # the constraints must react to a wrong geometry of the same scale; a
-        # curve whose every perturbed probe raised has no figure and detects nothing
+        # curve whose every wrong-F draw raised has no figure and detects nothing
         detected = True
         for ki, inst in enumerate(instances):
             responses = []
@@ -381,7 +381,7 @@ def _cmd_kruppa_check(cfg: SceneConfig, rng: np.random.Generator, rep: Report, a
                 wrong = kp.KruppaInstance(inst.phi1, inst.phi2,
                                           EpipolarGeometry.from_F(Fp))
                 try:
-                    responses.append(kp.detection_response(wrong, rng=rng))
+                    responses.append(kp.detection_response(wrong))
                 except kp.KruppaError as err:
                     rep.notes.append(f"curve{ki} perturbed probe: {err}")
             if responses:
@@ -401,7 +401,7 @@ def _cmd_kruppa_dim(cfg: SceneConfig, rng: np.random.Generator, rep: Report, arg
     rep.metrics["sigma_m"] = sigma_m
     rep.metrics["dim_expected"] = expected
     try:
-        dim = kp.solution_dimension(instances, eg, rng=rng)
+        dim = kp.solution_dimension(instances, eg)
     except kp.KruppaError as err:
         rep.notes.append(f"solution_dimension: {err}")
         rep.verdicts["dimension_matches"] = False

@@ -5,7 +5,6 @@ import pytest
 
 from curvemvg import kruppa as kp
 from curvemvg import polycore as pc
-from curvemvg import scenes
 from curvemvg.curve_models import implicit_image_curve, preset_curve
 from curvemvg.projective_cameras import (EpipolarGeometry, adjugate3,
                                          cross_matrix, fundamental,
@@ -26,12 +25,13 @@ def instances(pair, conic, cubic, quintic):
 
 
 def test_constraints_vanish_at_truth(instances):
-    rng = np.random.default_rng(7)
     for name, inst in instances.items():
-        [(probe, _)] = kp._usable_probes(inst, inst.eg.e1, inst.eg.F, rng, 1, 5)
-        vec = kp.constraint_vector(inst.phi1, inst.phi2, inst.eg.e1, inst.eg.F, probe)
+        e1, F, V = kp.epipolar_chart(inst.eg)(np.zeros(7))
+        vec = kp.constraint_vector(inst.phi1, inst.phi2, e1, F, tuple(V.T))
         assert np.abs(vec).max() < 1e-9, name
         assert vec.shape == (inst.m,)
+        # the detection statistic is this vector's largest entry, with no draw
+        assert kp.detection_response(inst) == np.abs(vec).max()
 
 
 def _probe_response(inst, eg, rng, n_probes: int = 3) -> float:
@@ -54,6 +54,17 @@ def test_constraints_detect_perturbation(instances):
             egp = EpipolarGeometry.from_F(F)
             low = min(low, _probe_response(inst, egp, rng))
         assert low > 1e-5, name
+
+
+def test_detection_response_reacts_to_a_wrong_geometry(instances):
+    # the pencil chart carries every condition a probe line does, so a
+    # wrong geometry that some probe line sees is seen on the pencil too
+    rng = np.random.default_rng(8)
+    for name, inst in instances.items():
+        for _ in range(5):
+            egp = EpipolarGeometry.from_F(inst.eg.F + 1e-3 * rng.standard_normal((3, 3)))
+            wrong = kp.KruppaInstance(inst.phi1, inst.phi2, egp)
+            assert kp.detection_response(wrong) > 1e-5, name
 
 
 def test_classical_conic_identity(pair, conic, instances):
@@ -82,11 +93,10 @@ def test_solution_dimension_table(cams, conic, cubic, quintic):
         ([cubic, cubic_b], 8, 0),
         ([conic, quintic], 10, 0),
     ]
-    rng = np.random.default_rng(12)
     for curves, sigma_m, want in cases:
         instances = [kp.build_instance(c, cam1, cam2) for c in curves]
         assert sum(i.m for i in instances) == sigma_m
-        dim = kp.solution_dimension(instances, eg, rng=rng)
+        dim = kp.solution_dimension(instances, eg)
         assert dim == want, f"sigma_m={sigma_m}"
 
 
@@ -117,47 +127,20 @@ def test_tangency_points_lie_on_tangent_epipolar_planes(cams, cubic):
             assert abs(plane @ X) < 1e-7
 
 
-def test_refine_epipolar_recovers_truth(cams, cubic):
-    # two cubics give sum m = 8 > 7, so the solution set is zero dimensional
-    # and the refined F must land back on the truth, not just on the variety
-    cam1, cam2 = cams[0], cams[1]
-    eg = fundamental(cam1, cam2)
-    curves = (cubic, preset_curve("twisted_cubic", 13))
-    instances = [kp.build_instance(c, cam1, cam2) for c in curves]
-    rng = np.random.default_rng(15)
-    start = EpipolarGeometry.from_F(eg.F + 1e-4 * rng.standard_normal((3, 3)))
-    result = kp.refine_epipolar(start, instances, rng=rng)
-    assert result.residual < 1e-9
-    assert pc.proportionality_residual(result.eg.F.ravel(), eg.F.ravel()) < 1e-6
-
-
-def test_probe_draw_restricts_each_accepted_probe_once(monkeypatch):
-    # a conic and two twisted cubics, two probes each: six accepted probes of
-    # two dual forms, so the draw restricts as often as one evaluation does
-    ring = scenes.camera_ring(np.random.default_rng(5000), 8)
-    curves = [preset_curve("conic", 11), preset_curve("twisted_cubic", 3),
-              preset_curve("twisted_cubic", 13)]
-    instances = [kp.build_instance(c, ring[0], ring[1]) for c in curves]
-    calls = []
-    restrict = pc.restrict_to_line
-    monkeypatch.setattr(pc, "restrict_to_line", lambda *a: calls.append(a) or restrict(*a))
-    _, func = kp._constraint_map(instances, fundamental(ring[0], ring[1]),
-                                 np.random.default_rng(1234), 2)
-    assert len(calls) == 12
-    func(np.zeros(7))
-    assert len(calls) == 24
-
-
 def test_epipolar_chart_covers_truth(cams):
     eg = fundamental(cams[3], cams[4])
     chart = kp.epipolar_chart(eg)
-    e1, F = chart(np.zeros(7))
+    e1, F, V = chart(np.zeros(7))
     assert pc.proportionality_residual(F.ravel(), eg.F.ravel()) < 1e-12
     assert pc.proportionality_residual(e1, eg.e1) < 1e-12
-    # moving the chart moves the geometry but keeps the epipolar identities
+    # moving the chart moves the geometry but keeps the epipolar identities,
+    # and V stays an orthonormal basis of the pencil chart orthogonal to e1
     theta = 1e-3 * np.ones(7)
-    e1b, Fb = chart(theta)
+    e1b, Fb, Vb = chart(theta)
     assert np.linalg.norm(Fb @ e1b) < 1e-9
+    for basis, e in ((V, e1), (Vb, e1b)):
+        assert np.abs(basis.T @ basis - np.eye(2)).max() < 1e-12
+        assert np.abs(e @ basis).max() < 1e-12
     assert pc.proportionality_residual(Fb.ravel(), eg.F.ravel()) > 1e-5
 
 
@@ -178,29 +161,47 @@ def rungs(pair, quintic):
     return [[kp.build_instance(c, *pair) for c in curves] for curves in ladder]
 
 
-@pytest.mark.parametrize("probe_seed", range(4))
-def test_constraint_jacobian_drops_its_null_directions_to_rounding(rungs, probe_seed):
-    # the complex-step Jacobian is exact, so the singular value just past
-    # the codimension sum(m) sits at rounding level; central differences left
-    # it at 1e-11 to 8e-10 of the largest
-    for instances in rungs[:-1]:
-        _, func = kp._constraint_map(instances, instances[0].eg,
-                                     np.random.default_rng(probe_seed), 2)
-        s = np.linalg.svd(kp._jacobian(func, np.zeros(7)), compute_uv=False)
-        assert s[sum(i.m for i in instances)] <= 1e-12 * s[0], len(instances)
+def _probe_map(instances, eg, probe):
+    # the same conditions on one probe line, another chart of each pencil,
+    # with the pivots frozen at eg as the library freezes its own
+    chart = kp.epipolar_chart(eg)
+    pivots = [kp._restricted_pair(i.phi1, i.phi2, eg.e1, eg.F, probe)[3] for i in instances]
+
+    def func(theta):
+        e1, F, _ = chart(theta)
+        return np.concatenate([kp.constraint_vector(i.phi1, i.phi2, e1, F, probe, k)
+                               for i, k in zip(instances, pivots)])
+
+    return func
 
 
-@pytest.mark.parametrize("probe_seed", range(4))
-def test_constraint_jacobian_agrees_with_differences_of_the_real_map(rungs, probe_seed):
+@pytest.mark.parametrize("rung", range(4))
+def test_constraint_jacobian_drops_its_null_directions_to_rounding(rungs, rung):
+    # a probe line is another chart of each epipolar pencil, so its
+    # conditions add no rank to the pencil map's: stacked, the exact Jacobian
+    # keeps sum(m) singular values and drops the next one to rounding level
+    # (central differences left it at 1e-11 to 8e-10 of the largest)
+    instances = rungs[rung]
+    eg = instances[0].eg
+    probe = tuple(np.random.default_rng(rung).standard_normal((2, 3)))
+    J = np.vstack([kp._jacobian(kp._constraint_map(instances, eg), np.zeros(7)),
+                   kp._jacobian(_probe_map(instances, eg, probe), np.zeros(7))])
+    s = np.linalg.svd(J, compute_uv=False)
+    m = sum(i.m for i in instances)
+    assert s[m - 1] > 1e-9 * s[0] and s[m] <= 1e-12 * s[0], (s[m - 1] / s[0], s[m] / s[0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_constraint_jacobian_agrees_with_differences_of_the_real_map(rungs, seed):
     # the complex step differentiates only an analytic map: a norm that takes
-    # |x| instead of sqrt(x . x) in the chart or the restriction drops the
-    # imaginary part.  At the truth the constraints vanish and each norm is
-    # stationary, so the map is also differentiated off the truth
-    off_truth = 1e-2 * np.random.default_rng(100 + probe_seed).standard_normal(7)
+    # |x| instead of sqrt(x . x) in the chart, its pencil basis or the
+    # restriction drops the imaginary part.  At the truth the constraints
+    # vanish and each norm is stationary, so the map is also differentiated
+    # at a seeded point off the truth
+    off_truth = 1e-2 * np.random.default_rng(100 + seed).standard_normal(7)
     h = 1e-6
     for instances in rungs:
-        _, func = kp._constraint_map(instances, instances[0].eg,
-                                     np.random.default_rng(probe_seed), 2)
+        func = kp._constraint_map(instances, instances[0].eg)
         for theta in (np.zeros(7), off_truth):
             J = kp._jacobian(func, theta)
             J_diff = np.stack([(func(theta + d) - func(theta - d)) / (2 * h)
@@ -211,10 +212,10 @@ def test_constraint_jacobian_agrees_with_differences_of_the_real_map(rungs, prob
 def test_constraint_map_takes_one_evaluation_per_chart_axis(cams, conic):
     # one complex evaluation per column, where central differences took two
     instances = [kp.build_instance(conic, cams[0], cams[1])]
-    _, func = kp._constraint_map(instances, instances[0].eg, np.random.default_rng(0), 2)
+    func = kp._constraint_map(instances, instances[0].eg)
     calls = []
     J = kp._jacobian(lambda t: calls.append(t) or func(t), np.zeros(7))
-    assert len(calls) == 7 and J.shape == (2 * instances[0].m, 7)
+    assert len(calls) == 7 and J.shape == (instances[0].m, 7)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

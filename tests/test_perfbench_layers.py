@@ -1,6 +1,7 @@
 """The benchmark's traced run wraps library names it looks up by string."""
 import ast
 import importlib
+import types
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -27,3 +28,59 @@ def test_every_traced_name_resolves():
                 assert hasattr(obj, part), f"curvemvg.{module}.{name} is gone"
                 obj = getattr(obj, part)
             assert callable(obj)
+
+
+# the files the benchmark loads, and the planted-fault check that runs its checks
+BENCH_FILES = ("run.py", "workloads.py", "checks.py", "cli_child.py", "tracer.py",
+               "planted.py")
+
+
+def _curvemvg_uses(path: Path) -> set[str]:
+    # every dotted curvemvg name the file imports or reads through an import
+    # alias, e.g. "curvemvg.kruppa.build_instance" for kp.build_instance
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound, uses = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "curvemvg":
+                    bound[a.asname or "curvemvg"] = a.name if a.asname else "curvemvg"
+                    uses.add(a.name)
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "curvemvg"):
+            for a in node.names:
+                bound[a.asname or a.name] = f"{node.module}.{a.name}"
+                uses.add(f"{node.module}.{a.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            chain, cur = [], node
+            while isinstance(cur, ast.Attribute):
+                chain.append(cur.attr)
+                cur = cur.value
+            if isinstance(cur, ast.Name) and cur.id in bound:
+                uses.add(".".join([bound[cur.id], *reversed(chain)]))
+    return uses
+
+
+def _resolves(dotted: str) -> bool:
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for k, part in enumerate(parts[1:], 2):
+        if not hasattr(obj, part) and isinstance(obj, types.ModuleType):
+            try:
+                importlib.import_module(".".join(parts[:k]))
+            except ModuleNotFoundError:
+                return False
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_curvemvg_name_the_benchmark_reads_resolves():
+    # a workload that calls a deleted name fails its operations instead of
+    # failing an import, so each name is looked up here
+    uses = set().union(*(_curvemvg_uses(TRACER.parent / f) for f in BENCH_FILES))
+    assert {"curvemvg.kruppa.build_instance", "curvemvg.scene_cli.main",
+            "curvemvg.curve_models.image_tangent"} <= uses
+    assert sorted(u for u in uses if not _resolves(u)) == []

@@ -601,3 +601,19 @@ def test_whitened_nullspace_ignores_the_scale_of_a_row():
             # cosines of the principal angles between the two null spaces
             cos = np.linalg.svd(any_.null(k) @ ref.null(k).T, compute_uv=False)
             assert 1.0 - cos.min() <= 1e-14
+
+
+def test_norms_scale_a_row_whose_squares_overflow():
+    # a finite row whose squared sum overflows is scaled by its largest entry
+    # and read without a warning; every other row keeps the plain dot
+    # product's bits, and a row holding an inf or a NaN reads inf or NaN
+    rows = np.array([[1e200, 1.0, 0.0, 0.0], [-3e300, 4e300, 0.0, 0.0],
+                     [3.0, 4.0, 0.0, 1e-3], [np.inf, 1.0, 0.0, 0.0], [np.nan, 1.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        n = pc._norms(rows)
+        assert pc._norms(rows[0]).tolist() == [1e200]
+    assert n.shape == (5, 1)
+    assert n[0, 0] == 1e200 and n[1, 0] == 5e300
+    assert n[2, 0] == np.sqrt(rows[2] @ rows[2])
+    assert n[3, 0] == np.inf and np.isnan(n[4, 0])

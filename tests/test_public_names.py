@@ -15,8 +15,6 @@ UNCALLED = {
     "cone", "node_count", "find_nodes",
     # called by perfbench by name until its tangents are batched (ROADMAP item 1)
     "image_tangent", "multiply",
-    # the refinement loop, to be certified or deleted (ROADMAP item 2)
-    "refine_epipolar",
     # the plane-section decode of the Chow form meets its planes (ROADMAP item 14)
     "meet_planes",
     # replaced by the batched trajectory localizer (ROADMAP item 18)

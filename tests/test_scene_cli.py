@@ -206,6 +206,15 @@ def test_kruppa_check_builds_each_instance_once(monkeypatch):
     assert "perturbation_detected" in rep.verdicts
 
 
+@pytest.mark.parametrize("seed", [1045, 1077, 1094])
+def test_kruppa_check_passes_at_zero_noise_on_the_epipolar_pencil(seed):
+    # random probe lines read 1.4e-9 to 2.2e-9 at these seeds, over the 1e-9
+    # gate; the pencil reads at most 6.9e-10 over seeds 1000..1099
+    cfg = sc.load_config(str(CONFIGS / "kruppa_trio.json"), seed, 0.0)
+    rep = sc.run("kruppa-check", cfg)
+    assert rep.verdicts["constraints_vanish"], rep.metrics["constraint_norm_max"]
+
+
 def test_kruppa_check_fails_detection_when_every_perturbed_probe_raises(monkeypatch):
     # the responses at the truth are read; every one away from it raises, so
     # no curve has a perturbed figure and nothing was detected (a clamp used
@@ -214,9 +223,9 @@ def test_kruppa_check_fails_detection_when_every_perturbed_probe_raises(monkeypa
     build, respond = kp.build_instance, kp.detection_response
     monkeypatch.setattr(kp, "build_instance", lambda *a: truth.append(build(*a)) or truth[-1])
 
-    def refuse_off_truth(inst, rng=None):
+    def refuse_off_truth(inst):
         if any(inst is t for t in truth):
-            return respond(inst, rng=rng)
+            return respond(inst)
         raise kp.KruppaError("no usable probe line found")
 
     monkeypatch.setattr(kp, "detection_response", refuse_off_truth)
@@ -454,7 +463,7 @@ README_DIGESTS = {
     "simulate --config simulate_demo.json":
         "40c76a2dc831b5d43c0b20744e6e3a730643b1261cf78a5eab30a2a375949ab0",
     "kruppa-check --config kruppa_trio.json --noise 1e-3":
-        "8b8f336a43d89eef8cc5aef315d688a77c77f287e8eca083666cc1d33b552d6f",
+        "13d4d3e02634dabdaf9f102517a796973e98bcbafa69dc6d1f0b321583824587",
     "kruppa-dim --config conic_pair.json":
         "0afff9257d2fd2247c2d81be07e125069ca3530050c3403586b53d5549b14f66",
     "reconstruct-points --config cubic_pair.json --planes 60":
