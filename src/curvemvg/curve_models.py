@@ -229,17 +229,6 @@ def _separated(n: int) -> np.ndarray:
     return mask
 
 
-@dataclass
-class ImageCurve:
-    """Implicit plane model of one projection of a space curve."""
-
-    f: HomogeneousPolynomial
-
-    @property
-    def degree(self) -> int:
-        return self.f.degree
-
-
 def _projected_points(curve: RationalCurve3D, cam: Camera, thetas) -> np.ndarray:
     pts = cam.project(curve.points(thetas))
     norms = np.linalg.norm(pts, axis=1)
@@ -248,7 +237,7 @@ def _projected_points(curve: RationalCurve3D, cam: Camera, thetas) -> np.ndarray
     return pts / norms[:, None]
 
 
-def implicit_image_curve(curve: RationalCurve3D, cam: Camera) -> ImageCurve:
+def implicit_image_curve(curve: RationalCurve3D, cam: Camera) -> HomogeneousPolynomial:
     """Fit the implicit degree-d form of the projected curve.
 
     Uses twice as many samples along the parametrization as the form has
@@ -263,7 +252,7 @@ def implicit_image_curve(curve: RationalCurve3D, cam: Camera) -> ImageCurve:
     n = max(2 * basis.size, basis.size + 6)
     thetas = np.concatenate([_sample_thetas(n), _sample_thetas(37, offset=0.41)])
     pts = _projected_points(curve, cam, thetas)
-    return ImageCurve(_accepted_form(basis, pts, n, "implicit", "samples", 1e-7))
+    return _accepted_form(basis, pts, n, "implicit", "samples", 1e-7)
 
 
 def _accepted_form(basis, rows: np.ndarray, n: int, fit: str, held: str,
@@ -329,10 +318,10 @@ _NODE_MIX = np.array([0.5772, -0.3679, 0.7071])
 
 
 def find_nodes(curve: RationalCurve3D, cam: Camera,
-               image_curve: ImageCurve) -> list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]]:
+               f: HomogeneousPolynomial) -> list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]]:
     """Nodes of the image curve, each with the two parameters that meet there.
 
-    Each partial of the image form, pulled back along the image
+    Each partial of the image form ``f``, pulled back along the image
     parametrization ``cam.M @ curve.C``, is a binary form of degree d(d-1).
     On the curve the gradient is the tangent line times a form that vanishes
     exactly at the node parameters, so these are the roots of one fixed
@@ -348,7 +337,7 @@ def find_nodes(curve: RationalCurve3D, cam: Camera,
     n = d * (d - 1)
     # monomial y^a of the d+1 coordinates y_k = t^(d-k) s^k has s-degree sum(k a_k)
     sdeg = enumerate_monomials(d + 1, d - 1).exponent_array() @ np.arange(d + 1)
-    forms = np.stack([pc.pullback(g, K).coeffs for g in pc.gradient(image_curve.f)])
+    forms = np.stack([pc.pullback(g, K).coeffs for g in pc.gradient(f)])
     forms = forms @ (sdeg[:, None] == np.arange(n + 1))
     roots, _ = pc._binary_roots(_NODE_MIX @ forms)
     vals = np.abs(pc.monomial_rows(enumerate_monomials(2, n), roots) @ forms.T)

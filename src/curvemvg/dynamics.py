@@ -32,7 +32,7 @@ from .projective_cameras import (
     swap_blocks,
     triangulate,
 )
-from .reconstruct import ChowForm, _fit_chow, fit_chow_from_lines
+from .reconstruct import ChowForm, fit_chow_from_lines
 
 
 class DynamicsError(CurvemvgError):
@@ -203,19 +203,6 @@ def recover_line_motion(rays, tol: float = 1e-8,
     onto the line quadric by the exact nearest-point projection.
     """
     return _line_motion(_ray_rows(rays), tol, quadric_gate)[0]
-
-
-def recover_trajectory_chow(rays, d: int) -> ChowForm:
-    """Degree-d form vanishing on the rays, rank-checked as chow_reconstruct is.
-
-    A RaySet gives one view per camera to the per-view rank checks; the
-    rows of a plain (n, 6) array count as one view.
-    """
-    lines = _ray_rows(rays)
-    if isinstance(rays, RaySet):
-        seen, _ = _groups(np.sort(rays.camera_ids))
-        return _fit_chow([lines[rays.camera_ids == c] for c in seen], d)
-    return _fit_chow([lines], d)
 
 
 def _holdout_split(n: int) -> tuple[np.ndarray, np.ndarray]:

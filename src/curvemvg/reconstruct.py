@@ -19,7 +19,7 @@ import numpy as np
 
 from . import CurvemvgError
 from . import polycore as pc
-from .curve_models import ImageCurve, _sample_thetas
+from .curve_models import _sample_thetas
 from .polycore import HomogeneousPolynomial, enumerate_monomials
 from .projective_cameras import (
     Camera,
@@ -39,35 +39,36 @@ class InsufficientViews(ReconstructionError):
     """Raised when stacked view equations cannot determine the unknowns."""
 
 
-def cone(f: ImageCurve, cam: Camera) -> HomogeneousPolynomial:
+def cone(f: HomogeneousPolynomial, cam: Camera) -> HomogeneousPolynomial:
     """Back-projected cone of an image curve: the degree-d form on P3 pulled back through M."""
-    return pc.pullback(f.f, cam.M)
-
-
-@dataclass
-class PlaneCandidates:
-    """All cone-intersection candidates on one epipolar plane."""
-
-    plane: np.ndarray
-    points: np.ndarray           # (d*d, 4) candidates, phase-normalized row-wise
-    is_true: np.ndarray          # boolean mask from the third check
-    residuals: np.ndarray        # third-check residual per candidate
+    return pc.pullback(f, cam.M)
 
 
 @dataclass
 class ComponentSplit:
-    """Per-plane classification of cone-intersection candidates."""
+    """Cone-intersection candidates of the k kept planes of a sweep, labelled.
 
-    planes: list[PlaneCandidates]
+    With d the curves' degree, the arrays hold one row per kept plane:
+    ``planes`` (k, 4) unit planes; ``points`` (k, d*d, 4) candidates,
+    phase-normalized row-wise, pairing (i, j) of the view roots at index
+    i*d + j; ``is_true`` (k, d*d) the mask of the check-view test and
+    ``residuals`` (k, d*d) its largest residual per candidate.
+    """
+
+    planes: np.ndarray
+    points: np.ndarray
+    is_true: np.ndarray
+    residuals: np.ndarray
     skipped: int                 # planes dropped for root collisions
 
     @property
     def per_plane_counts(self) -> list[tuple[int, int]]:
-        return [(int(p.is_true.sum()), int((~p.is_true).sum())) for p in self.planes]
+        n = self.is_true.shape[1]
+        return [(t, n - t) for t in self.is_true.sum(axis=1).tolist()]
 
 
-def epipolar_sweep(f1: ImageCurve, f2: ImageCurve, cam1: Camera, cam2: Camera,
-                   n_planes: int = 60, *,
+def epipolar_sweep(f1: HomogeneousPolynomial, f2: HomogeneousPolynomial, cam1: Camera,
+                   cam2: Camera, n_planes: int = 60, *,
                    check_views: list[tuple[HomogeneousPolynomial, Camera]]) -> ComponentSplit:
     """Cone-intersection candidates over a sweep of epipolar planes.
 
@@ -93,6 +94,8 @@ def epipolar_sweep(f1: ImageCurve, f2: ImageCurve, cam1: Camera, cam2: Camera,
     its epipolar lines in one call, every plane's roots come from one call
     of the stacked root kernel, every kept plane's d*d ray pairs are met in
     one :func:`triangulate` call, and each check view is evaluated once.
+    The k kept planes come back as arrays, (k, 4) planes, (k, d*d, 4)
+    candidates and (k, d*d) labels and residuals (see :class:`ComponentSplit`).
     """
     if f1.degree != f2.degree:
         raise ReconstructionError("image curves must share their degree")
@@ -114,7 +117,7 @@ def epipolar_sweep(f1: ImageCurve, f2: ImageCurve, cam1: Camera, cam2: Camera,
     spans = np.stack([np.stack(np.broadcast_arrays(e, p), axis=1)
                       for e, p in ((eg.e1, p1), (eg.e2, p2))])
     # each view's curve on all its lines in one restriction, every root in one call
-    forms = np.stack([pc.restrict_to_lines(f.f, span.swapaxes(1, 2))
+    forms = np.stack([pc.restrict_to_lines(f, span.swapaxes(1, 2))
                       for f, span in zip((f1, f2), spans)])
     roots, sep = pc._binary_roots(forms)
     keep = (sep >= 1e-7).all(axis=0)
@@ -128,9 +131,9 @@ def epipolar_sweep(f1: ImageCurve, f2: ImageCurve, cam1: Camera, cam2: Camera,
     for g, cam in check_views:
         q = cam.project(cands)
         res = np.maximum(res, np.abs(g(q / np.linalg.norm(q, axis=1, keepdims=True))))
-    split = [PlaneCandidates(plane, P, r <= 1e-8, r) for plane, P, r in
-             zip(planes[keep], cands.reshape(-1, d * d, 4), res.reshape(-1, d * d))]
-    return ComponentSplit(split, n_planes - len(split))
+    res = res.reshape(-1, d * d)
+    return ComponentSplit(planes[keep], cands.reshape(-1, d * d, 4), res <= 1e-8, res,
+                          n_planes - len(res))
 
 
 def _lifts(views, lift, what: str) -> list[np.ndarray]:

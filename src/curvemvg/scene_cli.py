@@ -363,8 +363,8 @@ def _cmd_kruppa_check(cfg: SceneConfig, rng: np.random.Generator, rep: Report, a
         rep.metrics[f"curve{ki}_constraint_norm"] = resid
         worst = max(worst, resid)
         if inst.m == 2:
-            C1 = pc.quadratic_matrix(implicit_image_curve(curve, cam1).f)
-            C2 = pc.quadratic_matrix(implicit_image_curve(curve, cam2).f)
+            C1 = pc.quadratic_matrix(implicit_image_curve(curve, cam1))
+            C2 = pc.quadratic_matrix(implicit_image_curve(curve, cam2))
             classical = kp.classical_kruppa_residual(eg, C1, C2)
             rep.metrics[f"curve{ki}_classical_residual"] = classical
             rep.verdicts[f"curve{ki}_classical_matches"] = classical <= 1e-9
@@ -422,19 +422,17 @@ def _cmd_reconstruct_points(cfg: SceneConfig, rng: np.random.Generator,
     curve = cfg.curves[0]
     d = curve.degree
     images = [implicit_image_curve(curve, cam) for cam in cfg.cameras]
-    checks = [(f.f, cam) for f, cam in zip(images[2:], cfg.cameras[2:])]
     split = rc.epipolar_sweep(images[0], images[1], cfg.cameras[0],
                               cfg.cameras[1], n_planes=args.planes,
-                              check_views=checks)
+                              check_views=list(zip(images[2:], cfg.cameras[2:])))
     counts = split.per_plane_counts
     rep.metrics["planes_kept"] = len(counts)
     rep.metrics["planes_skipped"] = split.skipped
     good = sum(1 for t, e in counts if t == d and e == d * (d - 1))
     rep.metrics["planes_exact_split"] = good
     # every kept plane's d*d candidates, phase-normalized by the sweep, as columns
-    cands = np.array([p.points for p in split.planes]).reshape(-1, 4)
-    res = np.array([p.residuals for p in split.planes]).reshape(-1)
-    true = np.array([p.is_true for p in split.planes], dtype=bool).reshape(-1)
+    cands = split.points.reshape(-1, 4)
+    res, true = split.residuals.reshape(-1), split.is_true.reshape(-1)
     rep.metrics["true_residual_max"] = float(res[true].max(initial=0.0))
     rep.metrics["extraneous_residual_min"] = float(min(res[~true].min(initial=np.inf), 1e6))
     rep.verdicts["per_plane_counts_correct"] = good == len(counts) > 0

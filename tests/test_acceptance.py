@@ -82,8 +82,8 @@ def test_tangency_constraints_at_truth_and_under_perturbation(ring, curve_set):
             pert = EpipolarGeometry.from_F(eg.F + 1e-3 * rng.standard_normal((3, 3)))
             assert response(pert.e1, pert.F) > 1e-5, name
     # the conic case collapses to the classical matrix identity
-    C1 = pc.quadratic_matrix(implicit_image_curve(curve_set["conic"], cam1).f)
-    C2 = pc.quadratic_matrix(implicit_image_curve(curve_set["conic"], cam2).f)
+    C1 = pc.quadratic_matrix(implicit_image_curve(curve_set["conic"], cam1))
+    C2 = pc.quadratic_matrix(implicit_image_curve(curve_set["conic"], cam2))
     assert kp.classical_kruppa_residual(eg, C1, C2) <= 1e-9
 
 
@@ -122,7 +122,7 @@ def test_two_component_candidate_counts(ring, curve_set):
         d = curve.degree
         f1 = implicit_image_curve(curve, ring[0])
         f2 = implicit_image_curve(curve, ring[1])
-        checks = [(implicit_image_curve(curve, c).f, c) for c in ring[2:4]]
+        checks = [(implicit_image_curve(curve, c), c) for c in ring[2:4]]
         split = rc.epipolar_sweep(f1, f2, ring[0], ring[1], n_planes=60,
                                   check_views=checks)
         assert len(split.planes) >= 50

@@ -79,21 +79,21 @@ def test_tangent_plane_pencil_contains_line(quintic):
 
 
 def test_implicit_image_curve_vanishes(cams, cubic):
-    ic = cm.implicit_image_curve(cubic, cams[0])
-    assert ic.degree == 3
+    f = cm.implicit_image_curve(cubic, cams[0])
+    assert f.degree == 3
     held = cubic.points(np.linspace(0.05, 3.0, 50)) @ cams[0].M.T
     held /= np.linalg.norm(held, axis=1, keepdims=True)
-    assert max(abs(ic.f(p)) for p in held) < 1e-9
+    assert max(abs(f(p)) for p in held) < 1e-9
     off = np.array([0.3, -0.5, 0.81])
-    assert abs(ic.f(off / np.linalg.norm(off))) > 1e-6
+    assert abs(f(off / np.linalg.norm(off))) > 1e-6
 
 
 def test_implicit_image_curve_all_presets(cams, conic, quartic, quintic):
     for curve in (conic, quartic, quintic):
-        ic = cm.implicit_image_curve(curve, cams[1])
-        assert ic.degree == curve.degree
+        f = cm.implicit_image_curve(curve, cams[1])
+        assert f.degree == curve.degree
         p = cams[1].M @ curve.points([1.3])[0]
-        assert abs(ic.f(p / np.linalg.norm(p))) < 1e-8
+        assert abs(f(p / np.linalg.norm(p))) < 1e-8
 
 
 def test_image_tangent_is_tangent(cams, cubic):
@@ -346,7 +346,7 @@ def test_image_fitters_sample_once_per_fit(monkeypatch, request, cams, name):
     project, tangents = cm._projected_points, cm.image_tangents
     monkeypatch.setattr(cm, "_projected_points", lambda *a: calls.append("points") or project(*a))
     monkeypatch.setattr(cm, "image_tangents", lambda *a: calls.append("tangents") or tangents(*a))
-    f = cm.implicit_image_curve(curve, cams[1]).f
+    f = cm.implicit_image_curve(curve, cams[1])
     assert calls == ["points"]
     phi = cm.fit_dual_image_curve(curve, cams[1])
     assert calls == ["points", "tangents"]
@@ -388,8 +388,7 @@ def test_image_fits_refuse_a_form_that_misses_the_held_out_rows(monkeypatch, cam
 def test_dual_conic_is_adjugate(cams, conic):
     # for a conic the dual curve is the adjugate matrix form
     from curvemvg.projective_cameras import adjugate3
-    ic = cm.implicit_image_curve(conic, cams[3])
-    C = pc.quadratic_matrix(ic.f)
+    C = pc.quadratic_matrix(cm.implicit_image_curve(conic, cams[3]))
     phi = cm.fit_dual_image_curve(conic, cams[3])
     D = pc.quadratic_matrix(phi)
     assert pc.proportionality_residual(D.ravel(), adjugate3(C).ravel()) < 1e-8
@@ -403,9 +402,9 @@ def test_find_nodes_matches_count(cams):
             curve = cm.preset_curve(name, seed)
             d = curve.degree
             for ci, cam in enumerate(cams):
-                ic = cm.implicit_image_curve(curve, cam)
-                grads = np.stack([g.coeffs for g in pc.gradient(ic.f)])
-                nodes = cm.find_nodes(curve, cam, ic)
+                f = cm.implicit_image_curve(curve, cam)
+                grads = np.stack([g.coeffs for g in pc.gradient(f)])
+                nodes = cm.find_nodes(curve, cam, f)
                 assert len(nodes) == cm.node_count(d, 0), (name, seed, ci)
                 for p, params in nodes:
                     grad = pc.monomial_rows(pc.enumerate_monomials(3, d - 1), p) @ grads.T

@@ -22,6 +22,11 @@ def _rays_for(kind, seed, **kw):
     return sc, dy.lift_observations(sc.cameras, sc.detections)
 
 
+def _camera_blocks(rays):
+    # one block of a RaySet's rows per camera, for the per-view rank checks
+    return [rays.lines[rays.camera_ids == c] for c in np.unique(rays.camera_ids)]
+
+
 def test_lift_observations_static():
     sc, rays = _rays_for("static", 42, n_cameras=3, frames_per_camera=10)
     assert len(rays) == 30
@@ -183,21 +188,6 @@ def test_run_grouping_returns_what_np_unique_did(cam_ids, n_cams):
         assert np.array_equal(getattr(rays, name), getattr(want, name))
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(cam_ids=CAMERA_IDS)
-def test_chow_views_are_the_np_unique_camera_blocks(cam_ids):
-    # a RaySet whose camera ids are not sorted gives one block per camera, in id order
-    n = len(cam_ids)
-    lines = np.random.default_rng(n).standard_normal((n, 6))
-    rays = dy.RaySet(lines, cam_ids, np.zeros(n, dtype=int), np.arange(n))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dy, "_fit_chow", lambda blocks, d: blocks)
-        blocks = dy.recover_trajectory_chow(rays, 2)
-    want = [lines[cam_ids == c] for c in np.unique(cam_ids)]
-    assert len(blocks) == len(want)
-    assert all(np.array_equal(a, b) for a, b in zip(blocks, want))
-
-
 def test_holdout_split_is_the_setdiff_split():
     for n in range(8, 201):
         train, held = dy._holdout_split(n)
@@ -303,10 +293,9 @@ def test_ray_recoveries_name_a_zero_or_non_finite_row():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
 @pytest.mark.parametrize("entry", [dy.classify_motion, dy.recover_static_point,
-                                   dy.recover_line_motion,
-                                   lambda rays: dy.recover_trajectory_chow(rays, 3)],
+                                   dy.recover_line_motion],
                          ids=["classify_motion", "recover_static_point",
-                              "recover_line_motion", "recover_trajectory_chow"])
+                              "recover_line_motion"])
 def test_every_rayset_entry_names_a_zero_or_non_finite_row(entry, bad):
     # a RaySet's rows went on unchecked: a NaN raised numpy's LinAlgError,
     # an inf warned "invalid value encountered in vecdot"
@@ -368,7 +357,7 @@ def test_zero_noise_conic_with_a_near_degenerate_view():
     rays = dy.lift_observations(sc.cameras, sc.detections)
     mc = dy.classify_motion(rays)
     assert mc.kind == "conic", mc.trace
-    G = dy.recover_trajectory_chow(rays, 2)
+    G = rc._fit_chow(_camera_blocks(rays), 2)
     assert G.gap < 1e-12
     assert len(G.per_view_ranks) == 10
     assert np.abs(pc.evaluate(G.Gamma, rays.lines)).max() < 1e-9
@@ -386,14 +375,14 @@ def test_recover_line_rejects_conic_data():
         dy.recover_line_motion(rays)
 
 
-def test_recover_trajectory_chow_matches_classifier():
+def test_camera_block_chow_fit_matches_classifier():
     _, rays = _rays_for("cubic", 31)
-    G = dy.recover_trajectory_chow(rays, 3)
+    G = rc._fit_chow(_camera_blocks(rays), 3)
     mat = rays.lines
     assert max(abs(G(L)) for L in mat) < 1e-9
     # degree 2 cannot absorb a cubic trajectory
     with pytest.raises((rc.ReconstructionError, rc.InsufficientViews)):
-        dy.recover_trajectory_chow(rays, 2)
+        rc._fit_chow(_camera_blocks(rays), 2)
 
 
 def test_classify_negative_control():

@@ -70,8 +70,8 @@ def test_detection_response_reacts_to_a_wrong_geometry(instances):
 def test_classical_conic_identity(pair, conic, instances):
     cam1, cam2 = pair
     eg = fundamental(cam1, cam2)
-    C1 = pc.quadratic_matrix(implicit_image_curve(conic, cam1).f)
-    C2 = pc.quadratic_matrix(implicit_image_curve(conic, cam2).f)
+    C1 = pc.quadratic_matrix(implicit_image_curve(conic, cam1))
+    C2 = pc.quadratic_matrix(implicit_image_curve(conic, cam2))
     assert kp.classical_kruppa_residual(eg, C1, C2) < 1e-9
     # the generalized constraints agree with the matrix identity off the truth
     rng = np.random.default_rng(9)
@@ -235,7 +235,7 @@ def test_instance_rejects_a_non_finite_dual_form(instances, bad):
 def test_classical_residual_refuses_a_nan_conic(pair, conic, bad):
     # a NaN or inf conic on either side is refused before adjugate3 can warn
     eg = fundamental(*pair)
-    C = pc.quadratic_matrix(implicit_image_curve(conic, pair[0]).f)
+    C = pc.quadratic_matrix(implicit_image_curve(conic, pair[0]))
     C_bad = C.copy()
     C_bad[1, 2] = C_bad[2, 1] = bad
     with warnings.catch_warnings():

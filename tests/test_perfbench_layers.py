@@ -1,10 +1,16 @@
 """The benchmark's traced run wraps library names it looks up by string."""
 import ast
 import importlib
+import importlib.util
+import json
+import shlex
 import types
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from curvemvg import scene_cli
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _layers() -> dict:
@@ -84,3 +90,46 @@ def test_every_curvemvg_name_the_benchmark_reads_resolves():
     assert {"curvemvg.kruppa.build_instance", "curvemvg.scene_cli.main",
             "curvemvg.curve_models.image_tangent"} <= uses
     assert sorted(u for u in uses if not _resolves(u)) == []
+
+
+def _readme_command_lines() -> list[list[str]]:
+    # the curvemvg lines of the README's command-line block, configs made absolute
+    lines = []
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("curvemvg "):
+            argv = shlex.split(line)[1:]
+            if "--config" in argv:
+                k = argv.index("--config") + 1
+                argv[k] = str(ROOT / argv[k])
+            lines.append(argv)
+    return lines
+
+
+def test_a_traced_run_of_every_readme_command_reads_its_results(tmp_path):
+    # the benchmark's traced CLI child: each hook reads attributes of the
+    # result it wraps, so a renamed attribute fails every traced operation
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    lines = _readme_command_lines()
+    assert len(lines) == 8
+    rec = tracer.SpanRecorder(keep_spans=0)
+    try:
+        rec.install()
+        rec.enabled = True
+        codes = [scene_cli.main([*argv, "--out", str(tmp_path / f"report{i}.json")])
+                 for i, argv in enumerate(lines)]
+    finally:
+        rec.enabled = False
+        rec.uninstall()
+    assert codes == [0] * len(lines)
+    metrics = [json.loads((tmp_path / f"report{i}.json").read_text(encoding="utf-8"))["metrics"]
+               for i in range(len(lines))]
+    kept = sum(m.get("planes_kept", 0) for m in metrics)
+    skipped = sum(m.get("planes_skipped", 0) for m in metrics)
+    assert kept > 0
+    assert rec.counts["reconstruct.epipolar_sweep.kept"] == kept
+    assert rec.counts["reconstruct.epipolar_sweep.planes"] == kept + skipped
+    # every per-layer figure the benchmark reports is read off the totals
+    assert set(rec.layer_metrics(len(lines))) == {
+        name for name, _ in tracer.PER_LAYER if not name.startswith(("curvemvg.", "trace."))}

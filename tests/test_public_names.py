@@ -19,7 +19,6 @@ UNCALLED = {
     "meet_planes",
     # replaced by the batched trajectory localizer (ROADMAP item 18)
     "localize_on_ray", "recover_static_point", "recover_line_motion",
-    "recover_trajectory_chow",
 }
 
 

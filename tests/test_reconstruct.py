@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-from curvemvg import dynamics as dy
 from curvemvg import polycore as pc
 from curvemvg import reconstruct as rc
 from curvemvg import scenes
@@ -50,7 +49,7 @@ def test_epipolar_sweep_splits_components(cams, name, seed):
     d = curve.degree
     f1 = implicit_image_curve(curve, cams[0])
     f2 = implicit_image_curve(curve, cams[1])
-    checks = [(implicit_image_curve(curve, c).f, c) for c in cams[2:4]]
+    checks = [(implicit_image_curve(curve, c), c) for c in cams[2:4]]
     split = rc.epipolar_sweep(f1, f2, cams[0], cams[1], n_planes=60,
                               check_views=checks)
     assert len(split.planes) + split.skipped == 60
@@ -60,8 +59,8 @@ def test_epipolar_sweep_splits_components(cams, name, seed):
         assert n_true == d
         assert n_ext == d * (d - 1)
     # the two components are cleanly separated by the check residual
-    true_res = max(p.residuals[p.is_true].max() for p in split.planes)
-    ext_res = min(p.residuals[~p.is_true].min() for p in split.planes)
+    true_res = split.residuals[split.is_true].max()
+    ext_res = split.residuals[~split.is_true].min()
     assert true_res < 1e-8
     assert ext_res > 1e-6
     assert ext_res > 1e3 * true_res
@@ -94,7 +93,7 @@ def _cross_matrix_sweep(f1, f2, cam1, cam2, n_planes, check_views):
         plane = plane / np.linalg.norm(plane)
         pts, seps = [], []
         for f, A, B in ((f1, eg.e1, p1), (f2, eg.e2, p2 / np.linalg.norm(p2))):
-            roots, sep = pc._binary_roots(pc.restrict_to_line(f.f, A, B).coeffs)
+            roots, sep = pc._binary_roots(pc.restrict_to_line(f, A, B).coeffs)
             pts.append(roots[:, :1] * A + roots[:, 1:] * B)
             seps.append(sep)
         if min(seps) < 1e-7:
@@ -120,18 +119,19 @@ def test_epipolar_sweep_matches_the_cross_matrix_triangulation(cams, name, reque
     # cross-matrix route up to phase, with the same labels on the same planes
     curve = request.getfixturevalue(name)
     f = [implicit_image_curve(curve, c) for c in cams[:4]]
-    checks = [(g.f, c) for g, c in zip(f[2:], cams[2:4])]
+    checks = list(zip(f[2:], cams[2:4]))
     split = rc.epipolar_sweep(f[0], f[1], cams[0], cams[1], n_planes=60, check_views=checks)
     want, skipped = _cross_matrix_sweep(f[0], f[1], cams[0], cams[1], 60, checks)
     assert split.skipped == skipped
     assert len(split.planes) == len(want)
     assert split.per_plane_counts == [(int(t.sum()), int((~t).sum())) for _, _, t in want]
-    for got, (plane, cands, is_true) in zip(split.planes, want):
-        assert np.array_equal(got.plane, plane)
-        assert np.array_equal(got.is_true, is_true)
+    for got_plane, got_points, got_true, (plane, cands, is_true) in zip(
+            split.planes, split.points, split.is_true, want):
+        assert np.array_equal(got_plane, plane)
+        assert np.array_equal(got_true, is_true)
         # both sides unit; rotate each reference point onto its candidate
-        inner = np.sum(cands.conj() * got.points, axis=1)
-        assert np.abs(cands * (inner / np.abs(inner))[:, None] - got.points).max() <= 1e-12
+        inner = np.sum(cands.conj() * got_points, axis=1)
+        assert np.abs(cands * (inner / np.abs(inner))[:, None] - got_points).max() <= 1e-12
 
 
 def _epipole_at_infinity_pair(cams):
@@ -147,7 +147,7 @@ def _epipole_at_infinity_pair(cams):
 def _sweep(curve, cam1, cam2, checks):
     f1, f2 = (implicit_image_curve(curve, c) for c in (cam1, cam2))
     return rc.epipolar_sweep(f1, f2, cam1, cam2, n_planes=60,
-                             check_views=[(implicit_image_curve(curve, c).f, c) for c in checks])
+                             check_views=[(implicit_image_curve(curve, c), c) for c in checks])
 
 
 @pytest.mark.parametrize("name", ["conic", "cubic", "quartic", "quintic"])
@@ -157,9 +157,8 @@ def test_every_swept_plane_passes_through_both_centers(cams, name, request):
     curve = request.getfixturevalue(name)
     for cam1, cam2 in (cams[:2], _epipole_at_infinity_pair(cams)):
         split = _sweep(curve, cam1, cam2, cams[2:4])
-        planes = np.array([p.plane for p in split.planes])
-        assert len(planes) >= 50
-        assert np.abs(planes @ np.stack([cam1.center, cam2.center]).T).max() <= 1e-12
+        assert len(split.planes) >= 50
+        assert np.abs(split.planes @ np.stack([cam1.center, cam2.center]).T).max() <= 1e-12
 
 
 def test_a_sweep_with_its_epipole_at_infinity_splits_exactly(cams, cubic):
@@ -175,7 +174,7 @@ def test_epipolar_sweep_rejects_degree_mismatch(cams, conic, cubic):
     f2 = implicit_image_curve(cubic, cams[1])
     with pytest.raises(rc.ReconstructionError):
         rc.epipolar_sweep(f1, f2, cams[0], cams[1],
-                          check_views=[(f1.f, cams[0])])
+                          check_views=[(f1, cams[0])])
 
 
 def test_epipolar_sweep_skipping_every_plane_meets_no_rays(cams, cubic, monkeypatch):
@@ -188,8 +187,8 @@ def test_epipolar_sweep_skipping_every_plane_meets_no_rays(cams, cubic, monkeypa
     meet = rc.triangulate
     monkeypatch.setattr(rc, "triangulate", lambda rays: batches.append(rays.shape) or meet(rays))
     split = rc.epipolar_sweep(f[0], f[1], cams[0], cams[1], n_planes=7,
-                              check_views=[(f[2].f, cams[2])])
-    assert split.planes == [] and split.skipped == 7
+                              check_views=[(f[2], cams[2])])
+    assert split.planes.shape == (0, 4) and split.skipped == 7
     assert batches == [(0, 3, 3, 2, 6)]
 
 
@@ -206,7 +205,7 @@ def test_epipolar_sweep_calls_each_kernel_a_fixed_number_of_times(cams, cubic, m
         monkeypatch.setattr(module, name,
                             lambda *a, _k=kernel, _n=name: calls.append(_n) or _k(*a))
     split = rc.epipolar_sweep(f[0], f[1], cams[0], cams[1], n_planes=n_planes,
-                              check_views=[(f[2].f, cams[2])])
+                              check_views=[(f[2], cams[2])])
     assert len(split.planes) + split.skipped == n_planes
     assert sorted(calls) == ["_binary_roots", "restrict_to_lines", "restrict_to_lines",
                              "triangulate"]
@@ -436,7 +435,7 @@ def test_chow_rejects_incoherent_rays():
     rays = np.stack([join_points(rng.standard_normal(4), rng.standard_normal(4))
                      for _ in range(80)])
     with pytest.raises(rc.ReconstructionError):
-        dy.recover_trajectory_chow(rays, 2)
+        rc._fit_chow([rays], 2)
 
 
 def test_grassmann_quadric_vanishes_on_lines():
@@ -533,12 +532,8 @@ def test_checked_routes_fit_once_and_read_each_shape_from_one_spectrum(monkeypat
     tangent_views = [(cam, np.concatenate([lines, lines[:4] * 2.0]) if i >= 3 else lines)
                      for i, (cam, lines) in enumerate(_tangent_views(cubic, cams[:5], 20))]
     point_views = _point_views(cubic, cams, 24)[:6] + _point_views(cubic, cams[6:], 30)
-    rays = [cam.rays(pts) for cam, pts in point_views]
-    ids = np.repeat(np.arange(len(rays)), [len(r) for r in rays])
-    rayset = dy.RaySet(pc.sign_normalize_rows(np.concatenate(rays)), ids, ids, ids)
     for route in (lambda: rc.dual_reconstruct(tangent_views, 4).per_view_ranks,
-                  lambda: rc.chow_reconstruct(point_views, 3).per_view_ranks,
-                  lambda: dy.recover_trajectory_chow(rayset, 3).per_view_ranks):
+                  lambda: rc.chow_reconstruct(point_views, 3).per_view_ranks):
         calls.update(fit=0, ranks=0, spectra=0)
         route()
         assert calls == {"fit": 1, "ranks": 2, "spectra": 2}
@@ -595,8 +590,8 @@ def test_fitted_forms_refuse_a_row_with_no_unit_scale(cams, conic, route, value)
 
 
 def test_unchecked_chow_fit_reports_its_stacked_rank(cams, conic):
-    # a plain array of rays is one view, whose rank is the stacked rank
+    # one block of rays is one view, whose rank is the stacked rank
     views = _point_views(conic, cams[:5], 16)
     lines = np.concatenate([pts @ cam.ray_matrix.T for cam, pts in views])
-    cf = dy.recover_trajectory_chow(lines, 2)
+    cf = rc._fit_chow([lines], 2)
     assert cf.per_view_ranks == [rc.chow_unknowns(2) - 1]
